@@ -1,8 +1,8 @@
 """Driven-dissipative dynamics of emitter chains coupled to a 1-D waveguide,
 driven by few-photon Fock-state Gaussian wavepackets."""
 
-from .qubit_algebra import EmitterRegister, lowering_op, partial_trace, trace, adjoint, commutator
-from .pulse import GaussianPulse, amplitude, pulse_profile_for_plot
+from .qubit_algebra import EmitterRegister, lowering_op, partial_trace, adjoint, commutator
+from .pulse import GaussianPulse, amplitude
 from .liouvillian import (
     ChainConfig,
     EmitterParams,
@@ -11,11 +11,10 @@ from .liouvillian import (
     apply_pure_decay,
     apply_total,
 )
-from .hierarchy import HierarchyState, initial_state, physical_density, rhs
+from .hierarchy import HierarchyState, initial_state
 from .integrator import IntegratorConfig, IntegrationBlowUpError, StateTrajectory, integrate
 from .entanglement import concurrence_fill, one_to_other_c2, wootters_concurrence
 from .observables import PeakSummary, Trajectory, build_trajectory, entanglement_series, peak, population
 from .scenario import Scenario, ScenarioError, build_scenario, load_scenario
-from .cli import simulate_scenario
 
 __version__ = "0.1.0"

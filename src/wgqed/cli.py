@@ -17,14 +17,14 @@ time).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .hierarchy import initial_state
 from .integrator import IntegrationBlowUpError, integrate
-from .observables import Trajectory, build_trajectory
+from .observables import Trajectory, build_trajectory, peak
 from .qubit_algebra import EmitterRegister
 from .scenario import Scenario, ScenarioError, load_scenario
 
@@ -61,17 +61,28 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _peaks(traj: Trajectory) -> dict:
-    out = {}
-    for name, series in traj.series_map().items():
-        i = int(series.argmax())
-        out[name] = {"value": float(series[i]), "time": float(traj.times[i])}
-    return out
-
-
 def _emit(quiet: bool, text: str) -> None:
     if not quiet:
         print(text)
+
+
+def _write_run(out: Path, tag: str, sc: Scenario, traj: Trajectory):
+    """Write one run's <tag>.csv and <tag>_summary.json; returns (paths, peaks)."""
+    series = traj.series_map()
+    peaks = {name: dataclasses.asdict(peak(traj, name)) for name in series}
+    csv_path = out / f"{tag}.csv"
+    json_path = out / f"{tag}_summary.json"
+    _write_csv(csv_path, traj.times, series)
+    _write_json(
+        json_path,
+        {
+            "scenario": sc.resolved(),
+            "peaks": peaks,
+            "series": list(series),
+            "n_time_points": int(len(traj.times)),
+        },
+    )
+    return [csv_path, json_path], peaks
 
 
 def run(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
@@ -79,28 +90,14 @@ def run(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
     sc = load_scenario(scenario_path, dt_override=dt)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = Path(scenario_path).stem
 
     traj, _states = simulate_scenario(sc)
-    peaks = _peaks(traj)
-
-    csv_path = out / f"{stem}.csv"
-    json_path = out / f"{stem}_summary.json"
-    _write_csv(csv_path, traj.times, traj.series_map())
-    _write_json(
-        json_path,
-        {
-            "scenario": sc.resolved(),
-            "peaks": peaks,
-            "series": list(traj.series_map()),
-            "n_time_points": int(len(traj.times)),
-        },
-    )
+    written, peaks = _write_run(out, Path(scenario_path).stem, sc, traj)
     for name, entry in peaks.items():
         _emit(quiet, f"{name}: max {entry['value']:.6g} at t = {entry['time']:g}")
-    _emit(quiet, f"wrote {csv_path}")
-    _emit(quiet, f"wrote {json_path}")
-    return [csv_path, json_path]
+    for path in written:
+        _emit(quiet, f"wrote {path}")
+    return written
 
 
 def sweep(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
@@ -113,33 +110,17 @@ def sweep(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
     stem = Path(scenario_path).stem
 
     ratios = list(sc.sweep_ratios)
-    with ThreadPoolExecutor(max_workers=min(4, len(ratios))) as pool:
-        trajs = list(pool.map(lambda r: simulate_scenario(sc.with_ratio(r))[0], ratios))
-
     written = []
-    agg_names = None
     agg_rows = []
     peaks_by_ratio = {}
-    for ratio, traj in zip(ratios, trajs):
-        peaks = _peaks(traj)
+    for ratio in ratios:
+        sc_ratio = sc.with_ratio(ratio)
+        traj, _states = simulate_scenario(sc_ratio)
+        paths, peaks = _write_run(out, f"{stem}_ratio{ratio:g}", sc_ratio, traj)
+        written += paths
         peaks_by_ratio[f"{ratio:g}"] = peaks
-        tag = f"{stem}_ratio{ratio:g}"
-        csv_path = out / f"{tag}.csv"
-        json_path = out / f"{tag}_summary.json"
-        _write_csv(csv_path, traj.times, traj.series_map())
-        _write_json(
-            json_path,
-            {
-                "scenario": sc.with_ratio(ratio).resolved(),
-                "peaks": peaks,
-                "series": list(traj.series_map()),
-                "n_time_points": int(len(traj.times)),
-            },
-        )
-        written += [csv_path, json_path]
-        names = [n for n in traj.series_map() if n != "pulse_intensity"]
-        if agg_names is None:
-            agg_names = names
+        # the drive shape is ratio-independent; the other series are the same for every ratio
+        names = [n for n in peaks if n != "pulse_intensity"]
         agg_rows.append(
             [ratio] + [v for n in names for v in (peaks[n]["value"], peaks[n]["time"])]
         )
@@ -147,7 +128,7 @@ def sweep(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
             f"{n} max {peaks[n]['value']:.6g} at {peaks[n]['time']:g}" for n in names
         ))
 
-    header = ["ratio"] + [col for n in agg_names for col in (f"{n}_max", f"{n}_t")]
+    header = ["ratio"] + [col for n in names for col in (f"{n}_max", f"{n}_t")]
     lines = [",".join(header)]
     for row in agg_rows:
         lines.append(",".join(_fmt(v) for v in row))

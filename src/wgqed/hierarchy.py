@@ -1,40 +1,43 @@
 """Fock-state master-equation hierarchy for an n_ph-photon Gaussian input.
 
-The system state is carried by a triangular family of operator blocks
-rho_{m,n}, 0 <= m <= n <= n_ph, each a dim x dim complex matrix.  Only the
-diagonal blocks are physical density matrices; the off-diagonal ones are
-bookkeeping operators obeying rho_{m,n}^dag = rho_{n,m}, so blocks with
-m > n are never stored — they are materialized as adjoints on demand.
-The physical (field-traced) state of the emitters is rho_{n_ph,n_ph}.
+The system state is a family of operator blocks rho_{m,n}, 0 <= m, n <= n_ph,
+each a dim x dim complex matrix.  Only the diagonal blocks are physical
+density matrices; the off-diagonal ones are bookkeeping operators obeying
+rho_{m,n}^dag = rho_{n,m}.  All (n_ph+1)^2 blocks are carried, so the
+equations of motion are complex-linear in the state and no adjoint is ever
+taken.  The physical (field-traced) state of the emitters is rho_{n_ph,n_ph}.
 
-Every stored block evolves under one generic rule,
+Every block evolves under one generic rule,
 
     d/dt rho_{m,n} = L[rho_{m,n}]
         + sum_i sqrt(Gamma_ir) ( sqrt(m) e^{+i k0 d_i} g(t)  [rho_{m-1,n}, sd_i]
                                + sqrt(n) e^{-i k0 d_i} g*(t) [s_i, rho_{m,n-1}] ),
 
-with the m=0 (resp. n=0) term absent and rho_{m,n-1} materialized as
-adjoint(rho_{n-1,m}) on the diagonal.  Only right-moving photons drive the
+with the m=0 (resp. n=0) term absent.  Only right-moving photons drive the
 couplings (the left input is vacuum), hence the lone sqrt(Gamma_ir).
+
+L keeps exc(a) - exc(b) of a basis operator |a><b| (exc counts excited
+emitters), and each drive term shifts it by one along with m - n.  Starting
+from the all-ground state, the entries of rho_{m,n} with
+exc(a) - exc(b) != m - n therefore stay zero (Baragiola et al., PRA 86,
+013811, 2012).  The integrated state vector keeps only the remaining
+entries of each block, its excitation sector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .liouvillian import ChainConfig, apply_total
-from .pulse import GaussianPulse, amplitude
-from .qubit_algebra import EmitterRegister, adjoint, commutator, lowering_op
+from .qubit_algebra import EmitterRegister, commutator, lowering_op
 
 __all__ = [
     "HierarchyState",
     "block_order",
     "initial_state",
-    "rhs",
-    "physical_density",
     "HierarchyPropagator",
 ]
 
@@ -42,8 +45,8 @@ MAX_PHOTONS = 3
 
 
 def block_order(n_ph: int):
-    """Stored blocks (m, n), m <= n, in (m, n)-lexicographic order."""
-    return [(m, n) for m in range(n_ph + 1) for n in range(m, n_ph + 1)]
+    """All blocks (m, n), 0 <= m, n <= n_ph, in (m, n)-lexicographic order."""
+    return [(m, n) for m in range(n_ph + 1) for n in range(n_ph + 1)]
 
 
 @dataclass
@@ -76,162 +79,96 @@ def initial_state(register: EmitterRegister, n_ph: int) -> HierarchyState:
     return HierarchyState(n_ph, register, blocks, 0.0)
 
 
-def _block(state: HierarchyState, m: int, n: int) -> np.ndarray:
-    """Block rho_{m,n} for any index pair, materializing adjoints for m > n."""
-    if m <= n:
-        return state.blocks[(m, n)]
-    return adjoint(state.blocks[(n, m)])
-
-
-def rhs(cfg: ChainConfig, pulse: GaussianPulse, state: HierarchyState, t: float) -> HierarchyState:
-    """Time derivative of every stored block (reference implementation).
-
-    The integrator uses the superoperator-compiled equivalent in
-    HierarchyPropagator; the two are pinned together by tests.
-    """
-    reg = state.register
-    if reg.dim != cfg.register.dim:
-        raise ValueError(
-            f"state register dim {reg.dim} does not match chain dim {cfg.register.dim}"
-        )
-    g = amplitude(pulse, t)
-    sigmas = [lowering_op(reg, j) for j in range(1, cfg.n_emitters + 1)]
-    derivs = {}
-    for m, n in block_order(state.n_ph):
-        d_mn = apply_total(cfg, state.blocks[(m, n)])
-        if g != 0.0:
-            for i, (em, s) in enumerate(zip(cfg.emitters, sigmas), start=1):
-                root_rate = math.sqrt(em.gamma_r)
-                if root_rate == 0.0:
-                    continue
-                ph = np.exp(1j * cfg.k0d[i - 1])
-                if m >= 1:
-                    d_mn += root_rate * math.sqrt(m) * ph * g * commutator(
-                        _block(state, m - 1, n), s.conj().T
-                    )
-                if n >= 1:
-                    d_mn += root_rate * math.sqrt(n) * ph.conj() * g * commutator(
-                        s, _block(state, m, n - 1)
-                    )
-        derivs[(m, n)] = d_mn
-    return HierarchyState(state.n_ph, reg, derivs, t)
-
-
-def physical_density(state: HierarchyState) -> np.ndarray:
-    """The reduced emitter density matrix rho_{n_ph,n_ph} used by all observables."""
-    return state.blocks[(state.n_ph, state.n_ph)]
-
-
-# ============================================================
-#  Superoperator-compiled right-hand side
-# ============================================================
-
-def _superop_from(fn, dim: int) -> np.ndarray:
-    """Matrix of a linear map on dim x dim operators in the row-major vec basis."""
-    d2 = dim * dim
-    mat = np.empty((d2, d2), dtype=complex)
-    basis = np.zeros((dim, dim), dtype=complex)
-    for col in range(d2):
-        basis.flat[col] = 1.0
-        mat[:, col] = fn(basis).ravel()
-        basis.flat[col] = 0.0
-    return mat
-
-
 class HierarchyPropagator:
-    """Compiled right-hand side over the flattened block vector.
+    """Compiled right-hand side y' = (A + g(t) B) y over the sector vector y.
 
-    The three superoperator matrices (total Liouvillian and the two drive
-    commutator maps) are built column-by-column from the same functions
-    that define the reference `rhs`, so there is a single source of truth
-    for the physics.  A derivative evaluation is then one gather plus one
-    matrix product over all stored blocks at once.
+    y holds, block by block in block_order, the excitation-sector entries of
+    each rho_{m,n} in row-major order; `slots` says where.  A (dissipator)
+    and B (drive couplings) are cut out of superoperator matrices built in
+    one pass over the dim^2 basis operators through apply_total and the two
+    drive commutators, so those stay the single definition of the physics.
     """
 
     def __init__(self, cfg: ChainConfig, n_ph: int):
         reg = cfg.register
         dim = reg.dim
         d2 = dim * dim
-        order = block_order(n_ph)
-        index = {mn: k for k, mn in enumerate(order)}
-        n_blocks = len(order)
+
+        exc = np.array([bin(a).count("1") for a in range(dim)])
+        grading = np.subtract.outer(exc, exc).ravel()  # exc(a) - exc(b) of |a><b|
+        slots = {}  # (m, n) -> (slice of y, row-major indices into the block)
+        size = 0
+        for m, n in block_order(n_ph):
+            idx = np.flatnonzero(grading == m - n)
+            slots[(m, n)] = (slice(size, size + idx.size), idx)
+            size += idx.size
 
         sigmas = [lowering_op(reg, j) for j in range(1, cfg.n_emitters + 1)]
+        weights = [
+            math.sqrt(em.gamma_r) * np.exp(1j * k0d) for em, k0d in zip(cfg.emitters, cfg.k0d)
+        ]
+        liou, c_up, c_dn = (np.empty((d2, d2), dtype=complex) for _ in range(3))
+        basis = np.zeros((dim, dim), dtype=complex)
+        for col in range(d2):
+            basis.flat[col] = 1.0
+            liou[:, col] = apply_total(cfg, basis).ravel()
+            # c_up multiplies sqrt(m) g(t), c_dn multiplies sqrt(n) g*(t)
+            c_up[:, col] = sum(
+                w * commutator(basis, s.conj().T) for w, s in zip(weights, sigmas)
+            ).ravel()
+            c_dn[:, col] = sum(
+                w.conjugate() * commutator(s, basis) for w, s in zip(weights, sigmas)
+            ).ravel()
+            basis.flat[col] = 0.0
 
-        def drive_up(x):  # multiplies sqrt(m) g(t): couples to rho_{m-1,n}
-            out = np.zeros_like(x)
-            for i, (em, s) in enumerate(zip(cfg.emitters, sigmas)):
-                w = math.sqrt(em.gamma_r) * np.exp(1j * cfg.k0d[i])
-                out += w * commutator(x, s.conj().T)
-            return out
-
-        def drive_down(x):  # multiplies sqrt(n) g*(t): couples to rho_{m,n-1}
-            out = np.zeros_like(x)
-            for i, (em, s) in enumerate(zip(cfg.emitters, sigmas)):
-                w = math.sqrt(em.gamma_r) * np.exp(-1j * cfg.k0d[i])
-                out += w * commutator(s, x)
-            return out
-
-        liou = _superop_from(lambda x: apply_total(cfg, x), dim)
-        c_up = _superop_from(drive_up, dim)
-        c_dn = _superop_from(drive_down, dim)
-        # single stacked kernel: out = X @ L^T + G1 @ C_up^T + G2 @ C_dn^T
-        self._kernel = np.ascontiguousarray(np.vstack([liou.T, c_up.T, c_dn.T]))
-
-        src_up = np.zeros(n_blocks, dtype=np.intp)
-        w_up = np.zeros(n_blocks)
-        src_dn = np.zeros(n_blocks, dtype=np.intp)
-        w_dn = np.zeros(n_blocks)
-        adj_rows = []
-        for k, (m, n) in enumerate(order):
+        a_mat = np.zeros((size, size), dtype=complex)
+        b_mat = np.zeros((size, size), dtype=complex)
+        for (m, n), (rows, idx) in slots.items():
+            a_mat[rows, rows] = liou[np.ix_(idx, idx)]
             if m >= 1:
-                src_up[k] = index[(m - 1, n)]
-                w_up[k] = math.sqrt(m)
+                cols, src = slots[(m - 1, n)]
+                b_mat[rows, cols] = math.sqrt(m) * c_up[np.ix_(idx, src)]
             if n >= 1:
-                w_dn[k] = math.sqrt(n)
-                if m <= n - 1:
-                    src_dn[k] = index[(m, n - 1)]
-                else:  # diagonal block: rho_{n,n-1} = adjoint(rho_{n-1,n})
-                    src_dn[k] = index[(n - 1, n)]
-                    adj_rows.append(k)
+                cols, src = slots[(m, n - 1)]
+                b_mat[rows, cols] = math.sqrt(n) * c_dn[np.ix_(idx, src)]
 
-        self.cfg = cfg
         self.n_ph = n_ph
         self.register = reg
-        self.order = order
-        self.index = index
         self.dim = dim
-        self._d2 = d2
-        self._n_blocks = n_blocks
-        self._src_up = src_up
-        self._w_up = w_up[:, None]
-        self._src_dn = src_dn
-        self._w_dn = w_dn[:, None]
-        self._adj_rows = adj_rows
-
-    @property
-    def size(self) -> int:
-        return self._n_blocks * self._d2
+        self.size = size
+        self.slots = slots
+        self._a = a_mat
+        self._b = b_mat
 
     def flatten(self, state: HierarchyState) -> np.ndarray:
-        return np.concatenate([state.blocks[mn].ravel() for mn in self.order])
+        """Sector vector of a hierarchy state.
 
-    def unflatten(self, y: np.ndarray, time: float = 0.0) -> HierarchyState:
-        mats = y.reshape(self._n_blocks, self.dim, self.dim)
-        blocks = {mn: mats[k].copy() for k, mn in enumerate(self.order)}
-        return HierarchyState(self.n_ph, self.register, blocks, time)
+        Raises ValueError when a block is missing, the register does not match
+        the chain, or a block has a nonzero entry outside its sector (the
+        vector cannot carry it).
+        """
+        if state.register != self.register:
+            raise ValueError(
+                f"state register {state.register} does not match chain register {self.register}"
+            )
+        parts = []
+        for mn, (_, idx) in self.slots.items():
+            if mn not in state.blocks:
+                raise ValueError(f"state has no block {mn}")
+            flat = np.asarray(state.blocks[mn], dtype=complex).reshape(self.dim * self.dim)
+            if np.any(np.delete(flat, idx)):
+                raise ValueError(f"block {mn} has nonzero entries outside its excitation sector")
+            parts.append(flat[idx])
+        return np.concatenate(parts)
+
+    def block(self, y: np.ndarray, m: int, n: int) -> np.ndarray:
+        """Block rho_{m,n} of a sector vector y (..., size), as (..., dim, dim)."""
+        rows, idx = self.slots[(m, n)]
+        lead = y.shape[:-1]
+        out = np.zeros(lead + (self.dim * self.dim,), dtype=complex)
+        out[..., idx] = y[..., rows]
+        return out.reshape(lead + (self.dim, self.dim))
 
     def derivative(self, g: float, y: np.ndarray) -> np.ndarray:
-        """d/dt of the flattened block vector given the drive amplitude g."""
-        d2 = self._d2
-        x = y.reshape(self._n_blocks, d2)
-        buf = np.zeros((self._n_blocks, 3 * d2), dtype=complex)
-        buf[:, :d2] = x
-        if g != 0.0:
-            np.multiply(x[self._src_up], g * self._w_up, out=buf[:, d2: 2 * d2])
-            np.multiply(x[self._src_dn], g * self._w_dn, out=buf[:, 2 * d2:])
-            dim = self.dim
-            for k in self._adj_rows:
-                src = x[self._src_dn[k]].reshape(dim, dim)
-                buf[k, 2 * d2:] = (g * self._w_dn[k, 0]) * src.conj().T.ravel()
-        return (buf @ self._kernel).ravel()
+        """d/dt of the sector vector given the drive amplitude g."""
+        return self._a @ y + g * (self._b @ y)

@@ -1,8 +1,8 @@
 """Fixed-step classical RK4 integration of the hierarchy ODE system.
 
-The hierarchy is flattened to a single complex vector (stored blocks
-concatenated in (m, n)-lexicographic order; a complex128 entry is its
-real and imaginary part side by side in memory).  RK4 stages are linear
+The hierarchy is flattened to a single complex vector (the excitation-sector
+entries of every block, laid out by HierarchyPropagator; a complex128 entry
+is its real and imaginary part side by side in memory).  RK4 stages are linear
 combinations, so integrating the complex vector directly is exact.
 """
 
@@ -30,7 +30,6 @@ class IntegratorConfig:
     dt: float = 1e-3
     t_end: float = 12.0
     record_stride: int = 10
-    method: str = "rk4"
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -39,8 +38,6 @@ class IntegratorConfig:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
-        if self.method != "rk4":
-            raise ValueError(f"unknown method {self.method!r} (only 'rk4')")
 
 
 class IntegrationBlowUpError(RuntimeError):
@@ -94,21 +91,32 @@ def rk4_solve(f, y0: np.ndarray, icfg: IntegratorConfig):
 
 @dataclass
 class StateTrajectory:
-    """Recorded hierarchy snapshots: blocks[i] holds every stored block at times[i]."""
+    """Recorded hierarchy snapshots.
+
+    blocks[i] is the sector vector at times[i], shape (n_rec, propagator.size):
+    the excitation-sector entries of every block rho_{m,n}, laid out by the
+    propagator that produced them.  block(m, n) scatters one block back out.
+    """
 
     times: np.ndarray          # (n_rec,)
-    blocks: np.ndarray         # (n_rec, n_blocks, dim, dim)
-    n_ph: int
-    order: list                # stored-block index pairs, (m,n)-lex
-    register: object
+    blocks: np.ndarray         # (n_rec, propagator.size)
+    propagator: HierarchyPropagator
+
+    @property
+    def n_ph(self) -> int:
+        return self.propagator.n_ph
+
+    @property
+    def register(self):
+        return self.propagator.register
+
+    def block(self, m: int, n: int) -> np.ndarray:
+        """Series of block rho_{m,n}, shape (n_rec, dim, dim)."""
+        return self.propagator.block(self.blocks, m, n)
 
     def physical(self) -> np.ndarray:
         """Series of physical density matrices rho_{n_ph,n_ph}, shape (n_rec, dim, dim)."""
-        return self.blocks[:, self.order.index((self.n_ph, self.n_ph))]
-
-    def state_at(self, i: int) -> HierarchyState:
-        blocks = {mn: self.blocks[i, k].copy() for k, mn in enumerate(self.order)}
-        return HierarchyState(self.n_ph, self.register, blocks, float(self.times[i]))
+        return self.block(self.n_ph, self.n_ph)
 
 
 def integrate(
@@ -125,6 +133,4 @@ def integrate(
         return prop.derivative(amplitude(pulse, t), y)
 
     times, snaps = rk4_solve(f, y0, icfg)
-    dim = prop.dim
-    blocks = snaps.reshape(len(times), len(prop.order), dim, dim)
-    return StateTrajectory(times, blocks, state0.n_ph, list(prop.order), prop.register)
+    return StateTrajectory(times, snaps, prop)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GaussianPulse", "amplitude", "pulse_profile_for_plot"]
+__all__ = ["GaussianPulse", "amplitude"]
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,3 @@ def amplitude(pulse: GaussianPulse, t):
     if np.isscalar(t) or getattr(t, "ndim", 0) == 0:
         return float(val)
     return val
-
-
-def pulse_profile_for_plot(pulse: GaussianPulse, grid) -> np.ndarray:
-    """Sampled intensity |g(t)|^2 on a monotone grid, as an (n, 2) array of (t, |g|^2)."""
-    ts = np.asarray(grid, dtype=float)
-    if ts.size == 0:
-        raise ValueError("empty time grid")
-    if ts.size > 1 and not (np.all(np.diff(ts) > 0) or np.all(np.diff(ts) < 0)):
-        raise ValueError("time grid must be strictly monotone")
-    g = amplitude(pulse, ts)
-    return np.column_stack([ts, np.square(g)])

@@ -18,7 +18,6 @@ __all__ = [
     "basis_index",
     "lowering_op",
     "partial_trace",
-    "trace",
     "adjoint",
     "commutator",
 ]
@@ -96,10 +95,6 @@ def partial_trace(rho: np.ndarray, register: EmitterRegister, keep) -> np.ndarra
         traced += 1
     d_out = 2 ** len(keep)
     return work.reshape(d_out, d_out)
-
-
-def trace(rho: np.ndarray) -> complex:
-    return complex(np.trace(rho))
 
 
 def adjoint(rho: np.ndarray) -> np.ndarray:

@@ -1,19 +1,29 @@
-"""Shared fixtures: the checked-in scenarios, integrated once per session.
+"""Shared fixtures and helpers.
 
-The regression runs use each scenario's own grid (dt = 1e-3 over
-t in [0, 12], snapshot every 10 steps).  A three-emitter run takes a few
-seconds, so every (scenario, ratio) pair is integrated exactly once and
-the result is shared by all test modules.
+The checked-in scenarios are integrated once per session.  The regression
+runs use each scenario's own grid (dt = 1e-3 over t in [0, 12], snapshot
+every 10 steps).  A three-emitter run takes a few seconds, so every
+(scenario, ratio) pair is integrated exactly once and the result is shared
+by all test modules.
+
+The sector helpers build inputs for comparing the compiled propagator with
+the longhand oracle in oracles.py.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from oracles import handwritten_three_photon_rhs, random_blocks
 from wgqed.cli import simulate_scenario
+from wgqed.hierarchy import HierarchyPropagator, HierarchyState, block_order
+from wgqed.pulse import amplitude
+from wgqed.qubit_algebra import EmitterRegister, adjoint, basis_index
 from wgqed.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -35,3 +45,42 @@ def _cached_run(stem: str, ratio):
 def scenario_run():
     """scenario_run(stem, ratio=None) -> (Trajectory, StateTrajectory)."""
     return _cached_run
+
+
+def sector_mask(n: int, grade: int) -> np.ndarray:
+    """Entries (a, b) of an n-emitter block with exc(a) - exc(b) = grade,
+    counting excitations from the basis labels."""
+    reg = EmitterRegister(n)
+    exc = np.zeros(reg.dim, dtype=int)
+    for label in itertools.product("ge", repeat=n):
+        exc[basis_index(reg, "".join(label))] = label.count("e")
+    return np.subtract.outer(exc, exc) == grade
+
+
+def random_sector_state(rng, n: int) -> HierarchyState:
+    """Random three-photon hierarchy projected onto the excitation sectors,
+    with hermitian diagonal blocks and rho_{k,m} = rho_{m,k}^dag."""
+    triangle = [(m, k) for m in range(4) for k in range(m, 4)]
+    blocks = {}
+    for (m, k), blk in random_blocks(rng, n, triangle).items():
+        blk = np.where(sector_mask(n, m - k), blk, 0.0)
+        if m == k:
+            blk = 0.5 * (blk + adjoint(blk))
+        blocks[(m, k)], blocks[(k, m)] = blk, adjoint(blk)
+    return HierarchyState(3, EmitterRegister(n), blocks, 0.0)
+
+
+def oracle_deviation(cfg, n_ph: int, state: HierarchyState, t: float, pulse) -> float:
+    """Largest entry-wise deviation of HierarchyPropagator.derivative from the
+    handwritten oracle over every block rho_{m,k}, m, k <= n_ph.  Blocks with
+    m > k are compared with the adjoint of the oracle's (k, m) block."""
+    prop = HierarchyPropagator(cfg, n_ph)
+    deriv = prop.derivative(amplitude(pulse, t), prop.flatten(state))
+    expected = handwritten_three_photon_rhs(cfg, state, t, pulse)
+    return max(
+        np.abs(
+            prop.block(deriv, m, k)
+            - (expected[(m, k)] if m <= k else adjoint(expected[(k, m)]))
+        ).max()
+        for m, k in block_order(n_ph)
+    )

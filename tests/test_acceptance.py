@@ -13,22 +13,19 @@ import numpy as np
 
 from oracles import (
     closed_form_spin_flip_spectrum,
-    handwritten_three_photon_rhs,
-    random_blocks,
     random_chain,
     spin_flip_spectrum_by_eigensolver,
     structured_pair_state,
 )
 from wgqed.cli import simulate_scenario
 from wgqed.entanglement import concurrence_fill
-from wgqed.hierarchy import HierarchyState, block_order, rhs
 from wgqed.integrator import IntegratorConfig, rk4_solve
 from wgqed.observables import peak
 from wgqed.pulse import GaussianPulse
 from wgqed.qubit_algebra import EmitterRegister, basis_index
 from wgqed.scenario import load_scenario
 
-from conftest import scenario_path
+from conftest import oracle_deviation, random_sector_state, scenario_path
 
 ONE = "one_emitter_chirality_sweep"
 TWO = "two_emitter_chirality_sweep"
@@ -255,7 +252,7 @@ def test_loss_free_runs_conserve_trace_hermiticity_positivity(scenario_run):
         _, states = scenario_run(stem, ratio)
         tag = f"{stem}@{ratio:g}"
         for m in range(states.n_ph + 1):
-            blk = states.blocks[:, states.order.index((m, m))]
+            blk = states.block(m, m)
             tr_err = np.abs(np.einsum("tii->t", blk) - 1.0).max()
             if tr_err > worst_tr:
                 worst_tr, worst_tr_at = tr_err, f"{tag} block ({m},{m})"
@@ -293,7 +290,7 @@ def test_loss_free_runs_conserve_trace_hermiticity_positivity(scenario_run):
 def test_closed_form_oracles():
     """Independent closed forms: spin-flip spectrum of the structured pair
     family vs the eigensolver (1e-10), the handwritten ten-block equations
-    vs the generic rule (1e-12), and the canonical fill fixtures (1e-9)."""
+    vs the compiled propagator (1e-12), and the canonical fill fixtures (1e-9)."""
     failures = []
 
     rng = np.random.default_rng(777)
@@ -314,13 +311,8 @@ def test_closed_form_oracles():
     for n in (1, 2, 3):
         rng = np.random.default_rng(8000 + n)
         cfg = random_chain(rng, n)
-        state = HierarchyState(
-            3, EmitterRegister(n), random_blocks(rng, n, block_order(3)), 0.0
-        )
-        expected = handwritten_three_photon_rhs(cfg, state, 4.3, pulse)
-        deriv = rhs(cfg, pulse, state, 4.3)
-        for mn in block_order(3):
-            worst = max(worst, np.abs(deriv.blocks[mn] - expected[mn]).max())
+        state = random_sector_state(rng, n)
+        worst = max(worst, oracle_deviation(cfg, 3, state, 4.3, pulse))
     check(
         failures,
         "handwritten ten-block equations",

@@ -1,50 +1,38 @@
-"""Hierarchy of photon-indexed blocks: generic rule, literal transcription,
-and the compiled propagator."""
+"""Hierarchy of photon-indexed blocks: sector layout, initial state, and the
+compiled propagator checked against the longhand transcription."""
 
 import numpy as np
 import pytest
 
-from oracles import handwritten_three_photon_rhs, random_blocks, random_chain
-from wgqed.hierarchy import (
-    HierarchyPropagator,
-    HierarchyState,
-    block_order,
-    initial_state,
-    physical_density,
-    rhs,
-)
+from conftest import oracle_deviation, random_sector_state, sector_mask
+from oracles import handwritten_three_photon_rhs, random_chain
+from wgqed.hierarchy import HierarchyPropagator, block_order, initial_state
 from wgqed.integrator import IntegratorConfig, integrate
 from wgqed.liouvillian import ChainConfig, EmitterParams
-from wgqed.pulse import GaussianPulse, amplitude
+from wgqed.pulse import GaussianPulse
 from wgqed.qubit_algebra import EmitterRegister, basis_index
 
 PULSE = GaussianPulse(mu=1.46, t_bar=5.0)
 
 
-def random_state(rng, n, n_ph):
-    return HierarchyState(
-        n_ph, EmitterRegister(n), random_blocks(rng, n, block_order(n_ph)), 0.0
-    )
-
-
 # ------------------------------------------------------------- block plumbing
 
 
-def test_block_order_is_triangular_lexicographic():
-    assert block_order(1) == [(0, 0), (0, 1), (1, 1)]
-    assert block_order(2) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    assert block_order(3) == [
-        (0, 0), (0, 1), (0, 2), (0, 3),
-        (1, 1), (1, 2), (1, 3),
-        (2, 2), (2, 3),
-        (3, 3),
+def test_block_order_is_lexicographic_over_all_blocks():
+    assert block_order(1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert block_order(2) == [
+        (0, 0), (0, 1), (0, 2),
+        (1, 0), (1, 1), (1, 2),
+        (2, 0), (2, 1), (2, 2),
     ]
+    assert len(block_order(3)) == 16
 
 
 @pytest.mark.parametrize("n_ph", [1, 2, 3])
 def test_initial_state_is_all_ground(n_ph):
     reg = EmitterRegister(2)
     state = initial_state(reg, n_ph)
+    assert set(state.blocks) == set(block_order(n_ph))
     ground = np.zeros((4, 4))
     ground[0, 0] = 1.0
     for (m, n), blk in state.blocks.items():
@@ -52,7 +40,6 @@ def test_initial_state_is_all_ground(n_ph):
             assert np.array_equal(blk, ground)
         else:
             assert np.array_equal(blk, np.zeros((4, 4)))
-    assert physical_density(state) is state.blocks[(n_ph, n_ph)]
 
 
 def test_initial_state_rejects_unsupported_photon_numbers():
@@ -69,21 +56,80 @@ def test_state_copy_is_deep():
     assert state.blocks[(2, 2)][0, 0] == 1.0
 
 
+@pytest.mark.parametrize(
+    "n,n_ph,size", [(1, 3, 14), (2, 3, 52), (3, 3, 196), (2, 1, 20), (3, 1, 70)]
+)
+def test_sector_sizes(n, n_ph, size):
+    cfg = ChainConfig((EmitterParams(),) * n)
+    assert HierarchyPropagator(cfg, n_ph).size == size
+
+
+def test_flatten_order_matches_block_order():
+    rng = np.random.default_rng(5)
+    cfg = random_chain(rng, 2)
+    prop = HierarchyPropagator(cfg, 2)
+    state = random_sector_state(rng, 2)
+    flat = prop.flatten(state)
+    start = 0
+    for m, n in block_order(2):
+        mask = sector_mask(2, m - n)
+        stop = start + int(mask.sum())
+        assert np.array_equal(flat[start:stop], state.blocks[(m, n)][mask])
+        assert np.array_equal(prop.block(flat, m, n), state.blocks[(m, n)])
+        start = stop
+    assert start == len(flat) == prop.size
+
+
+def test_flatten_rejects_mismatched_register():
+    cfg = ChainConfig((EmitterParams(),))
+    state = initial_state(EmitterRegister(2), 3)
+    with pytest.raises(ValueError):
+        HierarchyPropagator(cfg, 3).flatten(state)
+
+
+def test_flatten_rejects_missing_and_off_sector_blocks():
+    """The sector vector cannot carry such states, so they must not be
+    integrated with entries silently dropped."""
+    reg = EmitterRegister(2)
+    prop = HierarchyPropagator(ChainConfig((EmitterParams(), EmitterParams())), 2)
+    gg, ee = basis_index(reg, "gg"), basis_index(reg, "ee")
+
+    missing = initial_state(reg, 2)
+    del missing.blocks[(2, 1)]
+    with pytest.raises(ValueError, match="no block"):
+        prop.flatten(missing)
+
+    for mn, (a, b) in (((1, 1), (gg, ee)), ((0, 1), (gg, gg))):
+        off = initial_state(reg, 2)
+        off.blocks[mn][a, b] = 1e-3
+        with pytest.raises(ValueError, match="outside its excitation sector"):
+            prop.flatten(off)
+
+
 # ------------------------------------------- literal ten-block transcription
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_generic_rule_matches_handwritten_three_photon_system(n):
-    """The generic per-block rule must reproduce the ten equations of motion
-    spelled out longhand in the oracle module, block by block."""
+    """The compiled three-photon derivative must reproduce the ten equations
+    of motion spelled out longhand in the oracle module, block by block, and
+    their adjoints for the six blocks below the diagonal."""
     rng = np.random.default_rng(100 + n)
     cfg = random_chain(rng, n)
-    state = random_state(rng, n, 3)
-    t = 4.3
-    expected = handwritten_three_photon_rhs(cfg, state, t, PULSE)
-    deriv = rhs(cfg, PULSE, state, t)
-    for mn in block_order(3):
-        assert np.allclose(deriv.blocks[mn], expected[mn], atol=1e-12), mn
+    state = random_sector_state(rng, n)
+    assert oracle_deviation(cfg, 3, state, 4.3, PULSE) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oracle_keeps_sector_projected_hierarchies_in_their_sector(n):
+    """Independent check of the grading the sector layout relies on: the
+    longhand equations map a sector-projected hierarchy to exactly zero
+    outside every block's sector."""
+    rng = np.random.default_rng(300 + n)
+    cfg = random_chain(rng, n)
+    out = handwritten_three_photon_rhs(cfg, random_sector_state(rng, n), 4.3, PULSE)
+    for (m, k), blk in out.items():
+        assert not np.any(blk[~sector_mask(n, m - k)]), (m, k)
 
 
 # ------------------------------------------------------ compiled propagator
@@ -91,33 +137,13 @@ def test_generic_rule_matches_handwritten_three_photon_system(n):
 
 @pytest.mark.parametrize("n,n_ph", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3)])
 def test_compiled_derivative_matches_reference(n, n_ph):
+    """The equation of rho_{m,n} does not depend on n_ph, so smaller photon
+    numbers are checked exactly on the oracle's sub-triangle m, n <= n_ph."""
     rng = np.random.default_rng(200 + 10 * n + n_ph)
     cfg = random_chain(rng, n)
-    prop = HierarchyPropagator(cfg, n_ph)
-    state = random_state(rng, n, n_ph)
+    state = random_sector_state(rng, n)
     for t in (0.0, 3.7, 5.0, 11.2):
-        ref = rhs(cfg, PULSE, state, t)
-        got = prop.derivative(amplitude(PULSE, t), prop.flatten(state))
-        flat_ref = np.concatenate([ref.blocks[mn].ravel() for mn in prop.order])
-        assert np.allclose(got, flat_ref, atol=1e-12)
-
-
-def test_flatten_order_matches_block_order():
-    rng = np.random.default_rng(5)
-    cfg = random_chain(rng, 2)
-    prop = HierarchyPropagator(cfg, 2)
-    state = random_state(rng, 2, 2)
-    flat = prop.flatten(state)
-    d2 = state.register.dim ** 2
-    for k, mn in enumerate(prop.order):
-        assert np.array_equal(flat[k * d2 : (k + 1) * d2], state.blocks[mn].ravel())
-
-
-def test_rhs_rejects_mismatched_register():
-    cfg = ChainConfig((EmitterParams(),))
-    state = initial_state(EmitterRegister(2), 3)
-    with pytest.raises(ValueError):
-        rhs(cfg, PULSE, state, 0.0)
+        assert oracle_deviation(cfg, n_ph, state, t, PULSE) <= 1e-12
 
 
 # ----------------------------------------------------- structural invariants
@@ -130,10 +156,9 @@ def test_vacuum_block_never_moves():
     state0 = initial_state(EmitterRegister(2), 3)
     icfg = IntegratorConfig(dt=5e-3, t_end=8.0, record_stride=100)
     states = integrate(cfg, PULSE, state0, icfg)
-    k = states.order.index((0, 0))
     ground = np.zeros((4, 4))
     ground[0, 0] = 1.0
-    assert np.abs(states.blocks[:, k] - ground).max() < 1e-12
+    assert np.abs(states.block(0, 0) - ground).max() < 1e-12
 
 
 def test_excitation_minus_photon_grading_is_conserved():

@@ -22,7 +22,6 @@ def test_config_validation():
         {"dt": -1e-3},
         {"t_end": 0.0},
         {"record_stride": 0},
-        {"method": "euler"},
     ):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
@@ -98,17 +97,17 @@ def test_integrate_returns_consistent_trajectory():
     states = integrate(cfg, pulse, state0, icfg)
     assert isinstance(states, StateTrajectory)
     assert states.n_ph == 2
-    assert states.blocks.shape == (len(states.times), 6, 2, 2)
-    assert states.order == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    # physical() exposes the top diagonal block
-    k = states.order.index((2, 2))
-    assert np.array_equal(states.physical(), states.blocks[:, k])
-    # state_at() round-trips blocks and time
-    st = states.state_at(3)
-    assert st.time == states.times[3]
-    for j, mn in enumerate(states.order):
-        assert np.array_equal(st.blocks[mn], states.blocks[3, j])
-
+    assert states.register == EmitterRegister(1)
+    # one sector vector per record: 2 entries in each of the 3 diagonal blocks,
+    # 1 in each of the 4 blocks with |m - n| = 1, none where |m - n| = 2
+    assert states.blocks.shape == (len(states.times), 10)
+    # block() scatters each block back out; physical() is the top diagonal block
+    assert states.block(1, 2).shape == (len(states.times), 2, 2)
+    assert np.array_equal(states.physical(), states.block(2, 2))
+    assert np.allclose(np.einsum("tii->t", states.physical()), 1.0)
+    # the sub-diagonal blocks are the adjoints of the super-diagonal ones
+    for m, n in ((0, 1), (0, 2), (1, 2)):
+        assert np.allclose(states.block(n, m), states.block(m, n).conj().transpose(0, 2, 1))
 
 def test_free_decay_of_excited_emitter_matches_exponential():
     """With no drive overlap (pulse centered far away) an initially excited

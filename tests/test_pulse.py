@@ -1,11 +1,11 @@
-"""Gaussian wavepacket mode: normalization, peak and plotting helper."""
+"""Gaussian wavepacket mode: normalization and peak."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgqed.pulse import GaussianPulse, amplitude, pulse_profile_for_plot
+from wgqed.pulse import GaussianPulse, amplitude
 
 
 def test_width_must_be_positive():
@@ -48,20 +48,3 @@ def test_scalar_and_array_calls_agree():
     arr = amplitude(p, ts)
     assert isinstance(amplitude(p, 2.5), float)
     assert np.allclose(arr, [amplitude(p, float(t)) for t in ts])
-
-
-def test_profile_columns_and_values():
-    p = GaussianPulse(mu=1.46, t_bar=5.0)
-    ts = np.linspace(0, 12, 121)
-    prof = pulse_profile_for_plot(p, ts)
-    assert prof.shape == (121, 2)
-    assert np.array_equal(prof[:, 0], ts)
-    assert np.allclose(prof[:, 1], np.square(amplitude(p, ts)))
-
-
-def test_profile_rejects_bad_grids():
-    p = GaussianPulse(mu=1.0, t_bar=0.0)
-    with pytest.raises(ValueError):
-        pulse_profile_for_plot(p, [])
-    with pytest.raises(ValueError):
-        pulse_profile_for_plot(p, [0.0, 2.0, 1.0])

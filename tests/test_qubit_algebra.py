@@ -12,7 +12,6 @@ from wgqed.qubit_algebra import (
     commutator,
     lowering_op,
     partial_trace,
-    trace,
 )
 
 SIGMA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
@@ -102,10 +101,9 @@ def test_lowering_op_index_bounds():
             lowering_op(reg, bad)
 
 
-def test_trace_and_adjoint():
+def test_adjoint_is_conjugate_transpose():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert trace(a) == pytest.approx(np.trace(a))
     assert np.array_equal(adjoint(a), a.conj().T)
 
 

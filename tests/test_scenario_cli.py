@@ -1,6 +1,9 @@
 """Scenario parsing/validation and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,8 @@ from wgqed.scenario import (
     parse_scenario_text,
 )
 from conftest import scenario_path
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 TINY = """
 n_emitters = 2
@@ -330,3 +335,19 @@ def test_csv_values_are_finite_and_formatted(tmp_path):
     for row in rows:
         for field in row.split(","):
             assert len(field.replace("-", "").replace(".", "").replace("e", "")) <= 17
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    """`python -m wgqed.cli` must not find wgqed.cli already imported by the
+    package, which would print a RuntimeWarning before the help text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "wgqed.cli", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: wgqed" in proc.stdout
