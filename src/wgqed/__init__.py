@@ -14,7 +14,7 @@ from .liouvillian import (
 from .hierarchy import HierarchyState, initial_state
 from .integrator import IntegratorConfig, IntegrationBlowUpError, StateTrajectory, integrate
 from .entanglement import concurrence_fill, one_to_other_c2, wootters_concurrence
-from .observables import PeakSummary, Trajectory, build_trajectory, entanglement_series, peak, population
+from .observables import PeakSummary, Trajectory, build_trajectory, peak, population
 from .scenario import Scenario, ScenarioError, build_scenario, load_scenario
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from .hierarchy import initial_state
 from .integrator import IntegrationBlowUpError, integrate
 from .observables import Trajectory, build_trajectory, peak
 from .qubit_algebra import EmitterRegister
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, load_scenario, ratio_tag
 
 __all__ = ["simulate_scenario", "run", "sweep", "main"]
 
@@ -114,17 +114,18 @@ def sweep(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
     agg_rows = []
     peaks_by_ratio = {}
     for ratio in ratios:
+        tag = ratio_tag(ratio)
         sc_ratio = sc.with_ratio(ratio)
         traj, _states = simulate_scenario(sc_ratio)
-        paths, peaks = _write_run(out, f"{stem}_ratio{ratio:g}", sc_ratio, traj)
+        paths, peaks = _write_run(out, f"{stem}_ratio{tag}", sc_ratio, traj)
         written += paths
-        peaks_by_ratio[f"{ratio:g}"] = peaks
+        peaks_by_ratio[tag] = peaks
         # the drive shape is ratio-independent; the other series are the same for every ratio
         names = [n for n in peaks if n != "pulse_intensity"]
         agg_rows.append(
             [ratio] + [v for n in names for v in (peaks[n]["value"], peaks[n]["time"])]
         )
-        _emit(quiet, f"ratio {ratio:g}: " + "; ".join(
+        _emit(quiet, f"ratio {tag}: " + "; ".join(
             f"{n} max {peaks[n]['value']:.6g} at {peaks[n]['time']:g}" for n in names
         ))
 

@@ -41,52 +41,69 @@ _HERM_TOL = 1e-6
 _PSD_TOL = -1e-8
 
 
-def _validate_state(rho: np.ndarray, dim: int, check_psd: bool) -> float:
-    """Sanity-check a density matrix and return its trace.
+def _first_bad(bad: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise ValueError naming the value of the first record where `bad`
+    holds and, for a stack, its flat record index."""
+    if np.any(bad):
+        i = np.argmax(bad)
+        where = f" at record {i}" if np.ndim(bad) else ""
+        raise ValueError(message.format(np.ravel(values)[i]) + where)
+
+
+def _validate_state(rho: np.ndarray, dim: int, check_psd: bool) -> np.ndarray:
+    """Sanity-check a density matrix, or a (..., dim, dim) stack of them, and
+    return the trace of each.
 
     Loss models (spontaneous emission without a recycling term) legitimately
     shrink the trace below one, so any trace in (0, 1] is accepted and the
     caller renormalizes to the conditional state.
     """
-    if rho.shape != (dim, dim):
-        raise ValueError(f"state has shape {rho.shape}, expected {(dim, dim)}")
-    herm_defect = np.max(np.abs(rho - rho.conj().T))
-    if herm_defect > _HERM_TOL:
-        raise ValueError(f"state not hermitian (defect {herm_defect:.3e})")
-    tr = np.trace(rho).real
-    if not 0.0 < tr <= 1.0 + _TRACE_TOL:
-        raise ValueError(f"state trace {tr} is not in (0, 1]")
+    if rho.shape[-2:] != (dim, dim):
+        raise ValueError(f"state has shape {rho.shape}, expected (..., {dim}, {dim})")
+    defect = np.conjugate(np.swapaxes(rho, -1, -2))  # the ufunc copies even a real input
+    np.subtract(rho, defect, out=defect)
+    herm_defect = np.abs(defect, out=defect).real.max(axis=(-2, -1))
+    _first_bad(herm_defect > _HERM_TOL, herm_defect, "state not hermitian (defect {:.3e})")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    _first_bad(~((0.0 < tr) & (tr <= 1.0 + _TRACE_TOL)), tr, "state trace {} is not in (0, 1]")
     if check_psd:
-        min_eig = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-        if min_eig < _PSD_TOL * max(tr, _TRACE_TOL):
-            raise ValueError(f"state not positive semidefinite (min eig {min_eig:.3e})")
+        min_eig = np.linalg.eigvalsh(0.5 * (rho + np.swapaxes(rho, -1, -2).conj())).min(axis=-1)
+        _first_bad(min_eig < _PSD_TOL * np.maximum(tr, _TRACE_TOL), min_eig,
+                   "state not positive semidefinite (min eig {:.3e})")
     return tr
 
 
-def wootters_concurrence(rho: np.ndarray) -> float:
-    """Concurrence of a two-qubit density matrix, in [0, 1]."""
+def wootters_concurrence(rho: np.ndarray):
+    """Concurrence of a two-qubit density matrix, in [0, 1]; a (..., 4, 4)
+    stack gives the (...) array of concurrences."""
     tr = _validate_state(rho, 4, check_psd=True)
-    rho = rho / tr
+    rho = rho / tr[..., None, None]
     flipped = rho @ _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     lams = np.linalg.eigvals(flipped).real
     lams[lams < 0.0] = 0.0  # roundoff only; spectrum is nonnegative in exact arithmetic
-    roots = np.sort(np.sqrt(lams))[::-1]
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    roots = np.sort(np.sqrt(lams), axis=-1)[..., ::-1]
+    return np.maximum(0.0, roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3])
 
 
-def one_to_other_c2(rho3: np.ndarray, i: int) -> float:
+def _c2_of_valid(rho3: np.ndarray, tr: np.ndarray, i: int) -> np.ndarray:
+    """2 (1 - Tr rho_i^2) of validated three-qubit states with traces `tr`."""
+    rho_i = partial_trace(rho3, EmitterRegister(3), {i}) / tr[..., None, None]
+    purity = np.trace(rho_i @ rho_i, axis1=-2, axis2=-1).real
+    return 2.0 * (1.0 - purity)
+
+
+def one_to_other_c2(rho3: np.ndarray, i: int):
     """Squared concurrence across the bipartition {qubit i} vs {other two},
-    from the purity of the reduced single-qubit state: 2 (1 - Tr rho_i^2)."""
-    tr = _validate_state(rho3, 8, check_psd=False)
+    from the purity of the reduced single-qubit state: 2 (1 - Tr rho_i^2).
+    A (..., 8, 8) stack gives the (...) array of values."""
     if i not in (1, 2, 3):
         raise ValueError(f"qubit index must be 1, 2 or 3, got {i}")
-    rho_i = partial_trace(rho3 / tr, EmitterRegister(3), {i})
-    purity = np.trace(rho_i @ rho_i).real
-    return float(2.0 * (1.0 - purity))
+    return _c2_of_valid(rho3, _validate_state(rho3, 8, check_psd=False), i)
 
 
-def concurrence_fill(rho3: np.ndarray) -> float:
-    """Genuine tripartite entanglement of a three-qubit state, in [0, 1].
+def concurrence_fill(rho3: np.ndarray):
+    """Genuine tripartite entanglement of a three-qubit state, in [0, 1]; a
+    (..., 8, 8) stack gives the (...) array of values.
 
     The triangle inequality among the squared one-to-other concurrences is
     guaranteed for pure states only; a sufficiently mixed state can push one
@@ -94,9 +111,11 @@ def concurrence_fill(rho3: np.ndarray) -> float:
     this at late times).  The Heron factors are clamped at zero, so such
     states — like exactly degenerate triangles — report zero fill.
     """
-    sides = np.array([one_to_other_c2(rho3, i) for i in (1, 2, 3)])
+    tr = _validate_state(rho3, 8, check_psd=False)
+    sides = np.stack([_c2_of_valid(rho3, tr, i) for i in (1, 2, 3)], axis=-1)
     sides = np.clip(sides, 0.0, 1.0)
-    q = 0.5 * sides.sum()
-    factors = np.clip(q - sides, 0.0, None)
-    area4 = (16.0 / 3.0) * q * np.prod(factors)
-    return float(max(0.0, area4) ** 0.25)
+    q = 0.5 * sides.sum(axis=-1)
+    factors = np.clip(q[..., None] - sides, 0.0, None)
+    area4 = (16.0 / 3.0) * q * np.prod(factors, axis=-1)
+    # two correctly rounded square roots, not pow: the same bits alone or in a stack
+    return np.sqrt(np.sqrt(np.maximum(0.0, area4)))

@@ -22,7 +22,6 @@ __all__ = [
     "Trajectory",
     "population",
     "peak",
-    "entanglement_series",
     "build_trajectory",
 ]
 
@@ -53,17 +52,14 @@ class Trajectory:
         return out
 
 
-def _label_indices(register: EmitterRegister, label_spec: str):
+def population(rho: np.ndarray, register: EmitterRegister, label_spec: str):
+    """Sum of the named diagonal elements of a density matrix; a (..., d, d)
+    stack gives the (...) array of sums."""
     tokens = [tok.strip() for tok in label_spec.split("+")]
-    if not tokens or any(not tok for tok in tokens):
+    if any(not tok for tok in tokens):
         raise ValueError(f"malformed population label {label_spec!r}")
-    return [basis_index(register, tok) for tok in tokens]
-
-
-def population(rho: np.ndarray, register: EmitterRegister, label_spec: str) -> float:
-    """Sum of the named diagonal elements of a density matrix."""
-    idxs = _label_indices(register, label_spec)
-    return float(sum(rho[i, i].real for i in idxs))
+    idxs = [basis_index(register, tok) for tok in tokens]
+    return rho[..., idxs, idxs].real.sum(axis=-1)
 
 
 def peak(trajectory: Trajectory, series_name: str) -> PeakSummary:
@@ -77,29 +73,6 @@ def peak(trajectory: Trajectory, series_name: str) -> PeakSummary:
     return PeakSummary(float(series[i]), float(trajectory.times[i]))
 
 
-def entanglement_series(states: StateTrajectory, register: EmitterRegister, measure: str = None) -> np.ndarray:
-    """Per-time entanglement of the physical density matrix.
-
-    measure: "concurrence" (two emitters) or "fill" (three); inferred from
-    the register size when omitted.
-    """
-    n = register.n_emitters
-    if measure is None:
-        measure = {2: "concurrence", 3: "fill"}.get(n)
-        if measure is None:
-            raise ValueError(f"no entanglement measure defined for {n} emitters")
-    phys = states.physical()
-    if measure == "concurrence":
-        if n != 2:
-            raise ValueError(f"concurrence needs 2 emitters, register has {n}")
-        return np.array([wootters_concurrence(rho) for rho in phys])
-    if measure == "fill":
-        if n != 3:
-            raise ValueError(f"concurrence fill needs 3 emitters, register has {n}")
-        return np.array([concurrence_fill(rho) for rho in phys])
-    raise ValueError(f"unknown measure {measure!r}")
-
-
 def build_trajectory(
     states: StateTrajectory,
     population_labels=(),
@@ -108,18 +81,11 @@ def build_trajectory(
     pulse: GaussianPulse = None,
 ) -> Trajectory:
     """Assemble the requested named series from recorded hierarchy states."""
-    register = states.register
     phys = states.physical()
-    diag = np.real(np.einsum("tii->ti", phys))
-    populations = {}
-    for label in population_labels:
-        idxs = _label_indices(register, label)
-        populations[label] = diag[:, idxs].sum(axis=1)
-    traj = Trajectory(times=states.times, populations=populations)
-    if want_concurrence:
-        traj.concurrence = entanglement_series(states, register, "concurrence")
-    if want_fill:
-        traj.fill = entanglement_series(states, register, "fill")
-    if pulse is not None:
-        traj.pulse_intensity = np.square(amplitude(pulse, states.times))
-    return traj
+    return Trajectory(
+        times=states.times,
+        populations={lb: population(phys, states.register, lb) for lb in population_labels},
+        concurrence=wootters_concurrence(phys) if want_concurrence else None,
+        fill=concurrence_fill(phys) if want_fill else None,
+        pulse_intensity=None if pulse is None else np.square(amplitude(pulse, states.times)),
+    )

@@ -71,12 +71,13 @@ def partial_trace(rho: np.ndarray, register: EmitterRegister, keep) -> np.ndarra
     """Reduced operator on the emitters in `keep` (1-based indices).
 
     Trace-preserving; the kept subsystems appear in ascending emitter
-    order in the output.
+    order in the output.  Leading axes of a (..., dim, dim) stack are
+    carried through, so a recorded series reduces in one call.
     """
     n = register.n_emitters
     dim = register.dim
-    if rho.shape != (dim, dim):
-        raise ValueError(f"rho has shape {rho.shape}, expected {(dim, dim)}")
+    if rho.shape[-2:] != (dim, dim):
+        raise ValueError(f"rho has shape {rho.shape}, expected (..., {dim}, {dim})")
     keep = sorted(set(keep))
     if not keep:
         raise ValueError("keep set must be nonempty")
@@ -84,17 +85,18 @@ def partial_trace(rho: np.ndarray, register: EmitterRegister, keep) -> np.ndarra
         raise ValueError(f"keep={keep} contains indices outside 1..{n}")
 
     # Reshape to one axis per ket/bra site and trace the complement pairwise.
-    work = rho.reshape([2] * (2 * n))
+    lead = rho.shape[:-2]
+    work = rho.reshape(lead + (2,) * (2 * n))
     traced = 0
     for j in range(1, n + 1):
         if j in keep:
             continue
-        ket_ax = (j - 1) - traced
+        ket_ax = len(lead) + (j - 1) - traced
         bra_ax = ket_ax + (n - traced)
         work = np.trace(work, axis1=ket_ax, axis2=bra_ax)
         traced += 1
     d_out = 2 ** len(keep)
-    return work.reshape(d_out, d_out)
+    return work.reshape(lead + (d_out, d_out))
 
 
 def adjoint(rho: np.ndarray) -> np.ndarray:

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .hierarchy import MAX_PHOTONS
 from .liouvillian import ChainConfig, EmitterParams
 from .integrator import IntegratorConfig
 from .pulse import GaussianPulse
 from .qubit_algebra import EmitterRegister, basis_index
 
-__all__ = ["ScenarioError", "Scenario", "parse_scenario_text", "build_scenario", "load_scenario"]
+__all__ = ["ScenarioError", "Scenario", "ratio_tag", "parse_scenario_text", "build_scenario",
+           "load_scenario"]
 
 _EMITTER_FIELDS = ("gamma_r", "gamma_l", "gamma_spont", "delta", "k0d")
 
@@ -96,6 +98,11 @@ def _as_list(value):
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
+def ratio_tag(ratio: float) -> str:
+    """Name of a sweep ratio in per-ratio file names and summary keys."""
+    return f"{ratio:g}"
+
+
 @dataclass(frozen=True)
 class Scenario:
     n_emitters: int
@@ -163,8 +170,8 @@ def build_scenario(kv: dict) -> Scenario:
     register = EmitterRegister(n_emitters)
 
     n_photons = _as_int("n_photons", take("n_photons", "3"))
-    if not 1 <= n_photons <= 3:
-        raise ScenarioError("n_photons", f"must be 1..3, got {n_photons}")
+    if not 1 <= n_photons <= MAX_PHOTONS:
+        raise ScenarioError("n_photons", f"must be 1..{MAX_PHOTONS}, got {n_photons}")
 
     mu = _as_float("pulse.mu", take("pulse.mu", "1.46"))
     if not mu > 0:
@@ -242,6 +249,9 @@ def build_scenario(kv: dict) -> Scenario:
         sweep_ratios = tuple(_as_float("sweep.ratios", item) for item in items)
         if any(r < 0 for r in sweep_ratios):
             raise ScenarioError("sweep.ratios", "ratios must be >= 0")
+        tags = [ratio_tag(r) for r in sweep_ratios]
+        if len(set(tags)) < len(tags):
+            raise ScenarioError("sweep.ratios", f"ratios share an output file tag: {tags}")
 
     if kv:
         unknown = sorted(kv)[0]

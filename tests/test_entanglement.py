@@ -131,6 +131,37 @@ def test_state_validation_rejects_garbage():
     with pytest.raises(ValueError):
         wootters_concurrence(indefinite)
 
+    # in a stack, one bad record among good ones is caught and named
+    good = np.stack([random_density(np.random.default_rng(k), 4) for k in range(5)])
+    for bad, match in (
+        (herm_breaker, r"hermitian .* at record 3$"),
+        (3.0 * np.eye(4, dtype=complex), r"trace 12\.0 .* at record 3$"),
+        (indefinite, r"min eig -2\.000e-01\) at record 3$"),
+    ):
+        stack = good.copy()
+        stack[3] = bad
+        with pytest.raises(ValueError, match=match):
+            wootters_concurrence(stack)
+    stack = np.stack([GHZ, W, 2.0 * PRODUCT3])
+    with pytest.raises(ValueError, match=r"trace 2\.0 .* at record 2$"):
+        concurrence_fill(stack)
+    with pytest.raises(ValueError):
+        wootters_concurrence(good.reshape(4, 5, 4))  # wrong dimension
+
+
+def test_real_inputs_are_measured_and_left_unchanged():
+    """Real float64 density matrices, alone or stacked, give the same values
+    as their complex casts, and the caller's arrays are not written to."""
+    werner = 0.7 * dm(ket2(a_ge=1.0, a_eg=1.0)).real + 0.3 * np.eye(4) / 4
+    pairs = np.stack([np.eye(4) / 4, np.diag([0.5, 0.2, 0.2, 0.1]), werner])
+    triples = np.stack([np.eye(8) / 8, GHZ.real, W.real, np.diag(np.arange(1.0, 9.0)) / 36])
+    for measure, stack in ((wootters_concurrence, pairs), (concurrence_fill, triples)):
+        for real in (stack, stack[2]):
+            before = real.copy()
+            assert real.dtype == np.float64
+            assert np.array_equal(measure(real), measure(real.astype(complex)))
+            assert np.array_equal(real, before)
+
 
 # ------------------------------------------- closed-form eigenvalue oracle
 

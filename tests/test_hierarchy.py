@@ -159,17 +159,3 @@ def test_vacuum_block_never_moves():
     ground = np.zeros((4, 4))
     ground[0, 0] = 1.0
     assert np.abs(states.block(0, 0) - ground).max() < 1e-12
-
-
-def test_excitation_minus_photon_grading_is_conserved():
-    """Starting from all emitters in the ground state, drive terms move one
-    excitation per photon index, so the double-excited/double-ground
-    coherence of the physical block can never build up."""
-    cfg = ChainConfig((EmitterParams(), EmitterParams()))
-    reg = EmitterRegister(2)
-    state0 = initial_state(reg, 3)
-    icfg = IntegratorConfig(dt=2e-3, t_end=8.0, record_stride=50)
-    states = integrate(cfg, PULSE, state0, icfg)
-    gg, ee = basis_index(reg, "gg"), basis_index(reg, "ee")
-    phys = states.physical()
-    assert np.abs(phys[:, gg, ee]).max() < 1e-12

@@ -8,7 +8,6 @@ from wgqed.observables import (
     PeakSummary,
     Trajectory,
     build_trajectory,
-    entanglement_series,
     peak,
     population,
 )
@@ -77,22 +76,23 @@ def test_build_trajectory_matches_direct_computation(scenario_run):
     assert np.allclose(traj.pulse_intensity, amplitude(pulse, states.times) ** 2, atol=1e-14)
 
 
-def test_entanglement_series_inference_and_errors(scenario_run):
+def test_entanglement_series_match_per_record_loop(scenario_run):
+    """A whole recorded series goes through each measure in one call; the
+    per-matrix loop is the reference, and a stack of the wrong size raises."""
     _, states2 = scenario_run("two_emitter_chirality_sweep", 1.0)
-    series = entanglement_series(states2, EmitterRegister(2))
-    assert np.allclose(series, entanglement_series(states2, EmitterRegister(2), "concurrence"))
+    phys2 = states2.physical()
+    loop = np.array([wootters_concurrence(rho) for rho in phys2])
+    assert np.array_equal(wootters_concurrence(phys2), loop)
 
     _, states3 = scenario_run("three_emitter_chirality_sweep", 1.0)
-    fill = entanglement_series(states3, EmitterRegister(3))
-    direct = np.array([concurrence_fill(rho) for rho in states3.physical()])
-    assert np.allclose(fill, direct, atol=1e-12)
+    phys3 = states3.physical()
+    loop = np.array([concurrence_fill(rho) for rho in phys3])
+    assert np.array_equal(concurrence_fill(phys3), loop)
 
     with pytest.raises(ValueError):
-        entanglement_series(states3, EmitterRegister(3), "concurrence")
+        wootters_concurrence(phys3)
     with pytest.raises(ValueError):
-        entanglement_series(states2, EmitterRegister(2), "fill")
-    with pytest.raises(ValueError):
-        entanglement_series(states2, EmitterRegister(2), "negativity")
+        concurrence_fill(phys2)
 
 
 def test_build_trajectory_without_optional_series(scenario_run):

@@ -128,13 +128,23 @@ def test_partial_trace_preserves_trace_and_hermiticity(n, seed, data):
     keep = data.draw(
         st.sets(st.integers(min_value=1, max_value=n), min_size=1, max_size=n)
     )
-    rho = random_density(np.random.default_rng(seed), reg.dim)
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, reg.dim)
     reduced = partial_trace(rho, reg, keep)
     assert reduced.shape == (2 ** len(keep),) * 2
     assert np.trace(reduced) == pytest.approx(1.0)
     assert np.allclose(reduced, reduced.conj().T)
     eigs = np.linalg.eigvalsh(reduced)
     assert eigs.min() >= -1e-12
+
+    # a (2, 3, dim, dim) stack reduces record by record
+    stack = np.stack([random_density(rng, reg.dim) for _ in range(6)]).reshape(
+        2, 3, reg.dim, reg.dim
+    )
+    reduced_stack = partial_trace(stack, reg, keep)
+    assert reduced_stack.shape == (2, 3) + reduced.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(reduced_stack[idx], partial_trace(stack[idx], reg, keep))
 
 
 def test_partial_trace_keep_all_is_identity():

@@ -78,6 +78,7 @@ def test_value_range_checks():
         ({"n_emitters": "1", "emitter.gamma_r": "-2"}, "emitter.*"),
         ({"n_emitters": "1", "sweep.ratios": " , "}, "sweep.ratios"),
         ({"n_emitters": "1", "sweep.ratios": "1, -2"}, "sweep.ratios"),
+        ({"n_emitters": "1", "sweep.ratios": "1, 2, 1.0000001"}, "sweep.ratios"),
         ({"n_emitters": "1", "output.populations": "ee"}, "output.populations"),
         ({"n_emitters": "1", "output.concurrence": "true"}, "output.concurrence"),
         ({"n_emitters": "2", "output.fill": "true"}, "output.fill"),
