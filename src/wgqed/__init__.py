@@ -11,7 +11,6 @@ from .liouvillian import (
     apply_pure_decay,
     apply_total,
 )
-from .hierarchy import HierarchyState, initial_state
 from .integrator import IntegratorConfig, IntegrationBlowUpError, StateTrajectory, integrate
 from .entanglement import concurrence_fill, one_to_other_c2, wootters_concurrence
 from .observables import PeakSummary, Trajectory, build_trajectory, peak, population

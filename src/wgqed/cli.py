@@ -22,10 +22,8 @@ import json
 import sys
 from pathlib import Path
 
-from .hierarchy import initial_state
 from .integrator import IntegrationBlowUpError, integrate
 from .observables import Trajectory, build_trajectory, peak
-from .qubit_algebra import EmitterRegister
 from .scenario import Scenario, ScenarioError, load_scenario, ratio_tag
 
 __all__ = ["simulate_scenario", "run", "sweep", "main"]
@@ -33,8 +31,7 @@ __all__ = ["simulate_scenario", "run", "sweep", "main"]
 
 def simulate_scenario(sc: Scenario):
     """Integrate a scenario; returns (named-series trajectory, raw state trajectory)."""
-    state0 = initial_state(EmitterRegister(sc.n_emitters), sc.n_photons)
-    states = integrate(sc.chain, sc.pulse, state0, sc.integrator)
+    states = integrate(sc.chain, sc.pulse, sc.n_photons, sc.integrator)
     traj = build_trajectory(
         states,
         sc.populations,

@@ -27,19 +27,13 @@ entries of each block, its excitation sector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .liouvillian import ChainConfig, apply_total
-from .qubit_algebra import EmitterRegister, commutator, lowering_op
+from .qubit_algebra import commutator, lowering_op
 
-__all__ = [
-    "HierarchyState",
-    "block_order",
-    "initial_state",
-    "HierarchyPropagator",
-]
+__all__ = ["block_order", "HierarchyPropagator"]
 
 MAX_PHOTONS = 3
 
@@ -47,36 +41,6 @@ MAX_PHOTONS = 3
 def block_order(n_ph: int):
     """All blocks (m, n), 0 <= m, n <= n_ph, in (m, n)-lexicographic order."""
     return [(m, n) for m in range(n_ph + 1) for n in range(n_ph + 1)]
-
-
-@dataclass
-class HierarchyState:
-    n_ph: int
-    register: EmitterRegister
-    blocks: dict
-    time: float = 0.0
-
-    def copy(self) -> "HierarchyState":
-        return HierarchyState(
-            self.n_ph,
-            self.register,
-            {mn: blk.copy() for mn, blk in self.blocks.items()},
-            self.time,
-        )
-
-
-def initial_state(register: EmitterRegister, n_ph: int) -> HierarchyState:
-    """All emitters in the ground state: every diagonal block is the
-    all-ground projector, every off-diagonal block is zero."""
-    if not 1 <= n_ph <= MAX_PHOTONS:
-        raise ValueError(f"photon number {n_ph} unsupported (must be 1..{MAX_PHOTONS})")
-    dim = register.dim
-    ground = np.zeros((dim, dim), dtype=complex)
-    ground[0, 0] = 1.0
-    blocks = {}
-    for m, n in block_order(n_ph):
-        blocks[(m, n)] = ground.copy() if m == n else np.zeros((dim, dim), dtype=complex)
-    return HierarchyState(n_ph, register, blocks, 0.0)
 
 
 class HierarchyPropagator:
@@ -90,6 +54,8 @@ class HierarchyPropagator:
     """
 
     def __init__(self, cfg: ChainConfig, n_ph: int):
+        if not 1 <= n_ph <= MAX_PHOTONS:
+            raise ValueError(f"photon number {n_ph} unsupported (must be 1..{MAX_PHOTONS})")
         reg = cfg.register
         dim = reg.dim
         d2 = dim * dim
@@ -140,26 +106,13 @@ class HierarchyPropagator:
         self._a = a_mat
         self._b = b_mat
 
-    def flatten(self, state: HierarchyState) -> np.ndarray:
-        """Sector vector of a hierarchy state.
-
-        Raises ValueError when a block is missing, the register does not match
-        the chain, or a block has a nonzero entry outside its sector (the
-        vector cannot carry it).
-        """
-        if state.register != self.register:
-            raise ValueError(
-                f"state register {state.register} does not match chain register {self.register}"
-            )
-        parts = []
-        for mn, (_, idx) in self.slots.items():
-            if mn not in state.blocks:
-                raise ValueError(f"state has no block {mn}")
-            flat = np.asarray(state.blocks[mn], dtype=complex).reshape(self.dim * self.dim)
-            if np.any(np.delete(flat, idx)):
-                raise ValueError(f"block {mn} has nonzero entries outside its excitation sector")
-            parts.append(flat[idx])
-        return np.concatenate(parts)
+    def ground(self) -> np.ndarray:
+        """Sector vector of the all-ground start: every diagonal block is the
+        all-ground projector (its first sector entry), every other entry is 0."""
+        y = np.zeros(self.size, dtype=complex)
+        for m in range(self.n_ph + 1):
+            y[self.slots[(m, m)][0].start] = 1.0
+        return y
 
     def block(self, y: np.ndarray, m: int, n: int) -> np.ndarray:
         """Block rho_{m,n} of a sector vector y (..., size), as (..., dim, dim)."""

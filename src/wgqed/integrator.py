@@ -1,6 +1,6 @@
 """Fixed-step classical RK4 integration of the hierarchy ODE system.
 
-The hierarchy is flattened to a single complex vector (the excitation-sector
+The hierarchy state is a single complex vector (the excitation-sector
 entries of every block, laid out by HierarchyPropagator; a complex128 entry
 is its real and imaginary part side by side in memory).  RK4 stages are linear
 combinations, so integrating the complex vector directly is exact.
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import HierarchyPropagator, HierarchyState
+from .hierarchy import HierarchyPropagator
 from .liouvillian import ChainConfig
 from .pulse import GaussianPulse, amplitude
 
@@ -122,15 +122,15 @@ class StateTrajectory:
 def integrate(
     chain: ChainConfig,
     pulse: GaussianPulse,
-    state0: HierarchyState,
+    n_ph: int,
     icfg: IntegratorConfig,
 ) -> StateTrajectory:
-    """Propagate a hierarchy state on the fixed RK4 grid, recording snapshots."""
-    prop = HierarchyPropagator(chain, state0.n_ph)
-    y0 = prop.flatten(state0)
+    """Propagate the all-ground hierarchy under an n_ph-photon drive on the
+    fixed RK4 grid, recording snapshots."""
+    prop = HierarchyPropagator(chain, n_ph)
 
     def f(t, y):
         return prop.derivative(amplitude(pulse, t), y)
 
-    times, snaps = rk4_solve(f, y0, icfg)
+    times, snaps = rk4_solve(f, prop.ground(), icfg)
     return StateTrajectory(times, snaps, prop)

@@ -15,6 +15,7 @@ All rates are in units of Gamma (== Gamma_l), times in 1/Gamma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .hierarchy import MAX_PHOTONS
@@ -73,9 +74,12 @@ def parse_scenario_text(text: str) -> dict:
 
 def _as_float(key, value):
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
-        raise ScenarioError(key, f"expected a number, got {value!r}") from None
+        x = math.nan
+    if not math.isfinite(x):
+        raise ScenarioError(key, f"expected a finite number, got {value!r}")
+    return x
 
 
 def _as_int(key, value):
@@ -117,8 +121,8 @@ class Scenario:
     sweep_ratios: tuple = None
 
     def with_dt(self, dt: float) -> "Scenario":
-        if not dt > 0:
-            raise ScenarioError("integrator.dt", f"must be > 0, got {dt}")
+        if not 0 < dt < math.inf:
+            raise ScenarioError("integrator.dt", f"must be finite and > 0, got {dt}")
         return replace(self, integrator=replace(self.integrator, dt=dt))
 
     def with_ratio(self, ratio: float) -> "Scenario":
@@ -221,12 +225,15 @@ def build_scenario(kv: dict) -> Scenario:
         populations = _DEFAULT_POPULATIONS[n_emitters]
     else:
         populations = tuple(_as_list(pops_raw))
+    if len(set(populations)) < len(populations):
+        raise ScenarioError("output.populations", f"labels repeat: {populations}")
     for label in populations:
         try:
-            for token in label.split("+"):
-                basis_index(register, token.strip())
+            idxs = [basis_index(register, token.strip()) for token in label.split("+")]
         except ValueError as exc:
             raise ScenarioError("output.populations", str(exc)) from None
+        if len(set(idxs)) < len(idxs):
+            raise ScenarioError("output.populations", f"label {label!r} repeats a basis state")
 
     want_concurrence = _as_bool(
         "output.concurrence", take("output.concurrence", "true" if n_emitters == 2 else "false")

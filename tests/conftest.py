@@ -6,8 +6,9 @@ every 10 steps).  A three-emitter run takes a few seconds, so every
 (scenario, ratio) pair is integrated exactly once and the result is shared
 by all test modules.
 
-The sector helpers build inputs for comparing the compiled propagator with
-the longhand oracle in oracles.py.
+The sector helpers build dicts of dense blocks rho_{m,k}, as the longhand
+oracle in oracles.py takes them, and gather them into the compiled
+propagator's sector vector.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 
 from oracles import handwritten_three_photon_rhs, random_blocks
 from wgqed.cli import simulate_scenario
-from wgqed.hierarchy import HierarchyPropagator, HierarchyState, block_order
+from wgqed.hierarchy import HierarchyPropagator, block_order
 from wgqed.pulse import amplitude
 from wgqed.qubit_algebra import EmitterRegister, adjoint, basis_index
 from wgqed.scenario import load_scenario
@@ -57,9 +58,10 @@ def sector_mask(n: int, grade: int) -> np.ndarray:
     return np.subtract.outer(exc, exc) == grade
 
 
-def random_sector_state(rng, n: int) -> HierarchyState:
-    """Random three-photon hierarchy projected onto the excitation sectors,
-    with hermitian diagonal blocks and rho_{k,m} = rho_{m,k}^dag."""
+def random_sector_state(rng, n: int) -> dict:
+    """Random three-photon hierarchy {(m, k): block} projected onto the
+    excitation sectors, with hermitian diagonal blocks and
+    rho_{k,m} = rho_{m,k}^dag."""
     triangle = [(m, k) for m in range(4) for k in range(m, 4)]
     blocks = {}
     for (m, k), blk in random_blocks(rng, n, triangle).items():
@@ -67,16 +69,28 @@ def random_sector_state(rng, n: int) -> HierarchyState:
         if m == k:
             blk = 0.5 * (blk + adjoint(blk))
         blocks[(m, k)], blocks[(k, m)] = blk, adjoint(blk)
-    return HierarchyState(3, EmitterRegister(n), blocks, 0.0)
+    return blocks
 
 
-def oracle_deviation(cfg, n_ph: int, state: HierarchyState, t: float, pulse) -> float:
+def gather(prop: HierarchyPropagator, blocks: dict) -> np.ndarray:
+    """Sector vector of the dense blocks rho_{m,k}, m, k <= prop.n_ph, laid
+    out by prop.slots.  Fails if a block has an entry outside its sector,
+    which the vector would silently drop."""
+    y = np.zeros(prop.size, dtype=complex)
+    for mn, (rows, idx) in prop.slots.items():
+        flat = np.asarray(blocks[mn], dtype=complex).ravel()
+        assert not np.any(np.delete(flat, idx)), f"block {mn} has entries outside its sector"
+        y[rows] = flat[idx]
+    return y
+
+
+def oracle_deviation(cfg, n_ph: int, blocks: dict, t: float, pulse) -> float:
     """Largest entry-wise deviation of HierarchyPropagator.derivative from the
     handwritten oracle over every block rho_{m,k}, m, k <= n_ph.  Blocks with
     m > k are compared with the adjoint of the oracle's (k, m) block."""
     prop = HierarchyPropagator(cfg, n_ph)
-    deriv = prop.derivative(amplitude(pulse, t), prop.flatten(state))
-    expected = handwritten_three_photon_rhs(cfg, state, t, pulse)
+    deriv = prop.derivative(amplitude(pulse, t), gather(prop, blocks))
+    expected = handwritten_three_photon_rhs(cfg, blocks, t, pulse)
     return max(
         np.abs(
             prop.block(deriv, m, k)

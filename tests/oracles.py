@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 
-from wgqed.hierarchy import HierarchyState
 from wgqed.liouvillian import ChainConfig, EmitterParams, apply_total
 from wgqed.pulse import GaussianPulse, amplitude
 from wgqed.qubit_algebra import EmitterRegister, adjoint, commutator, lowering_op
@@ -36,7 +35,7 @@ def random_blocks(rng, n, pairs):
     }
 
 
-def handwritten_three_photon_rhs(cfg: ChainConfig, state: HierarchyState, t: float,
+def handwritten_three_photon_rhs(cfg: ChainConfig, blocks: dict, t: float,
                                  pulse: GaussianPulse) -> dict:
     """Time derivative of all ten blocks of the three-photon system, spelled
     out one stored block at a time.
@@ -52,7 +51,7 @@ def handwritten_three_photon_rhs(cfg: ChainConfig, state: HierarchyState, t: flo
     sig = [lowering_op(reg, j) for j in range(1, n + 1)]
     w = [math.sqrt(em.gamma_r) for em in cfg.emitters]
     ph = [np.exp(1j * k) for k in cfg.k0d]
-    r = state.blocks
+    r = blocks
     s2, s3 = math.sqrt(2.0), math.sqrt(3.0)
 
     def L(x):

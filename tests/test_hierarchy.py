@@ -1,16 +1,15 @@
-"""Hierarchy of photon-indexed blocks: sector layout, initial state, and the
-compiled propagator checked against the longhand transcription."""
+"""Hierarchy of photon-indexed blocks: sector layout, all-ground start, and
+the compiled propagator checked against the longhand transcription."""
 
 import numpy as np
 import pytest
 
-from conftest import oracle_deviation, random_sector_state, sector_mask
+from conftest import gather, oracle_deviation, random_sector_state, sector_mask
 from oracles import handwritten_three_photon_rhs, random_chain
-from wgqed.hierarchy import HierarchyPropagator, block_order, initial_state
+from wgqed.hierarchy import HierarchyPropagator, block_order
 from wgqed.integrator import IntegratorConfig, integrate
 from wgqed.liouvillian import ChainConfig, EmitterParams
 from wgqed.pulse import GaussianPulse
-from wgqed.qubit_algebra import EmitterRegister, basis_index
 
 PULSE = GaussianPulse(mu=1.46, t_bar=5.0)
 
@@ -30,30 +29,20 @@ def test_block_order_is_lexicographic_over_all_blocks():
 
 @pytest.mark.parametrize("n_ph", [1, 2, 3])
 def test_initial_state_is_all_ground(n_ph):
-    reg = EmitterRegister(2)
-    state = initial_state(reg, n_ph)
-    assert set(state.blocks) == set(block_order(n_ph))
+    prop = HierarchyPropagator(ChainConfig((EmitterParams(), EmitterParams())), n_ph)
+    y = prop.ground()
+    assert y.shape == (prop.size,)
     ground = np.zeros((4, 4))
     ground[0, 0] = 1.0
-    for (m, n), blk in state.blocks.items():
-        if m == n:
-            assert np.array_equal(blk, ground)
-        else:
-            assert np.array_equal(blk, np.zeros((4, 4)))
+    for m, n in block_order(n_ph):
+        assert np.array_equal(prop.block(y, m, n), ground if m == n else np.zeros((4, 4)))
 
 
 def test_initial_state_rejects_unsupported_photon_numbers():
-    reg = EmitterRegister(1)
+    cfg = ChainConfig((EmitterParams(),))
     for bad in (0, 4, -1):
         with pytest.raises(ValueError):
-            initial_state(reg, bad)
-
-
-def test_state_copy_is_deep():
-    state = initial_state(EmitterRegister(1), 2)
-    dup = state.copy()
-    dup.blocks[(2, 2)][0, 0] = 0.5
-    assert state.blocks[(2, 2)][0, 0] == 1.0
+            HierarchyPropagator(cfg, bad)
 
 
 @pytest.mark.parametrize(
@@ -68,42 +57,16 @@ def test_flatten_order_matches_block_order():
     rng = np.random.default_rng(5)
     cfg = random_chain(rng, 2)
     prop = HierarchyPropagator(cfg, 2)
-    state = random_sector_state(rng, 2)
-    flat = prop.flatten(state)
+    blocks = random_sector_state(rng, 2)
+    flat = gather(prop, blocks)
     start = 0
     for m, n in block_order(2):
         mask = sector_mask(2, m - n)
         stop = start + int(mask.sum())
-        assert np.array_equal(flat[start:stop], state.blocks[(m, n)][mask])
-        assert np.array_equal(prop.block(flat, m, n), state.blocks[(m, n)])
+        assert np.array_equal(flat[start:stop], blocks[(m, n)][mask])
+        assert np.array_equal(prop.block(flat, m, n), blocks[(m, n)])
         start = stop
     assert start == len(flat) == prop.size
-
-
-def test_flatten_rejects_mismatched_register():
-    cfg = ChainConfig((EmitterParams(),))
-    state = initial_state(EmitterRegister(2), 3)
-    with pytest.raises(ValueError):
-        HierarchyPropagator(cfg, 3).flatten(state)
-
-
-def test_flatten_rejects_missing_and_off_sector_blocks():
-    """The sector vector cannot carry such states, so they must not be
-    integrated with entries silently dropped."""
-    reg = EmitterRegister(2)
-    prop = HierarchyPropagator(ChainConfig((EmitterParams(), EmitterParams())), 2)
-    gg, ee = basis_index(reg, "gg"), basis_index(reg, "ee")
-
-    missing = initial_state(reg, 2)
-    del missing.blocks[(2, 1)]
-    with pytest.raises(ValueError, match="no block"):
-        prop.flatten(missing)
-
-    for mn, (a, b) in (((1, 1), (gg, ee)), ((0, 1), (gg, gg))):
-        off = initial_state(reg, 2)
-        off.blocks[mn][a, b] = 1e-3
-        with pytest.raises(ValueError, match="outside its excitation sector"):
-            prop.flatten(off)
 
 
 # ------------------------------------------- literal ten-block transcription
@@ -116,8 +79,8 @@ def test_generic_rule_matches_handwritten_three_photon_system(n):
     their adjoints for the six blocks below the diagonal."""
     rng = np.random.default_rng(100 + n)
     cfg = random_chain(rng, n)
-    state = random_sector_state(rng, n)
-    assert oracle_deviation(cfg, 3, state, 4.3, PULSE) <= 1e-12
+    blocks = random_sector_state(rng, n)
+    assert oracle_deviation(cfg, 3, blocks, 4.3, PULSE) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -141,9 +104,9 @@ def test_compiled_derivative_matches_reference(n, n_ph):
     numbers are checked exactly on the oracle's sub-triangle m, n <= n_ph."""
     rng = np.random.default_rng(200 + 10 * n + n_ph)
     cfg = random_chain(rng, n)
-    state = random_sector_state(rng, n)
+    blocks = random_sector_state(rng, n)
     for t in (0.0, 3.7, 5.0, 11.2):
-        assert oracle_deviation(cfg, n_ph, state, t, PULSE) <= 1e-12
+        assert oracle_deviation(cfg, n_ph, blocks, t, PULSE) <= 1e-12
 
 
 # ----------------------------------------------------- structural invariants
@@ -153,9 +116,8 @@ def test_vacuum_block_never_moves():
     """The lowest block sees no drive, and the all-ground projector is a
     steady state of the dissipator, so it must stay pinned."""
     cfg = ChainConfig((EmitterParams(), EmitterParams()))
-    state0 = initial_state(EmitterRegister(2), 3)
     icfg = IntegratorConfig(dt=5e-3, t_end=8.0, record_stride=100)
-    states = integrate(cfg, PULSE, state0, icfg)
+    states = integrate(cfg, PULSE, 3, icfg)
     ground = np.zeros((4, 4))
     ground[0, 0] = 1.0
     assert np.abs(states.block(0, 0) - ground).max() < 1e-12

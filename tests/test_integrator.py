@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from wgqed.hierarchy import initial_state
+from conftest import gather
+from wgqed.hierarchy import HierarchyPropagator, block_order
 from wgqed.integrator import (
     IntegrationBlowUpError,
     IntegratorConfig,
@@ -12,7 +13,7 @@ from wgqed.integrator import (
     rk4_solve,
 )
 from wgqed.liouvillian import ChainConfig, EmitterParams
-from wgqed.pulse import GaussianPulse
+from wgqed.pulse import GaussianPulse, amplitude
 from wgqed.qubit_algebra import EmitterRegister
 
 
@@ -92,9 +93,8 @@ def test_initial_vector_is_not_mutated():
 def test_integrate_returns_consistent_trajectory():
     cfg = ChainConfig((EmitterParams(),))
     pulse = GaussianPulse(mu=1.46, t_bar=5.0)
-    state0 = initial_state(EmitterRegister(1), 2)
     icfg = IntegratorConfig(dt=5e-3, t_end=2.0, record_stride=40)
-    states = integrate(cfg, pulse, state0, icfg)
+    states = integrate(cfg, pulse, 2, icfg)
     assert isinstance(states, StateTrajectory)
     assert states.n_ph == 2
     assert states.register == EmitterRegister(1)
@@ -114,12 +114,11 @@ def test_free_decay_of_excited_emitter_matches_exponential():
     emitter just decays at gamma_r + gamma_l."""
     cfg = ChainConfig((EmitterParams(gamma_r=1.0, gamma_l=1.0),))
     pulse = GaussianPulse(mu=1.46, t_bar=1e6)
-    state0 = initial_state(EmitterRegister(1), 1)
-    for blk in state0.blocks.values():
-        blk[:] = 0.0
-    for mn in ((0, 0), (1, 1)):
-        state0.blocks[mn][1, 1] = 1.0  # excited projector
+    prop = HierarchyPropagator(cfg, 1)
+    excited = np.diag([0.0, 1.0])  # excited projector in both diagonal blocks
+    y0 = gather(prop, {(m, n): excited if m == n else 0 * excited for m, n in block_order(1)})
     icfg = IntegratorConfig(dt=1e-3, t_end=1.0, record_stride=100)
-    states = integrate(cfg, pulse, state0, icfg)
+    times, snaps = rk4_solve(lambda t, y: prop.derivative(amplitude(pulse, t), y), y0, icfg)
+    states = StateTrajectory(times, snaps, prop)
     pe = states.physical()[:, 1, 1].real
     assert np.allclose(pe, np.exp(-2.0 * states.times), atol=1e-10)

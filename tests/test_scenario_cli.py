@@ -83,6 +83,12 @@ def test_value_range_checks():
         ({"n_emitters": "1", "output.concurrence": "true"}, "output.concurrence"),
         ({"n_emitters": "2", "output.fill": "true"}, "output.fill"),
         ({"n_emitters": "2", "emitter.5.gamma_r": "1"}, "emitter.5.gamma_r"),
+        ({"n_emitters": "1", "integrator.t_end": "inf"}, "integrator.t_end"),
+        ({"n_emitters": "1", "pulse.t_bar": "nan"}, "pulse.t_bar"),
+        ({"n_emitters": "1", "pulse.mu": "inf"}, "pulse.mu"),
+        ({"n_emitters": "1", "emitter.delta": "-inf"}, "emitter.delta"),
+        ({"n_emitters": "1", "output.populations": "e+e"}, "output.populations"),
+        ({"n_emitters": "1", "output.populations": "e, e"}, "output.populations"),
     ]
     for kv, key in cases:
         with pytest.raises(ScenarioError) as excinfo:
@@ -134,8 +140,9 @@ def test_with_ratio_rescales_every_emitter_and_clears_sweep():
 def test_with_dt_validates():
     sc = build_scenario({"n_emitters": "1"})
     assert sc.with_dt(0.5).integrator.dt == 0.5
-    with pytest.raises(ScenarioError):
-        sc.with_dt(0.0)
+    for bad in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ScenarioError):
+            sc.with_dt(bad)
 
 
 def test_resolved_configuration_round_trips():
@@ -253,6 +260,15 @@ def test_cli_missing_file_and_bad_scenario_exit_2(tmp_path, capsys):
     bad = write(tmp_path, "n_emitters = 1\nbogus = 1\n", name="bad.cfg")
     assert main(["run", str(bad), "--quiet"]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_cli_non_finite_number_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "n_emitters = 1\nintegrator.t_end = inf\n", name="endless.cfg")
+    assert main(["run", str(path), "--out-dir", str(tmp_path), "--quiet"]) == 2
+    assert "integrator.t_end" in capsys.readouterr().err
+    tiny = str(write(tmp_path, TINY))
+    assert main(["run", tiny, "--out-dir", str(tmp_path), "--dt", "inf", "--quiet"]) == 2
+    assert "integrator.dt" in capsys.readouterr().err
 
 
 def test_cli_sweep_without_ratios_exits_2(tmp_path, capsys):
