@@ -2,7 +2,7 @@
 driven by few-photon Fock-state Gaussian wavepackets."""
 
 from .qubit_algebra import EmitterRegister, lowering_op, partial_trace, adjoint, commutator
-from .pulse import GaussianPulse, amplitude
+from .pulse import GaussianPulse, amplitude, amplitude_rate
 from .liouvillian import (
     ChainConfig,
     EmitterParams,

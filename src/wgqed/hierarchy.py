@@ -22,18 +22,23 @@ from the all-ground state, the entries of rho_{m,n} with
 exc(a) - exc(b) != m - n therefore stay zero (Baragiola et al., PRA 86,
 013811, 2012).  The integrated state vector keeps only the remaining
 entries of each block, its excitation sector.
+
+L acts within each block, and each drive term raises m + n by one.  Grouped
+by level l = m + n, the system is therefore a cascade: level l obeys a
+time-invariant linear ODE forced by level l - 1 alone (`levels`).
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .liouvillian import ChainConfig, apply_total
 from .qubit_algebra import commutator, lowering_op
 
-__all__ = ["block_order", "HierarchyPropagator"]
+__all__ = ["block_order", "Level", "HierarchyPropagator"]
 
 MAX_PHOTONS = 3
 
@@ -41,6 +46,14 @@ MAX_PHOTONS = 3
 def block_order(n_ph: int):
     """All blocks (m, n), 0 <= m, n <= n_ph, in (m, n)-lexicographic order."""
     return [(m, n) for m in range(n_ph + 1) for n in range(n_ph + 1)]
+
+
+class Level(NamedTuple):
+    """One rung of the cascade y_l' = a y_l + g(t) b y_{l-1}."""
+
+    rows: np.ndarray  # indices of the level's entries in the sector vector
+    a: np.ndarray     # A restricted to the level, (n_l, n_l)
+    b: np.ndarray     # B from level l - 1 into level l, (n_l, n_{l-1}); n_{-1} = 0
 
 
 class HierarchyPropagator:
@@ -121,6 +134,26 @@ class HierarchyPropagator:
         out = np.zeros(lead + (self.dim * self.dim,), dtype=complex)
         out[..., idx] = y[..., rows]
         return out.reshape(lead + (self.dim, self.dim))
+
+    def levels(self) -> list:
+        """The cascade as one Level per l = m + n, 0 <= l <= 2 n_ph.
+
+        Raises RuntimeError if A couples two levels or B couples anything
+        but level l - 1 to level l, since the cascade would then drop terms.
+        """
+        level = np.empty(self.size, dtype=int)
+        for (m, n), (rows, _) in self.slots.items():
+            level[rows] = m + n
+        step = np.subtract.outer(level, level)  # level of the row minus level of the column
+        if np.any(self._a[step != 0]) or np.any(self._b[step != 1]):
+            raise RuntimeError("hierarchy operator couples levels outside the cascade")
+        out = []
+        below = np.empty(0, dtype=int)
+        for l in range(2 * self.n_ph + 1):
+            rows = np.flatnonzero(level == l)
+            out.append(Level(rows, self._a[np.ix_(rows, rows)], self._b[np.ix_(rows, below)]))
+            below = rows
+        return out
 
     def derivative(self, g: float, y: np.ndarray) -> np.ndarray:
         """d/dt of the sector vector given the drive amplitude g."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GaussianPulse", "amplitude"]
+__all__ = ["GaussianPulse", "amplitude", "amplitude_rate"]
 
 
 @dataclass(frozen=True)
@@ -34,3 +34,9 @@ def amplitude(pulse: GaussianPulse, t):
     if np.isscalar(t) or getattr(t, "ndim", 0) == 0:
         return float(val)
     return val
+
+
+def amplitude_rate(pulse: GaussianPulse, t):
+    """Time derivative g'(t) = -(mu^2 / 2) (t - t_bar) g(t), in closed form."""
+    s = np.asarray(t, dtype=float) - pulse.t_bar
+    return -0.5 * pulse.mu ** 2 * s * amplitude(pulse, t)

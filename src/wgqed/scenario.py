@@ -123,7 +123,11 @@ class Scenario:
     def with_dt(self, dt: float) -> "Scenario":
         if not 0 < dt < math.inf:
             raise ScenarioError("integrator.dt", f"must be finite and > 0, got {dt}")
-        return replace(self, integrator=replace(self.integrator, dt=dt))
+        try:
+            icfg = replace(self.integrator, dt=dt)
+        except ValueError as exc:  # the step-count limit
+            raise ScenarioError("integrator.dt", str(exc)) from None
+        return replace(self, integrator=icfg)
 
     def with_ratio(self, ratio: float) -> "Scenario":
         """Chirality-sweep variant: every emitter gets gamma_r = ratio * gamma_l."""
@@ -218,7 +222,10 @@ def build_scenario(kv: dict) -> Scenario:
     ):
         if not cond:
             raise ScenarioError(key, f"invalid value {val}")
-    icfg = IntegratorConfig(dt=dt, t_end=t_end, record_stride=stride)
+    try:
+        icfg = IntegratorConfig(dt=dt, t_end=t_end, record_stride=stride)
+    except ValueError as exc:  # the step-count limit
+        raise ScenarioError("integrator.t_end", str(exc)) from None
 
     pops_raw = take("output.populations")
     if pops_raw is None:

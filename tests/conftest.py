@@ -2,9 +2,8 @@
 
 The checked-in scenarios are integrated once per session.  The regression
 runs use each scenario's own grid (dt = 1e-3 over t in [0, 12], snapshot
-every 10 steps).  A three-emitter run takes a few seconds, so every
-(scenario, ratio) pair is integrated exactly once and the result is shared
-by all test modules.
+every 10 steps).  Every (scenario, ratio) pair is integrated exactly once
+and the result is shared by all test modules.
 
 The sector helpers build dicts of dense blocks rho_{m,k}, as the longhand
 oracle in oracles.py takes them, and gather them into the compiled

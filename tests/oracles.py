@@ -9,9 +9,44 @@ import math
 
 import numpy as np
 
+from wgqed.integrator import IntegrationBlowUpError, IntegratorConfig
 from wgqed.liouvillian import ChainConfig, EmitterParams, apply_total
 from wgqed.pulse import GaussianPulse, amplitude
 from wgqed.qubit_algebra import EmitterRegister, adjoint, commutator, lowering_op
+
+
+def rk4_solve(f, y0: np.ndarray, icfg: IntegratorConfig):
+    """Integrate dy/dt = f(t, y) from t = 0 by classical fixed-step RK4;
+    returns (times, snapshots).
+
+    Snapshots are taken at step 0, every record_stride-th step, and the
+    final step.  Raises IntegrationBlowUpError when a recorded state stops
+    being finite.
+    """
+    dt = icfg.dt
+    n_steps = icfg.n_steps
+    stride = icfg.record_stride
+
+    y = np.array(y0, dtype=complex, copy=True)
+    times = [0.0]
+    snaps = [y.copy()]
+    half = dt / 2.0
+    sixth = dt / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t = k * dt
+            k1 = f(t, y)
+            k2 = f(t + half, y + half * k1)
+            k3 = f(t + half, y + half * k2)
+            k4 = f(t + dt, y + dt * k3)
+            y += sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            if (k + 1) % stride == 0 or k + 1 == n_steps:
+                t_now = (k + 1) * dt
+                if not np.all(np.isfinite(y.view(np.float64))):
+                    raise IntegrationBlowUpError(t_now)
+                times.append(t_now)
+                snaps.append(y.copy())
+    return np.array(times), np.array(snaps)
 
 
 def random_chain(rng, n):

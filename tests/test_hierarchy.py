@@ -112,6 +112,53 @@ def test_compiled_derivative_matches_reference(n, n_ph):
 # ----------------------------------------------------- structural invariants
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_ph", [1, 2, 3])
+def test_operators_form_a_level_cascade(n, n_ph):
+    """A keeps the level l = m + n of every entry, and B only raises it by
+    one.  Checked on the compiled matrices, read off through derivative(),
+    with levels labelled from slots; then the levels() split must put every
+    entry back where it came from."""
+    cfg = random_chain(np.random.default_rng(400 + 10 * n + n_ph), n)
+    prop = HierarchyPropagator(cfg, n_ph)
+    eye = np.eye(prop.size)
+    a = prop.derivative(0.0, eye)
+    b = prop.derivative(1.0, eye) - a
+    level = np.empty(prop.size, dtype=int)
+    for (m, k), (rows, _) in prop.slots.items():
+        level[rows] = m + k
+    rise = level[:, None] - level[None, :]
+    assert np.any(a) and np.any(b)
+    assert not np.any(a[rise != 0])
+    assert not np.any(b[rise != 1])
+
+    levels = prop.levels()
+    assert len(levels) == 2 * n_ph + 1
+    a_back, b_back = np.zeros_like(a), np.zeros_like(b)
+    below = np.empty(0, dtype=int)
+    for l, lv in enumerate(levels):
+        assert np.array_equal(lv.rows, np.flatnonzero(level == l))
+        a_back[np.ix_(lv.rows, lv.rows)] = lv.a
+        b_back[np.ix_(lv.rows, below)] = lv.b
+        below = lv.rows
+    assert np.array_equal(a_back, a)
+    assert np.array_equal(b_back, b)
+
+
+
+def test_levels_refuse_couplings_outside_the_cascade():
+    """levels() is the integrator's only view of A and B, so an entry it
+    would drop must stop it: one coupling inside level 1 planted in B, and
+    one from level 1 into level 0 planted in A."""
+    cfg = ChainConfig((EmitterParams(), EmitterParams()))
+    first = HierarchyPropagator(cfg, 1).levels()[1]
+    for name, row, col in (("_b", first.rows[0], first.rows[1]), ("_a", 0, first.rows[0])):
+        prop = HierarchyPropagator(cfg, 1)
+        getattr(prop, name)[row, col] = 1.0
+        with pytest.raises(RuntimeError, match="outside the cascade"):
+            prop.levels()
+
+
 def test_vacuum_block_never_moves():
     """The lowest block sees no drive, and the all-ground projector is a
     steady state of the dissipator, so it must stay pinned."""

@@ -1,20 +1,28 @@
-"""Fixed-step RK4: accuracy order, recording grid, failure modes."""
+"""Level-cascade integration against the RK4 oracle: accuracy, order,
+recording grid, limits and failure modes.  The RK4 oracle's own tests come
+first."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from conftest import gather
+from conftest import SCENARIO_DIR, gather, scenario_path
+from oracles import rk4_solve
 from wgqed.hierarchy import HierarchyPropagator, block_order
 from wgqed.integrator import (
+    MAX_STEPS,
     IntegrationBlowUpError,
     IntegratorConfig,
     StateTrajectory,
     integrate,
-    rk4_solve,
 )
 from wgqed.liouvillian import ChainConfig, EmitterParams
 from wgqed.pulse import GaussianPulse, amplitude
 from wgqed.qubit_algebra import EmitterRegister
+from wgqed.scenario import load_scenario
+
+SHIPPED = sorted(path.stem for path in SCENARIO_DIR.glob("*.cfg"))
 
 
 def test_config_validation():
@@ -23,9 +31,13 @@ def test_config_validation():
         {"dt": -1e-3},
         {"t_end": 0.0},
         {"record_stride": 0},
+        {"dt": 1e-3, "t_end": 1e-3 * (MAX_STEPS + 1)},
+        {"dt": 1e-300, "t_end": 1e300},
+        {"t_end": float("inf")},
     ):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
+    assert IntegratorConfig(dt=1e-3, t_end=1e-3 * MAX_STEPS).n_steps == MAX_STEPS
 
 
 def test_exponential_decay_is_reproduced():
@@ -122,3 +134,81 @@ def test_free_decay_of_excited_emitter_matches_exponential():
     states = StateTrajectory(times, snaps, prop)
     pe = states.physical()[:, 1, 1].real
     assert np.allclose(pe, np.exp(-2.0 * states.times), atol=1e-10)
+
+
+# ------------------------------------------------------------ level cascade
+
+
+def _oracle_run(sc, icfg):
+    """Physical-block series of the RK4 oracle on the scenario's hierarchy."""
+    prop = HierarchyPropagator(sc.chain, sc.n_photons)
+    f = lambda t, y: prop.derivative(amplitude(sc.pulse, t), y)
+    times, snaps = rk4_solve(f, prop.ground(), icfg)
+    return times, StateTrajectory(times, snaps, prop).physical()
+
+
+@pytest.mark.parametrize("stem", SHIPPED)
+@pytest.mark.parametrize("ratio", [1.0, 5.0])
+def test_cascade_tracks_rk4_oracle_on_shipped_scenarios(stem, ratio):
+    """Against RK4 at dt/4, the cascade at dt deviates no more than RK4 at dt.
+    The pulse is moved to t_bar = 2 on a [0, 4] grid with dt = 0.01, so the
+    run is short and the truncation error stands well clear of roundoff."""
+    sc = load_scenario(scenario_path(stem)).with_ratio(ratio)
+    sc = dataclasses.replace(sc, pulse=dataclasses.replace(sc.pulse, t_bar=2.0))
+    icfg = IntegratorConfig(dt=0.01, t_end=4.0, record_stride=3)
+    states = integrate(sc.chain, sc.pulse, sc.n_photons, icfg)
+    times, coarse = _oracle_run(sc, icfg)
+    _, fine = _oracle_run(sc, dataclasses.replace(icfg, dt=icfg.dt / 4, record_stride=12))
+    assert np.array_equal(states.times, times)
+    cascade_dev = np.abs(states.physical() - fine).max()
+    rk4_dev = np.abs(coarse - fine).max()
+    assert rk4_dev > 1e-10  # the comparison is about truncation, not roundoff
+    assert cascade_dev <= rk4_dev, (cascade_dev, rk4_dev)
+
+
+def test_cascade_is_fourth_order():
+    cfg = ChainConfig((EmitterParams(gamma_r=3.0, gamma_l=1.0), EmitterParams(gamma_r=3.0, gamma_l=1.0)))
+    pulse = GaussianPulse(mu=1.46, t_bar=2.0)
+    final = {}
+    for dt in (0.04, 0.02, 0.01, 0.0025):
+        icfg = IntegratorConfig(dt=dt, t_end=4.0, record_stride=10**9)
+        final[dt] = integrate(cfg, pulse, 3, icfg).blocks[-1]
+    errors = [np.abs(final[dt] - final[0.0025]).max() for dt in (0.04, 0.02, 0.01)]
+    orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
+    for p in orders:
+        assert 3.6 < p < 4.4, f"measured order {orders}"
+
+
+def test_records_do_not_depend_on_the_stride():
+    """Chunks and blocks are cut independently of the record grid: every
+    record of a strided run equals the same step of a run recording every
+    step, across several chunks and a final partial block."""
+    cfg = ChainConfig((EmitterParams(gamma_r=2.0, gamma_l=0.5),))
+    pulse = GaussianPulse(mu=1.46, t_bar=1.5)
+    every = integrate(cfg, pulse, 3, IntegratorConfig(dt=1e-3, t_end=3.001, record_stride=1))
+    strided = integrate(cfg, pulse, 3, IntegratorConfig(dt=1e-3, t_end=3.001, record_stride=7))
+    steps = np.append(np.arange(0, 3001, 7), 3001)
+    assert len(every.times) == 3002
+    assert np.array_equal(strided.times, every.times[steps])
+    assert np.array_equal(strided.blocks, every.blocks[steps])
+
+
+def test_step_outside_range_is_refused_at_t0():
+    cfg = ChainConfig((EmitterParams(gamma_r=1e12),))
+    pulse = GaussianPulse(mu=1.46, t_bar=5.0)
+    with pytest.raises(IntegrationBlowUpError) as excinfo:
+        integrate(cfg, pulse, 1, IntegratorConfig(dt=1.0, t_end=12.0, record_stride=1))
+    assert excinfo.value.time == 0.0
+    assert "outside the integrator's range" in str(excinfo.value)
+
+
+def test_non_finite_record_is_reported_with_its_time():
+    """A pulse so narrow and tall that g^6 overflows at its centre t = 0.5
+    drives the top level to inf at that step; the first record after it,
+    t = 0.6, is named."""
+    cfg = ChainConfig((EmitterParams(),))
+    pulse = GaussianPulse(mu=1e150, t_bar=0.5)
+    with pytest.raises(IntegrationBlowUpError) as excinfo:
+        integrate(cfg, pulse, 3, IntegratorConfig(dt=1e-3, t_end=2.0, record_stride=150))
+    assert excinfo.value.time == pytest.approx(0.6)
+    assert "non-finite" in str(excinfo.value)

@@ -1,11 +1,11 @@
-"""Gaussian wavepacket mode: normalization and peak."""
+"""Gaussian wavepacket mode: normalization, peak and time derivative."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgqed.pulse import GaussianPulse, amplitude
+from wgqed.pulse import GaussianPulse, amplitude, amplitude_rate
 
 
 def test_width_must_be_positive():
@@ -48,3 +48,18 @@ def test_scalar_and_array_calls_agree():
     arr = amplitude(p, ts)
     assert isinstance(amplitude(p, 2.5), float)
     assert np.allclose(arr, [amplitude(p, float(t)) for t in ts])
+
+
+@pytest.mark.parametrize("mu,t_bar", [(1.46, 5.0), (0.8, 3.0), (3.0, -1.0)])
+def test_rate_matches_central_difference_and_is_odd(mu, t_bar):
+    p = GaussianPulse(mu=mu, t_bar=t_bar)
+    ts = t_bar + np.linspace(-6.0 / mu, 6.0 / mu, 241)
+    eps = 1e-5
+    central = (amplitude(p, ts + eps) - amplitude(p, ts - eps)) / (2 * eps)
+    rate = amplitude_rate(p, ts)
+    assert rate.dtype == np.float64
+    assert np.abs(rate - central).max() <= 1e-8
+    offsets = np.linspace(0.0, 6.0 / mu, 121)
+    assert np.allclose(amplitude_rate(p, t_bar + offsets), -amplitude_rate(p, t_bar - offsets),
+                       rtol=1e-12, atol=1e-300)
+    assert amplitude_rate(p, t_bar) == 0.0

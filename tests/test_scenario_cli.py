@@ -271,6 +271,25 @@ def test_cli_non_finite_number_exits_2(tmp_path, capsys):
     assert "integrator.dt" in capsys.readouterr().err
 
 
+def test_step_count_limit_exits_2(tmp_path, capsys):
+    """t_end / dt above MAX_STEPS is refused before any step is taken, under
+    the key that set it.  load_scenario and with_dt are checked first, so an
+    implementation without the limit fails here instead of running forever."""
+    path = write(tmp_path, "n_emitters = 1\nintegrator.t_end = 1e300\n", name="endless.cfg")
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(path)
+    assert excinfo.value.key == "integrator.t_end"
+    tiny = write(tmp_path, TINY)
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(tiny).with_dt(1e-9)
+    assert excinfo.value.key == "integrator.dt"
+
+    assert main(["run", str(path), "--out-dir", str(tmp_path), "--quiet"]) == 2
+    assert "integrator.t_end" in capsys.readouterr().err
+    assert main(["run", str(tiny), "--out-dir", str(tmp_path), "--dt", "1e-9", "--quiet"]) == 2
+    assert "integrator.dt" in capsys.readouterr().err
+
+
 def test_cli_sweep_without_ratios_exits_2(tmp_path, capsys):
     path = write(tmp_path, TINY)
     assert main(["sweep", str(path), "--quiet"]) == 2
