@@ -61,9 +61,9 @@ class HierarchyPropagator:
 
     y holds, block by block in block_order, the excitation-sector entries of
     each rho_{m,n} in row-major order; `slots` says where.  A (dissipator)
-    and B (drive couplings) are cut out of superoperator matrices built in
-    one pass over the dim^2 basis operators through apply_total and the two
-    drive commutators, so those stay the single definition of the physics.
+    and B (drive couplings) are cut out of superoperator matrices, each from
+    one call of apply_total or a drive commutator on the stack of all dim^2
+    basis operators, so those stay the single definition of the physics.
     """
 
     def __init__(self, cfg: ChainConfig, n_ph: int):
@@ -86,19 +86,13 @@ class HierarchyPropagator:
         weights = [
             math.sqrt(em.gamma_r) * np.exp(1j * k0d) for em, k0d in zip(cfg.emitters, cfg.k0d)
         ]
-        liou, c_up, c_dn = (np.empty((d2, d2), dtype=complex) for _ in range(3))
-        basis = np.zeros((dim, dim), dtype=complex)
-        for col in range(d2):
-            basis.flat[col] = 1.0
-            liou[:, col] = apply_total(cfg, basis).ravel()
-            # c_up multiplies sqrt(m) g(t), c_dn multiplies sqrt(n) g*(t)
-            c_up[:, col] = sum(
-                w * commutator(basis, s.conj().T) for w, s in zip(weights, sigmas)
-            ).ravel()
-            c_dn[:, col] = sum(
-                w.conjugate() * commutator(s, basis) for w, s in zip(weights, sigmas)
-            ).ravel()
-            basis.flat[col] = 0.0
+        basis = np.eye(d2, dtype=complex).reshape(d2, dim, dim)  # every |a><b|
+        # The raveled image of basis operator col is column col of each superoperator.
+        liou = apply_total(cfg, basis).reshape(d2, d2).T
+        # c_up multiplies sqrt(m) g(t), c_dn multiplies sqrt(n) g*(t)
+        c_up = sum(w * commutator(basis, s.conj().T) for w, s in zip(weights, sigmas))
+        c_dn = sum(w.conjugate() * commutator(s, basis) for w, s in zip(weights, sigmas))
+        c_up, c_dn = c_up.reshape(d2, d2).T, c_dn.reshape(d2, d2).T
 
         a_mat = np.zeros((size, size), dtype=complex)
         b_mat = np.zeros((size, size), dtype=complex)

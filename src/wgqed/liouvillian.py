@@ -33,7 +33,7 @@ total map preserves hermiticity; each bracket is traceless by cyclicity,
 so with gamma = 0 the map is trace-annihilating on any input.
 
 All rates are in units of Gamma (== Gamma_l of the reference emitter),
-times in 1/Gamma.
+times in 1/Gamma.  Each apply_* map also takes a (..., dim, dim) stack.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _lowering_ops(cfg: ChainConfig):
 
 def _check_dim(cfg: ChainConfig, rho: np.ndarray):
     dim = cfg.register.dim
-    if rho.shape != (dim, dim):
+    if rho.shape[-2:] != (dim, dim):
         raise ValueError(f"operator has shape {rho.shape}, chain dimension is {dim}")
 
 

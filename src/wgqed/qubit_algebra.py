@@ -104,6 +104,7 @@ def adjoint(rho: np.ndarray) -> np.ndarray:
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
+    """[a, b]; either side may be a (..., d, d) stack, broadcast against the other."""
+    if a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     return a @ b - b @ a

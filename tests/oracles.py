@@ -49,6 +49,48 @@ def rk4_solve(f, y0: np.ndarray, icfg: IntegratorConfig):
     return np.array(times), np.array(snaps)
 
 
+def column_by_column_operators(cfg: ChainConfig, slots: dict):
+    """Reference compile of the hierarchy operators (A, B) over the sector
+    layout `slots` (as HierarchyPropagator.slots).
+
+    The superoperator matrices are built one basis operator |a><b| at a
+    time: apply_total and the two drive commutators act on a single dim x
+    dim matrix, and the raveled image is one column.
+    """
+    dim = cfg.register.dim
+    d2 = dim * dim
+    sigmas = [lowering_op(cfg.register, j) for j in range(1, cfg.n_emitters + 1)]
+    weights = [
+        math.sqrt(em.gamma_r) * np.exp(1j * k0d) for em, k0d in zip(cfg.emitters, cfg.k0d)
+    ]
+    liou, c_up, c_dn = (np.empty((d2, d2), dtype=complex) for _ in range(3))
+    basis = np.zeros((dim, dim), dtype=complex)
+    for col in range(d2):
+        basis.flat[col] = 1.0
+        liou[:, col] = apply_total(cfg, basis).ravel()
+        # c_up multiplies sqrt(m) g(t), c_dn multiplies sqrt(n) g*(t)
+        c_up[:, col] = sum(
+            w * commutator(basis, s.conj().T) for w, s in zip(weights, sigmas)
+        ).ravel()
+        c_dn[:, col] = sum(
+            w.conjugate() * commutator(s, basis) for w, s in zip(weights, sigmas)
+        ).ravel()
+        basis.flat[col] = 0.0
+
+    size = sum(idx.size for _, idx in slots.values())
+    a_mat = np.zeros((size, size), dtype=complex)
+    b_mat = np.zeros((size, size), dtype=complex)
+    for (m, n), (rows, idx) in slots.items():
+        a_mat[rows, rows] = liou[np.ix_(idx, idx)]
+        if m >= 1:
+            cols, src = slots[(m - 1, n)]
+            b_mat[rows, cols] = math.sqrt(m) * c_up[np.ix_(idx, src)]
+        if n >= 1:
+            cols, src = slots[(m, n - 1)]
+            b_mat[rows, cols] = math.sqrt(n) * c_dn[np.ix_(idx, src)]
+    return a_mat, b_mat
+
+
 def random_chain(rng, n):
     emitters = tuple(
         EmitterParams(

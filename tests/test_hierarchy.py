@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import gather, oracle_deviation, random_sector_state, sector_mask
-from oracles import handwritten_three_photon_rhs, random_chain
+from oracles import column_by_column_operators, handwritten_three_photon_rhs, random_chain
+from wgqed import hierarchy
 from wgqed.hierarchy import HierarchyPropagator, block_order
 from wgqed.integrator import IntegratorConfig, integrate
-from wgqed.liouvillian import ChainConfig, EmitterParams
+from wgqed.liouvillian import ChainConfig, EmitterParams, apply_total
 from wgqed.pulse import GaussianPulse
 
 PULSE = GaussianPulse(mu=1.46, t_bar=5.0)
@@ -107,6 +108,35 @@ def test_compiled_derivative_matches_reference(n, n_ph):
     blocks = random_sector_state(rng, n)
     for t in (0.0, 3.7, 5.0, 11.2):
         assert oracle_deviation(cfg, n_ph, blocks, t, PULSE) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n,n_ph", [(n, n_ph) for n in (1, 2, 3) for n_ph in (1, 2, 3)] + [(4, 1)]
+)
+def test_compiled_operators_equal_column_by_column_reference(n, n_ph):
+    """Compiling on the whole basis stack is the same arithmetic as applying
+    the maps to one basis operator at a time, so A and B must agree bit for
+    bit with the reference build."""
+    cfg = random_chain(np.random.default_rng(500 + 10 * n + n_ph), n)
+    prop = HierarchyPropagator(cfg, n_ph)
+    a_ref, b_ref = column_by_column_operators(cfg, prop.slots)
+    assert np.array_equal(prop._a, a_ref)
+    assert np.array_equal(prop._b, b_ref)
+
+
+def test_compile_applies_the_dissipator_once(monkeypatch):
+    """The dissipator's superoperator comes from one apply_total call on the
+    basis stack, not one call per basis operator."""
+    calls = []
+
+    def counted(cfg, rho):
+        calls.append(rho.shape)
+        return apply_total(cfg, rho)
+
+    monkeypatch.setattr(hierarchy, "apply_total", counted)
+    cfg = random_chain(np.random.default_rng(7), 3)
+    HierarchyPropagator(cfg, 3)
+    assert calls == [(64, 8, 8)]
 
 
 # ----------------------------------------------------- structural invariants

@@ -59,6 +59,8 @@ def test_operator_dimension_is_checked():
     cfg = ChainConfig((EmitterParams(),))
     with pytest.raises(ValueError):
         apply_total(cfg, np.eye(4, dtype=complex))
+    with pytest.raises(ValueError):
+        apply_total(cfg, np.zeros((3, 4, 4), dtype=complex))
 
 
 # ------------------------------------------------- brute-force transcriptions
@@ -121,6 +123,21 @@ def test_cooperative_part_is_zero_for_one_emitter():
     cfg = ChainConfig((EmitterParams(gamma_r=3.0),))
     rho = random_hermitian(np.random.default_rng(0), 2)
     assert np.allclose(apply_cooperative(cfg, rho), 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "apply", [apply_closed, apply_pure_decay, apply_cooperative, apply_total]
+)
+def test_maps_act_on_stacks_matrix_by_matrix(apply, n):
+    """A (k, d, d) stack maps to the stack of per-matrix images, bit for bit."""
+    rng = np.random.default_rng(60 + n)
+    cfg = random_chain(rng, n)
+    dim = cfg.register.dim
+    stack = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
+    out = apply(cfg, stack)
+    assert out.shape == stack.shape
+    assert np.array_equal(out, np.array([apply(cfg, rho) for rho in stack]))
 
 
 def test_total_is_sum_of_parts():

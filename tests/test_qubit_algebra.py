@@ -115,6 +115,11 @@ def test_commutator_definition_and_shape_check():
     assert np.allclose(commutator(a, b), -commutator(b, a))
     with pytest.raises(ValueError):
         commutator(a, np.eye(2))
+    stack = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    assert np.array_equal(commutator(stack, b), np.array([commutator(x, b) for x in stack]))
+    assert np.array_equal(commutator(b, stack), np.array([commutator(b, x) for x in stack]))
+    with pytest.raises(ValueError):
+        commutator(stack, np.eye(2))
 
 
 @settings(deadline=None, max_examples=40)
