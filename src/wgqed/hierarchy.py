@@ -9,9 +9,10 @@ taken.  The physical (field-traced) state of the emitters is rho_{n_ph,n_ph}.
 
 Every block evolves under one generic rule,
 
-    d/dt rho_{m,n} = L[rho_{m,n}]
-        + sum_i sqrt(Gamma_ir) ( sqrt(m) e^{+i k0 d_i} g(t)  [rho_{m-1,n}, sd_i]
-                               + sqrt(n) e^{-i k0 d_i} g*(t) [s_i, rho_{m,n-1}] ),
+    d/dt rho_{m,n} = L[rho_{m,n}] + sqrt(m) g(t) [rho_{m-1,n}, L_in^dag]
+                                  + sqrt(n) g*(t) [L_in, rho_{m,n-1}],
+
+    L_in = sum_i sqrt(Gamma_ir) e^{-i k0 d_i} s_i,
 
 with the m=0 (resp. n=0) term absent.  Only right-moving photons drive the
 couplings (the left input is vacuum), hence the lone sqrt(Gamma_ir).
@@ -82,17 +83,16 @@ class HierarchyPropagator:
             slots[(m, n)] = (slice(size, size + idx.size), idx)
             size += idx.size
 
-        sigmas = [lowering_op(reg, j) for j in range(1, cfg.n_emitters + 1)]
-        weights = [
-            math.sqrt(em.gamma_r) * np.exp(1j * k0d) for em, k0d in zip(cfg.emitters, cfg.k0d)
-        ]
+        l_in = sum(  # the input operator L_in
+            math.sqrt(em.gamma_r) * np.exp(-1j * k0d) * lowering_op(reg, j)
+            for j, (em, k0d) in enumerate(zip(cfg.emitters, cfg.k0d), start=1)
+        )
         basis = np.eye(d2, dtype=complex).reshape(d2, dim, dim)  # every |a><b|
         # The raveled image of basis operator col is column col of each superoperator.
         liou = apply_total(cfg, basis).reshape(d2, d2).T
         # c_up multiplies sqrt(m) g(t), c_dn multiplies sqrt(n) g*(t)
-        c_up = sum(w * commutator(basis, s.conj().T) for w, s in zip(weights, sigmas))
-        c_dn = sum(w.conjugate() * commutator(s, basis) for w, s in zip(weights, sigmas))
-        c_up, c_dn = c_up.reshape(d2, d2).T, c_dn.reshape(d2, d2).T
+        c_up = commutator(basis, l_in.conj().T).reshape(d2, d2).T
+        c_dn = commutator(l_in, basis).reshape(d2, d2).T
 
         a_mat = np.zeros((size, size), dtype=complex)
         b_mat = np.zeros((size, size), dtype=complex)

@@ -57,10 +57,10 @@ class IntegratorConfig:
     record_stride: int = 10
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be > 0, got {self.t_end}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
         if not self.t_end / self.dt <= MAX_STEPS:

@@ -1,39 +1,37 @@
 """Time-independent dissipator for the emitter chain.
 
-The total Liouvillian splits into three parts,
+Every waveguide coupling of the chain sits in one n x n complex matrix D
+(`coupling_matrix`), the cascaded coupling of Gardiner (PRL 70, 2269,
+1993) run in both directions:
 
-    L[X] = L_cs[X] + L_pd[X] + L_cd[X]:
+    D_ii = (Gamma_ir + Gamma_il) / 2,
+    D_ij = K_ij e^{i phi_ij}                      (i != j),
+    K_ij = sqrt(Gamma_ir Gamma_jr) for i > j (right-movers feed forward),
+           sqrt(Gamma_il Gamma_jl) for i < j (left-movers feed backward),
+    phi_ij = 2 pi d_ratio |i - j|.
 
-* closed-system part: L_cs[X] = -i (H_eff X - X H_eff^dag) with the
-  non-hermitian effective Hamiltonian H_eff = sum_j (Delta_j - i gamma_j / 2)
-  sigma_j^dag sigma_j.  The spontaneous (non-waveguide) rate gamma is the
-  excited-population decay rate; it sits inside H_eff with no recycling
-  term, so it leaks total population.
+The total Liouvillian is the collective master equation of Pichler et al.
+(PRA 91, 042116, 2015) built from D alone:
 
-* pure decay into the waveguide:
-  L_pd[X] = -sum_i G_i (sd_i s_i X - 2 s_i X sd_i + X sd_i s_i),
-  with 2 G_i = Gamma_ir + Gamma_il.
+    L[X] = -i (H X - X H^dag) + sum_ij J_ij s_j X sd_i,     J = D + D^dag,
+    H = sum_i (Delta_i - i gamma_i / 2) sd_i s_i - i sum_ij D_ij sd_i s_j.
 
-* cooperative (cascaded) decay between distinct emitters:
-  L_cd[X] = -sum_{i != j} K_ij [ e^{+i phi_ij} (sd_i s_j X - s_j X sd_i)
-                               + e^{-i phi_ij} (X sd_j s_i - s_i X sd_j) ],
-  K_ij = sqrt(Gamma_ir Gamma_jr) for i > j (right-movers feed forward)
-       + sqrt(Gamma_il Gamma_jl) for i < j (left-movers feed backward),
-  phi_ij = 2 pi D |i - j|.
+The spontaneous (non-waveguide) rate gamma is the excited-population
+decay rate; it sits inside H with no recycling term, so it leaks total
+population.  The waveguide part of H loses exactly the trace that the
+jump term with J = D + D^dag feeds back, so with gamma = 0 the map is
+trace-annihilating on any input; J is hermitian, so the map preserves
+hermiticity.
 
 The propagation phase phi_ij is the one a photon picks up travelling the
 distance |i - j| L between the pair, so it enters with the same sign for
 both directions; the collective decay rates of a symmetric pair then show
 the standing-wave pattern (Gamma_r + Gamma_l)(1 +/- cos phi).  A
 direction-signed phase exp(i phi (i - j)) would instead be a gauge
-transform of D = 0 and lose that interference.
-
-The two brackets of L_cd are mutual adjoints on hermitian input, so the
-total map preserves hermiticity; each bracket is traceless by cyclicity,
-so with gamma = 0 the map is trace-annihilating on any input.
+transform of d_ratio = 0 and lose that interference.
 
 All rates are in units of Gamma (== Gamma_l of the reference emitter),
-times in 1/Gamma.  Each apply_* map also takes a (..., dim, dim) stack.
+times in 1/Gamma.  apply_total also takes a (..., dim, dim) stack.
 """
 
 from __future__ import annotations
@@ -48,9 +46,7 @@ from .qubit_algebra import EmitterRegister, lowering_op
 __all__ = [
     "EmitterParams",
     "ChainConfig",
-    "apply_closed",
-    "apply_pure_decay",
-    "apply_cooperative",
+    "coupling_matrix",
     "apply_total",
 ]
 
@@ -77,9 +73,9 @@ class EmitterParams:
 class ChainConfig:
     """Per-emitter parameters plus chain-level geometry.
 
-    d_ratio is the inter-emitter spacing over the resonant wavelength
-    (dimensionless D); k0d holds the per-emitter driving phases k0*d_j in
-    radians (all zero by default — emitters co-located on the drive).
+    d_ratio is the inter-emitter spacing over the resonant wavelength;
+    k0d holds the per-emitter driving phases k0*d_j in radians (all zero
+    by default — emitters co-located on the drive).
     """
 
     emitters: tuple
@@ -110,66 +106,27 @@ class ChainConfig:
         return EmitterRegister(self.n_emitters)
 
 
-def _lowering_ops(cfg: ChainConfig):
-    reg = cfg.register
-    return [lowering_op(reg, j) for j in range(1, cfg.n_emitters + 1)]
-
-
-def _check_dim(cfg: ChainConfig, rho: np.ndarray):
-    dim = cfg.register.dim
-    if rho.shape[-2:] != (dim, dim):
-        raise ValueError(f"operator has shape {rho.shape}, chain dimension is {dim}")
-
-
-def apply_closed(cfg: ChainConfig, rho: np.ndarray) -> np.ndarray:
-    """-i (H_eff rho - rho H_eff^dag); reduces to -i[H, rho] when all gamma_spont = 0."""
-    _check_dim(cfg, rho)
-    sigmas = _lowering_ops(cfg)
-    dim = cfg.register.dim
-    h_eff = np.zeros((dim, dim), dtype=complex)
-    for em, s in zip(cfg.emitters, sigmas):
-        h_eff += (em.delta - 0.5j * em.gamma_spont) * (s.conj().T @ s)
-    return -1j * (h_eff @ rho - rho @ h_eff.conj().T)
-
-
-def apply_pure_decay(cfg: ChainConfig, rho: np.ndarray) -> np.ndarray:
-    _check_dim(cfg, rho)
-    out = np.zeros_like(rho, dtype=complex)
-    for em, s in zip(cfg.emitters, _lowering_ops(cfg)):
-        g_irl = 0.5 * (em.gamma_r + em.gamma_l)
-        if g_irl == 0.0:
-            continue
-        num = s.conj().T @ s
-        out -= g_irl * (num @ rho - 2.0 * (s @ rho @ s.conj().T) + rho @ num)
-    return out
-
-
-def apply_cooperative(cfg: ChainConfig, rho: np.ndarray) -> np.ndarray:
-    """Waveguide-mediated decay between distinct emitters; zero for a single emitter."""
-    _check_dim(cfg, rho)
-    n = cfg.n_emitters
-    out = np.zeros_like(rho, dtype=complex)
-    if n == 1:
-        return out
-    sigmas = _lowering_ops(cfg)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            ei, ej = cfg.emitters[i - 1], cfg.emitters[j - 1]
-            if i > j:
-                k_ij = math.sqrt(ei.gamma_r * ej.gamma_r)
-            else:
-                k_ij = math.sqrt(ei.gamma_l * ej.gamma_l)
-            if k_ij == 0.0:
-                continue
-            phase = np.exp(2j * np.pi * cfg.d_ratio * abs(i - j))
-            si, sj = sigmas[i - 1], sigmas[j - 1]
-            fwd = si.conj().T @ sj @ rho - sj @ rho @ si.conj().T
-            bwd = rho @ sj.conj().T @ si - si @ rho @ sj.conj().T
-            out -= k_ij * (phase * fwd + phase.conj() * bwd)
-    return out
+def coupling_matrix(cfg: ChainConfig) -> np.ndarray:
+    """The chain's n x n waveguide coupling matrix D (module docstring)."""
+    g_r = np.array([em.gamma_r for em in cfg.emitters])
+    g_l = np.array([em.gamma_l for em in cfg.emitters])
+    sep = np.subtract.outer(np.arange(cfg.n_emitters), np.arange(cfg.n_emitters))  # i - j
+    k = np.where(sep > 0, np.sqrt(np.outer(g_r, g_r)), np.sqrt(np.outer(g_l, g_l)))
+    d = k * np.exp(2j * np.pi * cfg.d_ratio * np.abs(sep))
+    np.fill_diagonal(d, 0.5 * (g_r + g_l))
+    return d
 
 
 def apply_total(cfg: ChainConfig, rho: np.ndarray) -> np.ndarray:
-    return apply_closed(cfg, rho) + apply_pure_decay(cfg, rho) + apply_cooperative(cfg, rho)
+    """L[rho] of one operator, or of each matrix of a (..., dim, dim) stack."""
+    reg = cfg.register
+    if rho.shape[-2:] != (reg.dim, reg.dim):
+        raise ValueError(f"operator has shape {rho.shape}, chain dimension is {reg.dim}")
+    s = np.stack([lowering_op(reg, j) for j in range(1, cfg.n_emitters + 1)])
+    sd = s.conj().swapaxes(-1, -2)
+    d = coupling_matrix(cfg)
+    local = np.diag([em.delta - 0.5j * em.gamma_spont for em in cfg.emitters])
+    h = np.einsum("ij,iab,jbc->ac", local - 1j * d, sd, s)
+    feed = np.tensordot(d + d.conj().T, s, axes=1)  # sum_j J_ij s_j, one per i
+    jumps = np.sum(feed @ rho[..., None, :, :] @ sd, axis=-3)
+    return -1j * (h @ rho - rho @ h.conj().T) + jumps

@@ -10,6 +10,7 @@ Times are in units of 1/Gamma, mu in units of Gamma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,10 @@ class GaussianPulse:
     t_bar: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"pulse width mu must be > 0, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"pulse width mu must be finite and > 0, got {self.mu}")
+        if not math.isfinite(self.t_bar):
+            raise ValueError(f"pulse center t_bar must be finite, got {self.t_bar}")
 
 
 def amplitude(pulse: GaussianPulse, t):

@@ -18,7 +18,6 @@ __all__ = [
     "basis_index",
     "lowering_op",
     "partial_trace",
-    "adjoint",
     "commutator",
 ]
 
@@ -97,10 +96,6 @@ def partial_trace(rho: np.ndarray, register: EmitterRegister, keep) -> np.ndarra
         traced += 1
     d_out = 2 ** len(keep)
     return work.reshape(lead + (d_out, d_out))
-
-
-def adjoint(rho: np.ndarray) -> np.ndarray:
-    return rho.conj().T
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

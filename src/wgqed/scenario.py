@@ -121,11 +121,9 @@ class Scenario:
     sweep_ratios: tuple = None
 
     def with_dt(self, dt: float) -> "Scenario":
-        if not 0 < dt < math.inf:
-            raise ScenarioError("integrator.dt", f"must be finite and > 0, got {dt}")
         try:
             icfg = replace(self.integrator, dt=dt)
-        except ValueError as exc:  # the step-count limit
+        except ValueError as exc:  # not finite and > 0, or past the step-count limit
             raise ScenarioError("integrator.dt", str(exc)) from None
         return replace(self, integrator=icfg)
 

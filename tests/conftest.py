@@ -23,7 +23,7 @@ from oracles import handwritten_three_photon_rhs, random_blocks
 from wgqed.cli import simulate_scenario
 from wgqed.hierarchy import HierarchyPropagator, block_order
 from wgqed.pulse import amplitude
-from wgqed.qubit_algebra import EmitterRegister, adjoint, basis_index
+from wgqed.qubit_algebra import EmitterRegister, basis_index
 from wgqed.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -66,8 +66,8 @@ def random_sector_state(rng, n: int) -> dict:
     for (m, k), blk in random_blocks(rng, n, triangle).items():
         blk = np.where(sector_mask(n, m - k), blk, 0.0)
         if m == k:
-            blk = 0.5 * (blk + adjoint(blk))
-        blocks[(m, k)], blocks[(k, m)] = blk, adjoint(blk)
+            blk = 0.5 * (blk + blk.conj().T)
+        blocks[(m, k)], blocks[(k, m)] = blk, blk.conj().T
     return blocks
 
 
@@ -93,7 +93,7 @@ def oracle_deviation(cfg, n_ph: int, blocks: dict, t: float, pulse) -> float:
     return max(
         np.abs(
             prop.block(deriv, m, k)
-            - (expected[(m, k)] if m <= k else adjoint(expected[(k, m)]))
+            - (expected[(m, k)] if m <= k else expected[(k, m)].conj().T)
         ).max()
         for m, k in block_order(n_ph)
     )

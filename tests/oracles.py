@@ -12,7 +12,7 @@ import numpy as np
 from wgqed.integrator import IntegrationBlowUpError, IntegratorConfig
 from wgqed.liouvillian import ChainConfig, EmitterParams, apply_total
 from wgqed.pulse import GaussianPulse, amplitude
-from wgqed.qubit_algebra import EmitterRegister, adjoint, commutator, lowering_op
+from wgqed.qubit_algebra import EmitterRegister, commutator, lowering_op
 
 
 def rk4_solve(f, y0: np.ndarray, icfg: IntegratorConfig):
@@ -138,7 +138,7 @@ def handwritten_three_photon_rhs(cfg: ChainConfig, blocks: dict, t: float,
         (3, 3): L(r[(3, 3)]) + sum(
             w[i] * (
                 s3 * ph[i] * g * commutator(r[(2, 3)], sig[i].conj().T)
-                + s3 * ph[i].conjugate() * g * commutator(sig[i], adjoint(r[(2, 3)]))
+                + s3 * ph[i].conjugate() * g * commutator(sig[i], r[(2, 3)].conj().T)
             )
             for i in range(n)
         ),
@@ -163,7 +163,7 @@ def handwritten_three_photon_rhs(cfg: ChainConfig, blocks: dict, t: float,
         (2, 2): L(r[(2, 2)]) + sum(
             w[i] * (
                 s2 * ph[i] * g * commutator(r[(1, 2)], sig[i].conj().T)
-                + s2 * ph[i].conjugate() * g * commutator(sig[i], adjoint(r[(1, 2)]))
+                + s2 * ph[i].conjugate() * g * commutator(sig[i], r[(1, 2)].conj().T)
             )
             for i in range(n)
         ),
@@ -181,7 +181,7 @@ def handwritten_three_photon_rhs(cfg: ChainConfig, blocks: dict, t: float,
         (1, 1): L(r[(1, 1)]) + sum(
             w[i] * (
                 1.0 * ph[i] * g * commutator(r[(0, 1)], sig[i].conj().T)
-                + 1.0 * ph[i].conjugate() * g * commutator(sig[i], adjoint(r[(0, 1)]))
+                + 1.0 * ph[i].conjugate() * g * commutator(sig[i], r[(0, 1)].conj().T)
             )
             for i in range(n)
         ),

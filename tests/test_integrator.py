@@ -34,6 +34,9 @@ def test_config_validation():
         {"dt": 1e-3, "t_end": 1e-3 * (MAX_STEPS + 1)},
         {"dt": 1e-300, "t_end": 1e300},
         {"t_end": float("inf")},
+        {"t_end": float("nan")},
+        {"dt": float("inf")},  # would otherwise give a zero-step, one-record run
+        {"dt": float("nan")},
     ):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)

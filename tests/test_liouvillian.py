@@ -1,16 +1,11 @@
-"""Dissipator pieces against independent brute-force transcriptions."""
+"""The dissipator against independent brute-force transcriptions of its parts."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wgqed.liouvillian import (
-    ChainConfig,
-    EmitterParams,
-    apply_closed,
-    apply_cooperative,
-    apply_pure_decay,
-    apply_total,
-)
+from wgqed.liouvillian import ChainConfig, EmitterParams, apply_total, coupling_matrix
 from wgqed.qubit_algebra import EmitterRegister, basis_index, lowering_op
 
 
@@ -66,42 +61,33 @@ def test_operator_dimension_is_checked():
 # ------------------------------------------------- brute-force transcriptions
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_closed_part_matches_brute_force(n):
-    rng = np.random.default_rng(10 + n)
-    cfg = random_chain(rng, n)
-    reg = EmitterRegister(n)
-    rho = random_hermitian(rng, reg.dim)
+def closed_reference(cfg, rho):
+    """-i (H_eff rho - rho H_eff^dag), H_eff = sum_j (delta_j - i gamma_j / 2) sd_j s_j."""
+    reg = cfg.register
     h_eff = np.zeros((reg.dim, reg.dim), dtype=complex)
     for j, em in enumerate(cfg.emitters, start=1):
         s = lowering_op(reg, j)
         h_eff += (em.delta - 0.5j * em.gamma_spont) * (s.conj().T @ s)
-    expected = -1j * (h_eff @ rho - rho @ h_eff.conj().T)
-    assert np.allclose(apply_closed(cfg, rho), expected, atol=1e-14)
+    return -1j * (h_eff @ rho - rho @ h_eff.conj().T)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_pure_decay_matches_brute_force(n):
-    rng = np.random.default_rng(20 + n)
-    cfg = random_chain(rng, n)
-    reg = EmitterRegister(n)
-    rho = random_hermitian(rng, reg.dim)
-    expected = np.zeros_like(rho)
+def pure_decay_reference(cfg, rho):
+    """Each emitter's own decay into the waveguide at rate gamma_r + gamma_l."""
+    reg = cfg.register
+    out = np.zeros_like(rho)
     for j, em in enumerate(cfg.emitters, start=1):
         s = lowering_op(reg, j)
         num = s.conj().T @ s
         rate = 0.5 * (em.gamma_r + em.gamma_l)
-        expected -= rate * (num @ rho - 2.0 * (s @ rho @ s.conj().T) + rho @ num)
-    assert np.allclose(apply_pure_decay(cfg, rho), expected, atol=1e-14)
+        out -= rate * (num @ rho - 2.0 * (s @ rho @ s.conj().T) + rho @ num)
+    return out
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_cooperative_part_matches_brute_force(n):
-    rng = np.random.default_rng(30 + n)
-    cfg = random_chain(rng, n)
-    reg = EmitterRegister(n)
-    rho = random_hermitian(rng, reg.dim)
-    expected = np.zeros_like(rho)
+def cooperative_reference(cfg, rho):
+    """Waveguide-mediated decay between distinct emitters, pair by pair."""
+    reg = cfg.register
+    n = cfg.n_emitters
+    out = np.zeros_like(rho)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
@@ -115,20 +101,88 @@ def test_cooperative_part_matches_brute_force(n):
             ph = np.exp(2j * np.pi * cfg.d_ratio * abs(i - j))
             fwd = si.conj().T @ sj @ rho - sj @ rho @ si.conj().T
             bwd = rho @ sj.conj().T @ si - si @ rho @ sj.conj().T
-            expected -= k_ij * (ph * fwd + np.conj(ph) * bwd)
-    assert np.allclose(apply_cooperative(cfg, rho), expected, atol=1e-14)
+            out -= k_ij * (ph * fwd + np.conj(ph) * bwd)
+    return out
 
 
-def test_cooperative_part_is_zero_for_one_emitter():
-    cfg = ChainConfig((EmitterParams(gamma_r=3.0),))
-    rho = random_hermitian(np.random.default_rng(0), 2)
-    assert np.allclose(apply_cooperative(cfg, rho), 0.0)
+def waveguide_only(cfg, coupled=None):
+    """cfg without detuning or spontaneous loss; with `coupled` (0-based),
+    every other emitter is also cut off from the waveguide."""
+    emitters = tuple(
+        replace(em, delta=0.0, gamma_spont=0.0)
+        if coupled in (None, j)
+        else EmitterParams(gamma_r=0.0, gamma_l=0.0)
+        for j, em in enumerate(cfg.emitters)
+    )
+    return replace(cfg, emitters=emitters)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize(
-    "apply", [apply_closed, apply_pure_decay, apply_cooperative, apply_total]
-)
+def test_coupling_matrix_matches_longhand_entries(n):
+    rng = np.random.default_rng(70 + n)
+    cfg = random_chain(rng, n)
+    d = coupling_matrix(cfg)
+    assert d.shape == (n, n)
+    for i, ei in enumerate(cfg.emitters):
+        for j, ej in enumerate(cfg.emitters):
+            if i == j:
+                expected = 0.5 * (ei.gamma_r + ei.gamma_l)
+            elif i > j:
+                expected = np.sqrt(ei.gamma_r * ej.gamma_r) * np.exp(
+                    2j * np.pi * cfg.d_ratio * (i - j)
+                )
+            else:
+                expected = np.sqrt(ei.gamma_l * ej.gamma_l) * np.exp(
+                    2j * np.pi * cfg.d_ratio * (j - i)
+                )
+            assert d[i, j] == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_part_matches_brute_force(n):
+    # with no waveguide coupling only the closed part is left
+    rng = np.random.default_rng(10 + n)
+    cfg = random_chain(rng, n)
+    cfg = replace(
+        cfg, emitters=tuple(replace(em, gamma_r=0.0, gamma_l=0.0) for em in cfg.emitters)
+    )
+    rho = random_hermitian(rng, cfg.register.dim)
+    assert np.allclose(apply_total(cfg, rho), closed_reference(cfg, rho), atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pure_decay_matches_brute_force(n):
+    # one waveguide-coupled emitter at a time has no partner to decay with
+    rng = np.random.default_rng(20 + n)
+    cfg = random_chain(rng, n)
+    rho = random_hermitian(rng, cfg.register.dim)
+    for j in range(n):
+        single = waveguide_only(cfg, coupled=j)
+        expected = pure_decay_reference(single, rho)
+        assert np.allclose(apply_total(single, rho), expected, atol=1e-14)
+
+
+def test_cooperative_part_is_zero_for_one_emitter():
+    # D has no off-diagonal entry, so only the emitter's own decay is left
+    cfg = ChainConfig((EmitterParams(gamma_r=3.0),))
+    rho = random_hermitian(np.random.default_rng(0), 2)
+    assert coupling_matrix(cfg).shape == (1, 1)
+    assert np.allclose(apply_total(cfg, rho), pure_decay_reference(cfg, rho), atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cooperative_part_matches_brute_force(n):
+    # what the chain adds over its emitters coupled one at a time
+    rng = np.random.default_rng(30 + n)
+    cfg = waveguide_only(random_chain(rng, n))
+    rho = random_hermitian(rng, cfg.register.dim)
+    alone = sum(apply_total(waveguide_only(cfg, coupled=j), rho) for j in range(n))
+    cooperative = apply_total(cfg, rho) - alone
+    assert np.allclose(cooperative, cooperative_reference(cfg, rho), atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("apply", [apply_total])
 def test_maps_act_on_stacks_matrix_by_matrix(apply, n):
     """A (k, d, d) stack maps to the stack of per-matrix images, bit for bit."""
     rng = np.random.default_rng(60 + n)
@@ -141,11 +195,16 @@ def test_maps_act_on_stacks_matrix_by_matrix(apply, n):
 
 
 def test_total_is_sum_of_parts():
-    rng = np.random.default_rng(41)
-    cfg = random_chain(rng, 3)
-    rho = random_hermitian(rng, 8)
-    total = apply_closed(cfg, rho) + apply_pure_decay(cfg, rho) + apply_cooperative(cfg, rho)
-    assert np.allclose(apply_total(cfg, rho), total, atol=1e-14)
+    for n in (1, 2, 3):
+        rng = np.random.default_rng(40 + n)
+        cfg = random_chain(rng, n)
+        rho = random_hermitian(rng, cfg.register.dim)
+        parts = (
+            closed_reference(cfg, rho)
+            + pure_decay_reference(cfg, rho)
+            + cooperative_reference(cfg, rho)
+        )
+        assert np.allclose(apply_total(cfg, rho), parts, atol=1e-14)
 
 
 # --------------------------------------------------------- structural checks
@@ -240,6 +299,7 @@ def test_fully_chiral_coupling_is_strictly_cascaded():
     reg = EmitterRegister(2)
     rho = np.zeros((4, 4), dtype=complex)
     rho[basis_index(reg, "ge"), basis_index(reg, "ge")] = 1.0
-    out = apply_cooperative(cfg, rho)
-    # only the (i=2, j=1) forward channel exists and it annihilates this state
-    assert np.abs(out).max() < 1e-14
+    # only the (i=2, j=1) forward channel exists and it annihilates this
+    # state, so no cooperative term is left
+    expected = closed_reference(cfg, rho) + pure_decay_reference(cfg, rho)
+    assert np.abs(apply_total(cfg, rho) - expected).max() < 1e-14

@@ -14,6 +14,13 @@ def test_width_must_be_positive():
             GaussianPulse(mu=bad, t_bar=5.0)
 
 
+def test_fields_must_be_finite():
+    nan, inf = float("nan"), float("inf")
+    for kwargs in ({"mu": inf}, {"mu": nan}, {"t_bar": nan}, {"t_bar": inf}, {"t_bar": -inf}):
+        with pytest.raises(ValueError):
+            GaussianPulse(**{"mu": 1.46, "t_bar": 5.0, **kwargs})
+
+
 def test_peak_location_and_value():
     p = GaussianPulse(mu=1.46, t_bar=5.0)
     assert amplitude(p, 5.0) == pytest.approx(np.sqrt(1.46) / (2 * np.pi) ** 0.25)

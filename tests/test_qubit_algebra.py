@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from wgqed.qubit_algebra import (
     EmitterRegister,
-    adjoint,
     basis_index,
     commutator,
     lowering_op,
@@ -99,12 +98,6 @@ def test_lowering_op_index_bounds():
     for bad in (0, 3, -1):
         with pytest.raises(IndexError):
             lowering_op(reg, bad)
-
-
-def test_adjoint_is_conjugate_transpose():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.array_equal(adjoint(a), a.conj().T)
 
 
 def test_commutator_definition_and_shape_check():
