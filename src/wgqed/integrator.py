@@ -1,16 +1,17 @@
 """Exact level-cascade integration of the hierarchy ODE system.
 
 The hierarchy state is a single complex vector (the excitation-sector
-entries of every block, laid out by HierarchyPropagator).  Its equation
-y' = (A + g(t) B) y splits into levels l = m + n (HierarchyPropagator.levels):
-level l obeys y_l' = A_l y_l + f_l(t), forced by f_l = g B_l y_{l-1} from
-the level below, so the levels are solved in order.  Over one step h,
+entries of every carried block rho_{m,n}, m <= n, laid out by
+HierarchyPropagator).  Its equation y' = A y + fold(g(t) B y) splits into
+levels l = m + n (HierarchyPropagator.levels): level l obeys
+y_l' = A_l y_l + f_l(t), forced by f_l = fold(g B_l y_{l-1}) from the level
+below, so the levels are solved in order.  Over one step h,
 
     y_l(t + h) = E y_l(t) + int_0^h e^{(h - s) A_l} f_l(t + s) ds,   E = e^{h A_l},
 
 and the integral is taken over the Hermite cubic through f_l and f_l' at
 both ends.  Both are known exactly on the grid from the level below,
-f_l' = g' B_l y_{l-1} + g B_l (A_{l-1} y_{l-1} + f_{l-1}), with g' in
+f_l' = fold(g' B_l y_{l-1} + g B_l (A_{l-1} y_{l-1} + f_{l-1})), with g' in
 closed form, which makes the step fourth-order accurate (Hochbruck &
 Ostermann, Acta Numerica 19, 209, 2010).  E and the quadrature weights
 come from one Taylor series per level, valid while ||h A_l||_1 <= MAX_STEP_NORM.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import HierarchyPropagator
+from .hierarchy import HierarchyPropagator, fold
 from .liouvillian import ChainConfig
 from .pulse import GaussianPulse, amplitude, amplitude_rate
 
@@ -52,6 +53,9 @@ _BLOCK = 16            # steps per block within a chunk, sqrt(_CHUNK)
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Step, horizon and record stride.  An invalid value raises ValueError
+    whose message starts with the field's name (t_end for the step limit)."""
+
     dt: float = 1e-3
     t_end: float = 12.0
     record_stride: int = 10
@@ -143,8 +147,9 @@ class StateTrajectory:
     """Recorded hierarchy snapshots.
 
     blocks[i] is the sector vector at times[i], shape (n_rec, propagator.size):
-    the excitation-sector entries of every block rho_{m,n}, laid out by the
-    propagator that produced them.  block(m, n) scatters one block back out.
+    the excitation-sector entries of every carried block rho_{m,n}, m <= n,
+    laid out by the propagator that produced them.  block(m, n) scatters one
+    block back out, for m > n as the adjoint of block (n, m).
     """
 
     times: np.ndarray          # (n_rec,)
@@ -211,8 +216,8 @@ def integrate(
             below_a = np.zeros((0, 0), dtype=complex)
             for l, (level, stepper) in enumerate(zip(levels, steppers)):
                 drive = below @ level.b.T
-                f = g * drive
-                df = dg * drive + g * ((below @ below_a.T + below_f) @ level.b.T)
+                rate = dg * drive + g * ((below @ below_a.T + below_f) @ level.b.T)
+                f, df = fold(g * drive, level.pairs), fold(rate, level.pairs)
                 ys = stepper.run(y[l], f, df)
                 y[l] = ys[-1]
                 snaps[lo:hi, level.rows] = ys[recorded[lo:hi] - k0]

@@ -29,6 +29,10 @@ __all__ = ["ScenarioError", "Scenario", "ratio_tag", "parse_scenario_text", "bui
 
 _EMITTER_FIELDS = ("gamma_r", "gamma_l", "gamma_spont", "delta", "k0d")
 
+# IntegratorConfig field -> the scenario key that sets it
+_INTEGRATOR_KEYS = {"dt": "integrator.dt", "t_end": "integrator.t_end",
+                    "record_stride": "integrator.stride"}
+
 _DEFAULT_POPULATIONS = {
     1: ("e",),
     2: ("eg+ge", "ee"),
@@ -180,10 +184,11 @@ def build_scenario(kv: dict) -> Scenario:
         raise ScenarioError("n_photons", f"must be 1..{MAX_PHOTONS}, got {n_photons}")
 
     mu = _as_float("pulse.mu", take("pulse.mu", "1.46"))
-    if not mu > 0:
-        raise ScenarioError("pulse.mu", f"must be > 0, got {mu}")
     t_bar = _as_float("pulse.t_bar", take("pulse.t_bar", "5.0"))
-    pulse = GaussianPulse(mu=mu, t_bar=t_bar)
+    try:
+        pulse = GaussianPulse(mu=mu, t_bar=t_bar)
+    except ValueError as exc:  # mu not > 0; t_bar parsed finite, which is all it needs
+        raise ScenarioError("pulse.mu", str(exc)) from None
 
     d_ratio = _as_float("chain.d_ratio", take("chain.d_ratio", "0.0"))
 
@@ -213,17 +218,10 @@ def build_scenario(kv: dict) -> Scenario:
     dt = _as_float("integrator.dt", take("integrator.dt", "1e-3"))
     t_end = _as_float("integrator.t_end", take("integrator.t_end", "12.0"))
     stride = _as_int("integrator.stride", take("integrator.stride", "10"))
-    for key, val, cond in (
-        ("integrator.dt", dt, dt > 0),
-        ("integrator.t_end", t_end, t_end > 0),
-        ("integrator.stride", stride, stride >= 1),
-    ):
-        if not cond:
-            raise ScenarioError(key, f"invalid value {val}")
     try:
         icfg = IntegratorConfig(dt=dt, t_end=t_end, record_stride=stride)
-    except ValueError as exc:  # the step-count limit
-        raise ScenarioError("integrator.t_end", str(exc)) from None
+    except ValueError as exc:  # the message starts with the field; the step limit names t_end
+        raise ScenarioError(_INTEGRATOR_KEYS[str(exc).split()[0]], str(exc)) from None
 
     pops_raw = take("output.populations")
     if pops_raw is None:

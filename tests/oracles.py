@@ -49,14 +49,34 @@ def rk4_solve(f, y0: np.ndarray, icfg: IntegratorConfig):
     return np.array(times), np.array(snaps)
 
 
-def column_by_column_operators(cfg: ChainConfig, slots: dict):
-    """Reference compile of the hierarchy operators (A, B) over the sector
-    layout `slots` (as HierarchyPropagator.slots).
+def full_slots(cfg: ChainConfig, n_ph: int) -> dict:
+    """Sector layout of the full hierarchy: every block rho_{m,n},
+    0 <= m, n <= n_ph, in (m, n)-lexicographic order, adjoints included.
+    (m, n) -> (slice of the vector, row-major indices into the block)."""
+    dim = cfg.register.dim
+    exc = np.array([bin(a).count("1") for a in range(dim)])
+    grading = np.subtract.outer(exc, exc).ravel()
+    slots, size = {}, 0
+    for m in range(n_ph + 1):
+        for n in range(n_ph + 1):
+            idx = np.flatnonzero(grading == m - n)
+            slots[(m, n)] = (slice(size, size + idx.size), idx)
+            size += idx.size
+    return slots
+
+
+def column_by_column_operators(cfg: ChainConfig, n_ph: int):
+    """Reference compile of the full, complex-linear hierarchy
+    y' = (A + g(t) B) y over all (n_ph+1)^2 blocks; returns
+    (slots, A, B) with slots from full_slots.
 
     The superoperator matrices are built one basis operator |a><b| at a
     time: apply_total and the two drive commutators act on a single dim x
-    dim matrix, and the raveled image is one column.
+    dim matrix, and the raveled image is one column.  Every block is
+    driven by both of its neighbours, rho_{m-1,n} and rho_{m,n-1}, so no
+    adjoint is ever taken.
     """
+    slots = full_slots(cfg, n_ph)
     dim = cfg.register.dim
     d2 = dim * dim
     sigmas = [lowering_op(cfg.register, j) for j in range(1, cfg.n_emitters + 1)]
@@ -88,7 +108,27 @@ def column_by_column_operators(cfg: ChainConfig, slots: dict):
         if n >= 1:
             cols, src = slots[(m, n - 1)]
             b_mat[rows, cols] = math.sqrt(n) * c_dn[np.ix_(idx, src)]
-    return a_mat, b_mat
+    return slots, a_mat, b_mat
+
+
+def full_hierarchy_run(cfg: ChainConfig, pulse: GaussianPulse, n_ph: int,
+                       icfg: IntegratorConfig) -> tuple:
+    """RK4 run of the full reference hierarchy from the all-ground start;
+    returns (times, {(m, n): block series (n_rec, dim, dim)}) for every
+    block, adjoints included."""
+    slots, a_mat, b_mat = column_by_column_operators(cfg, n_ph)
+    dim = cfg.register.dim
+    y0 = np.zeros(a_mat.shape[0], dtype=complex)
+    for m in range(n_ph + 1):
+        y0[slots[(m, m)][0].start] = 1.0  # the all-ground projector
+    f = lambda t, y: a_mat @ y + amplitude(pulse, t) * (b_mat @ y)
+    times, snaps = rk4_solve(f, y0, icfg)
+    blocks = {}
+    for mn, (rows, idx) in slots.items():
+        out = np.zeros((len(times), dim * dim), dtype=complex)
+        out[:, idx] = snaps[:, rows]
+        blocks[mn] = out.reshape(len(times), dim, dim)
+    return times, blocks
 
 
 def random_chain(rng, n):

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import gather, oracle_deviation, random_sector_state, sector_mask
-from oracles import column_by_column_operators, handwritten_three_photon_rhs, random_chain
+from oracles import (
+    column_by_column_operators,
+    full_slots,
+    handwritten_three_photon_rhs,
+    random_chain,
+)
 from wgqed import hierarchy
-from wgqed.hierarchy import HierarchyPropagator, block_order
+from wgqed.hierarchy import HierarchyPropagator, block_order, fold
 from wgqed.integrator import IntegratorConfig, integrate
 from wgqed.liouvillian import ChainConfig, EmitterParams, apply_total
 from wgqed.pulse import GaussianPulse
@@ -47,11 +52,24 @@ def test_initial_state_rejects_unsupported_photon_numbers():
 
 
 @pytest.mark.parametrize(
+    "n,n_ph,carried", [(1, 3, 11), (2, 3, 38), (3, 3, 138), (2, 1, 16), (3, 1, 55)]
+)
+def test_carried_sector_sizes(n, n_ph, carried):
+    cfg = ChainConfig((EmitterParams(),) * n)
+    assert HierarchyPropagator(cfg, n_ph).size == carried
+
+
+@pytest.mark.parametrize(
     "n,n_ph,size", [(1, 3, 14), (2, 3, 52), (3, 3, 196), (2, 1, 20), (3, 1, 70)]
 )
 def test_sector_sizes(n, n_ph, size):
+    """The full reference layout spans all (n_ph+1)^2 blocks; the carried
+    layout keeps the diagonal blocks and one of each adjoint pair."""
     cfg = ChainConfig((EmitterParams(),) * n)
-    assert HierarchyPropagator(cfg, n_ph).size == size
+    slots = full_slots(cfg, n_ph)
+    assert sum(idx.size for _, idx in slots.values()) == size
+    diagonal = sum(slots[(m, m)][1].size for m in range(n_ph + 1))
+    assert 2 * HierarchyPropagator(cfg, n_ph).size == size + diagonal
 
 
 def test_flatten_order_matches_block_order():
@@ -62,12 +80,27 @@ def test_flatten_order_matches_block_order():
     flat = gather(prop, blocks)
     start = 0
     for m, n in block_order(2):
+        assert np.array_equal(prop.block(flat, m, n), blocks[(m, n)])
+        if m > n:
+            assert (m, n) not in prop.slots  # read off as the adjoint of (n, m)
+            continue
         mask = sector_mask(2, m - n)
         stop = start + int(mask.sum())
         assert np.array_equal(flat[start:stop], blocks[(m, n)][mask])
-        assert np.array_equal(prop.block(flat, m, n), blocks[(m, n)])
         start = stop
     assert start == len(flat) == prop.size
+
+
+def test_blocks_below_the_diagonal_are_adjoints():
+    cfg = random_chain(np.random.default_rng(6), 3)
+    prop = HierarchyPropagator(cfg, 3)
+    rng = np.random.default_rng(7)
+    y = rng.normal(size=(4, prop.size)) + 1j * rng.normal(size=(4, prop.size))
+    for m, n in block_order(3):
+        if m > n:
+            assert np.array_equal(
+                prop.block(y, m, n), prop.block(y, n, m).conj().swapaxes(-1, -2)
+            )
 
 
 # ------------------------------------------- literal ten-block transcription
@@ -116,12 +149,24 @@ def test_compiled_derivative_matches_reference(n, n_ph):
 def test_compiled_operators_equal_column_by_column_reference(n, n_ph):
     """Compiling on the whole basis stack is the same arithmetic as applying
     the maps to one basis operator at a time, so A and B must agree bit for
-    bit with the reference build."""
+    bit with the full reference build cut down to the carried blocks.  The
+    cut drops the drive of rho_{n,n} from rho_{n,n-1}, which is not carried;
+    the fold pairs must put it back as the conjugate of the transposed
+    entry, so fold(B y) equals the reference's B y on the full state."""
     cfg = random_chain(np.random.default_rng(500 + 10 * n + n_ph), n)
     prop = HierarchyPropagator(cfg, n_ph)
-    a_ref, b_ref = column_by_column_operators(cfg, prop.slots)
-    assert np.array_equal(prop._a, a_ref)
-    assert np.array_equal(prop._b, b_ref)
+    slots, a_ref, b_ref = column_by_column_operators(cfg, n_ph)
+    carried = np.concatenate([np.arange(slots[mn][0].start, slots[mn][0].stop) for mn in prop.slots])
+    assert np.array_equal(prop._a, a_ref[np.ix_(carried, carried)])
+    assert np.array_equal(prop._b, b_ref[np.ix_(carried, carried)])
+
+    rng = np.random.default_rng(n)
+    y = rng.normal(size=prop.size) + 1j * rng.normal(size=prop.size)
+    full = np.zeros(len(a_ref), dtype=complex)
+    for mn, (rows, idx) in slots.items():
+        full[rows] = prop.block(y, *mn).ravel()[idx]
+    assert np.allclose(fold(prop._b @ y, prop._pairs), (b_ref @ full)[carried],
+                       rtol=0, atol=1e-13)
 
 
 def test_compile_applies_the_dissipator_once(monkeypatch):
@@ -146,14 +191,12 @@ def test_compile_applies_the_dissipator_once(monkeypatch):
 @pytest.mark.parametrize("n_ph", [1, 2, 3])
 def test_operators_form_a_level_cascade(n, n_ph):
     """A keeps the level l = m + n of every entry, and B only raises it by
-    one.  Checked on the compiled matrices, read off through derivative(),
-    with levels labelled from slots; then the levels() split must put every
-    entry back where it came from."""
+    one.  Checked on the compiled matrices, with levels labelled from slots;
+    then the levels() split must put every entry and every fold pair back
+    where it came from."""
     cfg = random_chain(np.random.default_rng(400 + 10 * n + n_ph), n)
     prop = HierarchyPropagator(cfg, n_ph)
-    eye = np.eye(prop.size)
-    a = prop.derivative(0.0, eye)
-    b = prop.derivative(1.0, eye) - a
+    a, b = prop._a, prop._b
     level = np.empty(prop.size, dtype=int)
     for (m, k), (rows, _) in prop.slots.items():
         level[rows] = m + k
@@ -165,14 +208,19 @@ def test_operators_form_a_level_cascade(n, n_ph):
     levels = prop.levels()
     assert len(levels) == 2 * n_ph + 1
     a_back, b_back = np.zeros_like(a), np.zeros_like(b)
+    pairs_back = []
     below = np.empty(0, dtype=int)
     for l, lv in enumerate(levels):
         assert np.array_equal(lv.rows, np.flatnonzero(level == l))
         a_back[np.ix_(lv.rows, lv.rows)] = lv.a
         b_back[np.ix_(lv.rows, below)] = lv.b
+        pairs_back += zip(lv.rows[lv.pairs[0]], lv.rows[lv.pairs[1]])
         below = lv.rows
     assert np.array_equal(a_back, a)
     assert np.array_equal(b_back, b)
+    assert sorted(pairs_back) == sorted(zip(*prop._pairs))
+    # a fold pair stays inside one diagonal block, so levels never mix
+    assert all(level[i] == level[j] and level[i] % 2 == 0 for i, j in pairs_back)
 
 
 

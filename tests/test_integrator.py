@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, gather, scenario_path
-from oracles import rk4_solve
+from oracles import full_hierarchy_run, rk4_solve
 from wgqed.hierarchy import HierarchyPropagator, block_order
 from wgqed.integrator import (
     MAX_STEPS,
@@ -114,8 +114,8 @@ def test_integrate_returns_consistent_trajectory():
     assert states.n_ph == 2
     assert states.register == EmitterRegister(1)
     # one sector vector per record: 2 entries in each of the 3 diagonal blocks,
-    # 1 in each of the 4 blocks with |m - n| = 1, none where |m - n| = 2
-    assert states.blocks.shape == (len(states.times), 10)
+    # 1 in each of the 2 carried blocks with n - m = 1, none where n - m = 2
+    assert states.blocks.shape == (len(states.times), 8)
     # block() scatters each block back out; physical() is the top diagonal block
     assert states.block(1, 2).shape == (len(states.times), 2, 2)
     assert np.array_equal(states.physical(), states.block(2, 2))
@@ -165,6 +165,30 @@ def test_cascade_tracks_rk4_oracle_on_shipped_scenarios(stem, ratio):
     assert np.array_equal(states.times, times)
     cascade_dev = np.abs(states.physical() - fine).max()
     rk4_dev = np.abs(coarse - fine).max()
+    assert rk4_dev > 1e-10  # the comparison is about truncation, not roundoff
+    assert cascade_dev <= rk4_dev, (cascade_dev, rk4_dev)
+
+
+@pytest.mark.parametrize("stem", SHIPPED)
+@pytest.mark.parametrize("ratio", [1.0, 5.0])
+def test_cascade_matches_full_hierarchy_oracle_on_shipped_scenarios(stem, ratio):
+    """The carried blocks, and the adjoints read off from them, against the
+    full complex-linear hierarchy of the reference build in oracles.py
+    (every block driven by both neighbours, no fold), run by RK4 at dt/4:
+    over every block, the cascade at dt deviates no more than that reference
+    run by RK4 at dt.  Same short grid as the oracle test above."""
+    sc = load_scenario(scenario_path(stem)).with_ratio(ratio)
+    sc = dataclasses.replace(sc, pulse=dataclasses.replace(sc.pulse, t_bar=2.0))
+    icfg = IntegratorConfig(dt=0.01, t_end=4.0, record_stride=3)
+    states = integrate(sc.chain, sc.pulse, sc.n_photons, icfg)
+    times, coarse = full_hierarchy_run(sc.chain, sc.pulse, sc.n_photons, icfg)
+    _, fine = full_hierarchy_run(
+        sc.chain, sc.pulse, sc.n_photons, dataclasses.replace(icfg, dt=icfg.dt / 4, record_stride=12)
+    )
+    assert np.array_equal(states.times, times)
+    assert sorted(fine) == block_order(sc.n_photons)
+    cascade_dev = max(np.abs(states.block(*mn) - fine[mn]).max() for mn in fine)
+    rk4_dev = max(np.abs(coarse[mn] - fine[mn]).max() for mn in fine)
     assert rk4_dev > 1e-10  # the comparison is about truncation, not roundoff
     assert cascade_dev <= rk4_dev, (cascade_dev, rk4_dev)
 

@@ -271,6 +271,19 @@ def test_cli_non_finite_number_exits_2(tmp_path, capsys):
     assert "integrator.dt" in capsys.readouterr().err
 
 
+def test_cli_out_of_range_value_names_its_own_key(tmp_path, capsys):
+    """The pulse and integrator configs reject these values themselves; each
+    error still names the key that set the value."""
+    for key in ("pulse.mu", "integrator.dt", "integrator.t_end", "integrator.stride"):
+        path = write(tmp_path, f"n_emitters = 1\n{key} = 0\n", name="zero.cfg")
+        assert main(["run", str(path), "--out-dir", str(tmp_path), "--quiet"]) == 2, key
+        err = capsys.readouterr().err
+        assert key in err, (key, err)
+        assert all(other not in err for other in (
+            "pulse.mu", "integrator.dt", "integrator.t_end", "integrator.stride"
+        ) if other != key), (key, err)
+
+
 def test_step_count_limit_exits_2(tmp_path, capsys):
     """t_end / dt above MAX_STEPS is refused before any step is taken, under
     the key that set it.  load_scenario and with_dt are checked first, so an
