@@ -32,9 +32,12 @@ time-invariant linear ODE forced by level l - 1 alone (`levels`).
 The one drive term that reads a block that is not carried is the
 sqrt(n) g* [L_in, rho_{n,n-1}] of a diagonal block rho_{n,n}.  It is the
 adjoint of the carried term sqrt(n) g [rho_{n-1,n}, L_in^dag], since g is
-real, so the diagonal block's forcing F from the carried blocks becomes
-F + F^dag (`fold`).  The equations are therefore real-linear, not
-complex-linear, in the carried state.
+real, so the equations are real-linear, not complex-linear, in the carried
+blocks.  They are therefore compiled and integrated in real coordinates:
+the real and imaginary parts of every carried entry, where a diagonal block
+rho_{n,n}, being Hermitian, keeps only its real diagonal and its entries
+above the diagonal.  A diagonal block read back is Hermitian by
+construction, and its trace exactly real.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import numpy as np
 from .liouvillian import ChainConfig, apply_total
 from .qubit_algebra import commutator, lowering_op
 
-__all__ = ["block_order", "fold", "Level", "HierarchyPropagator"]
+__all__ = ["block_order", "Level", "HierarchyPropagator"]
 
 MAX_PHOTONS = 3
 
@@ -57,35 +60,33 @@ def block_order(n_ph: int):
     return [(m, n) for m in range(n_ph + 1) for n in range(n_ph + 1)]
 
 
-def fold(v: np.ndarray, pairs) -> np.ndarray:
-    """Turn the forcing F of every diagonal block into F + F^dag, in place
-    along the last axis of v: v[..., dst] += conj(v[..., src]), where
-    pairs = (dst, src) pairs each diagonal-block entry (a, b) with its
-    transposed entry (b, a).  Returns v."""
-    dst, src = pairs
-    v[..., dst] += v[..., src].conj()
-    return v
-
-
 class Level(NamedTuple):
-    """One rung of the cascade y_l' = a y_l + fold(g(t) b y_{l-1}, pairs)."""
+    """One rung of the cascade y_l' = a y_l + g(t) b y_{l-1}."""
 
-    rows: np.ndarray  # indices of the level's entries in the sector vector
+    rows: np.ndarray  # indices of the level's coordinates in the state vector
     a: np.ndarray     # A restricted to the level, (n_l, n_l)
     b: np.ndarray     # B from level l - 1 into level l, (n_l, n_{l-1}); n_{-1} = 0
-    pairs: tuple      # fold pairs (dst, src) of the level's diagonal block, level-local
 
 
 class HierarchyPropagator:
-    """Compiled right-hand side y' = A y + fold(g(t) B y) over the sector
+    """Compiled right-hand side y' = A y + g(t) B y over the real state
     vector y.
 
-    y holds, block by block in block_order, the excitation-sector entries
-    of each carried rho_{m,n} (m <= n) in row-major order; `slots` says
-    where.  A (dissipator) and B (drive couplings from the carried blocks)
-    are cut out of superoperator matrices, each from one call of apply_total
-    or a drive commutator on the stack of all dim^2 basis operators, so
-    those stay the single definition of the physics.
+    y holds, block by block in block_order, the coordinates of each carried
+    rho_{m,n} (m <= n); slots[(m, n)] = (rows, re, im) says where: y[rows]
+    is the real parts of the block's row-major entries re, then the
+    imaginary parts of its entries im.  For m < n both are the block's
+    excitation sector; for the Hermitian rho_{n,n}, re is the sector's
+    entries on and above the diagonal and im those above it.  `block` reads
+    a block back.
+
+    A (dissipator) and B (drive couplings) are real matrices.  Column j is
+    the derivative, read back into coordinates, of the blocks coordinate j
+    stands for (through `block`, so rho_{n,n-1} is the adjoint of
+    rho_{n-1,n}).  The derivative comes from superoperator matrices, each
+    from one call of apply_total or a drive commutator on the stack of all
+    dim^2 basis operators, so those stay the single definition of the
+    physics.
     """
 
     def __init__(self, cfg: ChainConfig, n_ph: int):
@@ -97,13 +98,23 @@ class HierarchyPropagator:
 
         exc = np.array([bin(a).count("1") for a in range(dim)])
         grading = np.subtract.outer(exc, exc).ravel()  # exc(a) - exc(b) of |a><b|
-        slots = {}  # (m, n) -> (slice of y, row-major indices into the block)
+        slots = {}  # (m, n) -> (slice of y, re, im), as in the class docstring
         size = 0
         for m, n in block_order(n_ph):
-            if m <= n:  # rho_{n,m} is the adjoint of rho_{m,n}
-                idx = np.flatnonzero(grading == m - n)
-                slots[(m, n)] = (slice(size, size + idx.size), idx)
-                size += idx.size
+            if m > n:  # rho_{n,m} is the adjoint of rho_{m,n}
+                continue
+            idx = np.flatnonzero(grading == m - n)
+            re = im = idx
+            if m == n:  # Hermitian: the diagonal is real, the lower triangle the adjoint
+                row, col = np.divmod(idx, dim)
+                re, im = idx[row <= col], idx[row < col]
+            slots[(m, n)] = (slice(size, size + re.size + im.size), re, im)
+            size += re.size + im.size
+        self.n_ph = n_ph
+        self.register = reg
+        self.dim = dim
+        self.size = size
+        self.slots = slots
 
         l_in = sum(  # the input operator L_in
             math.sqrt(em.gamma_r) * np.exp(-1j * k0d) * lowering_op(reg, j)
@@ -116,50 +127,49 @@ class HierarchyPropagator:
         c_up = commutator(basis, l_in.conj().T).reshape(d2, d2).T
         c_dn = commutator(l_in, basis).reshape(d2, d2).T
 
-        a_mat = np.zeros((size, size), dtype=complex)
-        b_mat = np.zeros((size, size), dtype=complex)
-        for (m, n), (rows, idx) in slots.items():
-            a_mat[rows, rows] = liou[np.ix_(idx, idx)]
+        unit = np.eye(size)
+        source = {}  # (m, n) -> (the coordinates it is read from, its sector, their entries there)
+        for m, n in block_order(n_ph):
+            cols = slots[(min(m, n), max(m, n))][0]
+            idx = np.flatnonzero(grading == m - n)
+            source[(m, n)] = cols, idx, self.block(unit[cols], m, n).reshape(-1, d2)[:, idx].T
+        a_mat = np.zeros((size, size))
+        b_mat = np.zeros((size, size))
+        for (m, n), (rows, re, im) in slots.items():
+            terms = [(a_mat, liou, (m, n))]
             if m >= 1:
-                cols, src = slots[(m - 1, n)]
-                b_mat[rows, cols] = math.sqrt(m) * c_up[np.ix_(idx, src)]
-            if m < n:  # for m = n, rho_{n,n-1} is not carried: fold adds its term
-                cols, src = slots[(m, n - 1)]
-                b_mat[rows, cols] = math.sqrt(n) * c_dn[np.ix_(idx, src)]
-
-        self.n_ph = n_ph
-        self.register = reg
-        self.dim = dim
-        self.size = size
-        self.slots = slots
+                terms.append((b_mat, math.sqrt(m) * c_up, (m - 1, n)))
+            if n >= 1:  # for m = n, rho_{n,n-1} is read as the adjoint of rho_{n-1,n}
+                terms.append((b_mat, math.sqrt(n) * c_dn, (m, n - 1)))
+            for mat, op, src in terms:
+                cols, idx, entries = source[src]
+                image = op[np.ix_(np.concatenate([re, im]), idx)] @ entries
+                mat[rows, cols] += np.concatenate([image[:re.size].real, image[re.size:].imag])
         self._a = a_mat
         self._b = b_mat
-        # each diagonal-block entry (a, b) and its transposed entry (b, a), in y
-        dst, src = [], []
-        for m in range(n_ph + 1):
-            rows, idx = slots[(m, m)]
-            a_idx, b_idx = np.divmod(idx, dim)
-            dst.append(np.arange(rows.start, rows.stop))
-            src.append(rows.start + np.searchsorted(idx, b_idx * dim + a_idx))
-        self._pairs = (np.concatenate(dst), np.concatenate(src))
 
     def ground(self) -> np.ndarray:
-        """Sector vector of the all-ground start: every diagonal block is the
-        all-ground projector (its first sector entry), every other entry is 0."""
-        y = np.zeros(self.size, dtype=complex)
+        """State vector of the all-ground start: every diagonal block is the
+        all-ground projector (its first coordinate), every other entry is 0."""
+        y = np.zeros(self.size)
         for m in range(self.n_ph + 1):
             y[self.slots[(m, m)][0].start] = 1.0
         return y
 
     def block(self, y: np.ndarray, m: int, n: int) -> np.ndarray:
-        """Block rho_{m,n} of a sector vector y (..., size), as (..., dim, dim);
-        for m > n the adjoint of rho_{n,m}."""
+        """Block rho_{m,n} of a state vector y (..., size), as complex
+        (..., dim, dim); for m > n the adjoint of rho_{n,m}."""
         if m > n:
             return self.block(y, n, m).conj().swapaxes(-1, -2)
-        rows, idx = self.slots[(m, n)]
+        rows, re, im = self.slots[(m, n)]
+        part = y[..., rows]
         lead = y.shape[:-1]
         out = np.zeros(lead + (self.dim * self.dim,), dtype=complex)
-        out[..., idx] = y[..., rows]
+        out.real[..., re] = part[..., :re.size]
+        out.imag[..., im] = part[..., re.size:]
+        if m == n:  # below the diagonal: the conjugates of the entries above it
+            row, col = np.divmod(im, self.dim)
+            out[..., col * self.dim + row] = out[..., im].conj()
         return out.reshape(lead + (self.dim, self.dim))
 
     def levels(self) -> list:
@@ -169,24 +179,19 @@ class HierarchyPropagator:
         but level l - 1 to level l, since the cascade would then drop terms.
         """
         level = np.empty(self.size, dtype=int)
-        for (m, n), (rows, _) in self.slots.items():
+        for (m, n), (rows, _, _) in self.slots.items():
             level[rows] = m + n
         step = np.subtract.outer(level, level)  # level of the row minus level of the column
         if np.any(self._a[step != 0]) or np.any(self._b[step != 1]):
             raise RuntimeError("hierarchy operator couples levels outside the cascade")
-        dst, src = self._pairs
-        local = np.empty(self.size, dtype=int)  # position of each entry within its level
         out = []
         below = np.empty(0, dtype=int)
         for l in range(2 * self.n_ph + 1):
             rows = np.flatnonzero(level == l)
-            local[rows] = np.arange(rows.size)
-            mine = level[dst] == l
-            pairs = (local[dst[mine]], local[src[mine]])
-            out.append(Level(rows, self._a[np.ix_(rows, rows)], self._b[np.ix_(rows, below)], pairs))
+            out.append(Level(rows, self._a[np.ix_(rows, rows)], self._b[np.ix_(rows, below)]))
             below = rows
         return out
 
     def derivative(self, g: float, y: np.ndarray) -> np.ndarray:
-        """d/dt of the sector vector y (size,) given the real drive amplitude g."""
-        return self._a @ y + fold(g * (self._b @ y), self._pairs)
+        """d/dt of the state vector y (size,) given the real drive amplitude g."""
+        return self._a @ y + g * (self._b @ y)

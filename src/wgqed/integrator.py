@@ -1,17 +1,18 @@
 """Exact level-cascade integration of the hierarchy ODE system.
 
-The hierarchy state is a single complex vector (the excitation-sector
-entries of every carried block rho_{m,n}, m <= n, laid out by
-HierarchyPropagator).  Its equation y' = A y + fold(g(t) B y) splits into
+The hierarchy state is a single real vector (the real coordinates of the
+excitation-sector entries of every carried block rho_{m,n}, m <= n, laid
+out by HierarchyPropagator).  Its equation y' = A y + g(t) B y splits into
 levels l = m + n (HierarchyPropagator.levels): level l obeys
-y_l' = A_l y_l + f_l(t), forced by f_l = fold(g B_l y_{l-1}) from the level
-below, so the levels are solved in order.  Over one step h,
+y_l' = A_l y_l + f_l(t), forced by f_l = g B_l y_{l-1} from the level
+below, so the levels are solved in order, in float64 throughout.  Over one
+step h,
 
     y_l(t + h) = E y_l(t) + int_0^h e^{(h - s) A_l} f_l(t + s) ds,   E = e^{h A_l},
 
 and the integral is taken over the Hermite cubic through f_l and f_l' at
 both ends.  Both are known exactly on the grid from the level below,
-f_l' = fold(g' B_l y_{l-1} + g B_l (A_{l-1} y_{l-1} + f_{l-1})), with g' in
+f_l' = g' B_l y_{l-1} + g B_l (A_{l-1} y_{l-1} + f_{l-1}), with g' in
 closed form, which makes the step fourth-order accurate (Hochbruck &
 Ostermann, Acta Numerica 19, 209, 2010).  E and the quadrature weights
 come from one Taylor series per level, valid while ||h A_l||_1 <= MAX_STEP_NORM.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import HierarchyPropagator, fold
+from .hierarchy import HierarchyPropagator
 from .liouvillian import ChainConfig
 from .pulse import GaussianPulse, amplitude, amplitude_rate
 
@@ -54,7 +55,8 @@ _BLOCK = 16            # steps per block within a chunk, sqrt(_CHUNK)
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step, horizon and record stride.  An invalid value raises ValueError
-    whose message starts with the field's name (t_end for the step limit)."""
+    whose message starts with the field's name (t_end for the step limit
+    and for a horizon shorter than one step)."""
 
     dt: float = 1e-3
     t_end: float = 12.0
@@ -71,6 +73,8 @@ class IntegratorConfig:
             raise ValueError(
                 f"t_end / dt = {self.t_end / self.dt:.6g} steps exceeds the limit of {MAX_STEPS}"
             )
+        if self.n_steps < 1:
+            raise ValueError(f"t_end = {self.t_end:g} is shorter than one step dt = {self.dt:g}")
 
     @property
     def n_steps(self) -> int:
@@ -91,12 +95,13 @@ class IntegrationBlowUpError(RuntimeError):
 
 
 class _LevelStep:
-    """Exact steps of y' = A y + f(t) on one level, with f Hermite-interpolated."""
+    """Exact steps of y' = A y + f(t) on one level, with f Hermite-interpolated;
+    A, f and y are real."""
 
     def __init__(self, a: np.ndarray, h: float):
         n = len(a)
         z = h * a
-        powers = np.empty((_TAYLOR_TERMS, n, n), dtype=complex)
+        powers = np.empty((_TAYLOR_TERMS, n, n))
         powers[0] = np.eye(n)
         for i in range(1, _TAYLOR_TERMS):
             powers[i] = powers[i - 1] @ z
@@ -115,7 +120,7 @@ class _LevelStep:
         # row-vector form: states are rows, so every matrix acts from the right
         self.from_start = np.concatenate([h * p0.T, h * h * p1.T])  # on [f, f'] at t
         self.from_end = np.concatenate([h * q0.T, h * h * q1.T])    # on [f, f'] at t + h
-        e_pow = np.empty((_BLOCK + 1, n, n), dtype=complex)
+        e_pow = np.empty((_BLOCK + 1, n, n))
         e_pow[0] = np.eye(n)
         for j in range(1, _BLOCK + 1):
             e_pow[j] = e_pow[j - 1] @ e
@@ -128,13 +133,13 @@ class _LevelStep:
         c, n = len(f) - 1, len(y0)
         forcing = np.concatenate([f, df], axis=1)
         n_blocks = -(-c // _BLOCK)
-        q = np.zeros((n_blocks * _BLOCK, n), dtype=complex)
+        q = np.zeros((n_blocks * _BLOCK, n))
         q[:c] = forcing[:-1] @ self.from_start + forcing[1:] @ self.from_end
         q = q.reshape(n_blocks, _BLOCK, n)
-        partial = np.zeros((n_blocks, _BLOCK + 1, n), dtype=complex)  # blocks started from 0
+        partial = np.zeros((n_blocks, _BLOCK + 1, n))  # blocks started from 0
         for j in range(_BLOCK):
             partial[:, j + 1] = partial[:, j] @ self.e_t + q[:, j]
-        starts = np.empty((n_blocks + 1, n), dtype=complex)
+        starts = np.empty((n_blocks + 1, n))
         starts[0] = y0
         for b in range(n_blocks):
             starts[b + 1] = starts[b] @ self.e_block_t + partial[b, _BLOCK]
@@ -146,10 +151,12 @@ class _LevelStep:
 class StateTrajectory:
     """Recorded hierarchy snapshots.
 
-    blocks[i] is the sector vector at times[i], shape (n_rec, propagator.size):
-    the excitation-sector entries of every carried block rho_{m,n}, m <= n,
-    laid out by the propagator that produced them.  block(m, n) scatters one
-    block back out, for m > n as the adjoint of block (n, m).
+    blocks[i] is the real state vector at times[i], shape (n_rec,
+    propagator.size), float64: the coordinates of the excitation-sector
+    entries of every carried block rho_{m,n}, m <= n, laid out by the
+    propagator that produced them.  block(m, n) rebuilds one complex block,
+    for m > n as the adjoint of block (n, m); a diagonal block comes out
+    exactly Hermitian.
     """
 
     times: np.ndarray          # (n_rec,)
@@ -200,7 +207,7 @@ def integrate(
     n_steps = icfg.n_steps
     recorded = np.append(np.arange(0, n_steps, icfg.record_stride), n_steps)  # step numbers
     times = recorded * h
-    snaps = np.empty((len(recorded), prop.size), dtype=complex)
+    snaps = np.empty((len(recorded), prop.size))
     snaps[0] = prop.ground()
     y = [snaps[0, level.rows] for level in levels]
 
@@ -212,17 +219,17 @@ def integrate(
             dg = amplitude_rate(pulse, t)[:, None]
             lo, hi = np.searchsorted(recorded, [k0, k1], side="right")
             # level -1: nothing, so level 0 is unforced
-            below = below_f = np.zeros((len(t), 0), dtype=complex)
-            below_a = np.zeros((0, 0), dtype=complex)
+            below = below_f = np.zeros((len(t), 0))
+            below_a = np.zeros((0, 0))
             for l, (level, stepper) in enumerate(zip(levels, steppers)):
                 drive = below @ level.b.T
-                rate = dg * drive + g * ((below @ below_a.T + below_f) @ level.b.T)
-                f, df = fold(g * drive, level.pairs), fold(rate, level.pairs)
+                f = g * drive
+                df = dg * drive + g * ((below @ below_a.T + below_f) @ level.b.T)
                 ys = stepper.run(y[l], f, df)
                 y[l] = ys[-1]
                 snaps[lo:hi, level.rows] = ys[recorded[lo:hi] - k0]
                 below, below_f, below_a = ys, f, level.a
-            finite = np.isfinite(snaps[lo:hi].view(np.float64)).all(axis=1)
+            finite = np.isfinite(snaps[lo:hi]).all(axis=1)
             if not finite.all():
                 raise IntegrationBlowUpError(float(times[lo + np.argmin(finite)]))
     return StateTrajectory(times, snaps, prop)

@@ -7,7 +7,7 @@ and the result is shared by all test modules.
 
 The sector helpers build dicts of dense blocks rho_{m,k}, as the longhand
 oracle in oracles.py takes them, and gather them into the compiled
-propagator's sector vector.
+propagator's real state vector.
 """
 
 from __future__ import annotations
@@ -72,15 +72,18 @@ def random_sector_state(rng, n: int) -> dict:
 
 
 def gather(prop: HierarchyPropagator, blocks: dict) -> np.ndarray:
-    """Sector vector of the dense blocks rho_{m,k}, m, k <= prop.n_ph, laid
-    out by prop.slots.  Fails if a block has an entry outside its sector,
-    which the vector would silently drop."""
-    y = np.zeros(prop.size, dtype=complex)
-    for mn, (rows, idx) in prop.slots.items():
+    """Real state vector of the dense blocks rho_{m,k}, m, k <= prop.n_ph,
+    laid out by prop.slots: per carried block, the real parts of its entries
+    re, then the imaginary parts of its entries im.  Fails if a block does
+    not come back whole from the vector (an entry outside its sector, or a
+    diagonal block that is not Hermitian), which the vector would silently
+    drop."""
+    x = np.zeros(prop.size)
+    for mn, (rows, re, im) in prop.slots.items():
         flat = np.asarray(blocks[mn], dtype=complex).ravel()
-        assert not np.any(np.delete(flat, idx)), f"block {mn} has entries outside its sector"
-        y[rows] = flat[idx]
-    return y
+        x[rows] = np.concatenate([flat[re].real, flat[im].imag])
+        assert np.array_equal(prop.block(x, *mn).ravel(), flat), f"block {mn} does not round-trip"
+    return x
 
 
 def oracle_deviation(cfg, n_ph: int, blocks: dict, t: float, pulse) -> float:

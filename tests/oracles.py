@@ -27,7 +27,7 @@ def rk4_solve(f, y0: np.ndarray, icfg: IntegratorConfig):
     n_steps = icfg.n_steps
     stride = icfg.record_stride
 
-    y = np.array(y0, dtype=complex, copy=True)
+    y = np.array(y0, dtype=np.result_type(y0, 1.0))  # a copy; real stays real
     times = [0.0]
     snaps = [y.copy()]
     half = dt / 2.0

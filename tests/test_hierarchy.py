@@ -12,7 +12,7 @@ from oracles import (
     random_chain,
 )
 from wgqed import hierarchy
-from wgqed.hierarchy import HierarchyPropagator, block_order, fold
+from wgqed.hierarchy import HierarchyPropagator, block_order
 from wgqed.integrator import IntegratorConfig, integrate
 from wgqed.liouvillian import ChainConfig, EmitterParams, apply_total
 from wgqed.pulse import GaussianPulse
@@ -55,21 +55,34 @@ def test_initial_state_rejects_unsupported_photon_numbers():
     "n,n_ph,carried", [(1, 3, 11), (2, 3, 38), (3, 3, 138), (2, 1, 16), (3, 1, 55)]
 )
 def test_carried_sector_sizes(n, n_ph, carried):
+    """The carried blocks m <= n hold `carried` complex sector entries.  Each
+    takes two real coordinates in an off-diagonal block; in a Hermitian
+    diagonal block each entry takes one (its real diagonal, or the real or
+    the imaginary part of an entry above the diagonal)."""
     cfg = ChainConfig((EmitterParams(),) * n)
-    assert HierarchyPropagator(cfg, n_ph).size == carried
+    prop = HierarchyPropagator(cfg, n_ph)
+    sector = {mn: idx.size for mn, (_, idx) in full_slots(cfg, n_ph).items()}
+    assert sorted(prop.slots) == [(m, k) for m, k in block_order(n_ph) if m <= k]
+    assert sum(sector[mn] for mn in prop.slots) == carried
+    for (m, k), (rows, _, _) in prop.slots.items():
+        assert rows.stop - rows.start == (1 if m == k else 2) * sector[(m, k)]
+    diagonal = sum(sector[(m, m)] for m in range(n_ph + 1))
+    assert prop.size == 2 * carried - diagonal
 
 
 @pytest.mark.parametrize(
     "n,n_ph,size", [(1, 3, 14), (2, 3, 52), (3, 3, 196), (2, 1, 20), (3, 1, 70)]
 )
 def test_sector_sizes(n, n_ph, size):
-    """The full reference layout spans all (n_ph+1)^2 blocks; the carried
-    layout keeps the diagonal blocks and one of each adjoint pair."""
+    """The full reference layout spans all (n_ph+1)^2 blocks.  The real
+    coordinates of the carried blocks are exactly as many: every block
+    rho_{m,n} with m < n stands for itself and its adjoint rho_{n,m}, and
+    a Hermitian diagonal block has as many real degrees of freedom as
+    complex entries."""
     cfg = ChainConfig((EmitterParams(),) * n)
     slots = full_slots(cfg, n_ph)
     assert sum(idx.size for _, idx in slots.values()) == size
-    diagonal = sum(slots[(m, m)][1].size for m in range(n_ph + 1))
-    assert 2 * HierarchyPropagator(cfg, n_ph).size == size + diagonal
+    assert HierarchyPropagator(cfg, n_ph).size == size
 
 
 def test_flatten_order_matches_block_order():
@@ -78,26 +91,34 @@ def test_flatten_order_matches_block_order():
     prop = HierarchyPropagator(cfg, 2)
     blocks = random_sector_state(rng, 2)
     flat = gather(prop, blocks)
+    assert flat.dtype == np.float64
     start = 0
     for m, n in block_order(2):
         assert np.array_equal(prop.block(flat, m, n), blocks[(m, n)])
         if m > n:
             assert (m, n) not in prop.slots  # read off as the adjoint of (n, m)
             continue
-        mask = sector_mask(2, m - n)
-        stop = start + int(mask.sum())
-        assert np.array_equal(flat[start:stop], blocks[(m, n)][mask])
+        # row-major: the real parts, then the imaginary parts, of the sector
+        # entries; of a diagonal block only those on and above the diagonal,
+        # and only the imaginary parts above it
+        re = im = sector_mask(2, m - n)
+        if m == n:
+            re, im = np.triu(re), np.triu(im, 1)
+        coords = np.concatenate([blocks[(m, n)][re].real, blocks[(m, n)][im].imag])
+        stop = start + coords.size
+        assert np.array_equal(flat[start:stop], coords)
         start = stop
     assert start == len(flat) == prop.size
 
 
 def test_blocks_below_the_diagonal_are_adjoints():
+    """Exactly, on any real vector; a diagonal block is its own adjoint."""
     cfg = random_chain(np.random.default_rng(6), 3)
     prop = HierarchyPropagator(cfg, 3)
     rng = np.random.default_rng(7)
-    y = rng.normal(size=(4, prop.size)) + 1j * rng.normal(size=(4, prop.size))
+    y = rng.normal(size=(4, prop.size))
     for m, n in block_order(3):
-        if m > n:
+        if m >= n:
             assert np.array_equal(
                 prop.block(y, m, n), prop.block(y, n, m).conj().swapaxes(-1, -2)
             )
@@ -147,25 +168,38 @@ def test_compiled_derivative_matches_reference(n, n_ph):
     "n,n_ph", [(n, n_ph) for n in (1, 2, 3) for n_ph in (1, 2, 3)] + [(4, 1)]
 )
 def test_compiled_operators_equal_column_by_column_reference(n, n_ph):
-    """Compiling on the whole basis stack is the same arithmetic as applying
-    the maps to one basis operator at a time, so A and B must agree bit for
-    bit with the full reference build cut down to the carried blocks.  The
-    cut drops the drive of rho_{n,n} from rho_{n,n-1}, which is not carried;
-    the fold pairs must put it back as the conjugate of the transposed
-    entry, so fold(B y) equals the reference's B y on the full state."""
+    """The full reference build, mapped to the real coordinates, must give
+    A and B bit for bit.  The map: column j of S is the full reference
+    vector of the blocks that coordinate j stands for (read through block,
+    so every block below the diagonal is the adjoint of its partner and
+    the drive of rho_{n,n} from the uncarried rho_{n,n-1} is included);
+    P reads back the real parts of the re entries and the imaginary parts
+    of the im entries of each carried block.  Every entry of the reference
+    product Re(P A S) is a sum of at most two nonzero terms, so the order
+    of summation cannot change it."""
     cfg = random_chain(np.random.default_rng(500 + 10 * n + n_ph), n)
     prop = HierarchyPropagator(cfg, n_ph)
     slots, a_ref, b_ref = column_by_column_operators(cfg, n_ph)
-    carried = np.concatenate([np.arange(slots[mn][0].start, slots[mn][0].stop) for mn in prop.slots])
-    assert np.array_equal(prop._a, a_ref[np.ix_(carried, carried)])
-    assert np.array_equal(prop._b, b_ref[np.ix_(carried, carried)])
-
-    rng = np.random.default_rng(n)
-    y = rng.normal(size=prop.size) + 1j * rng.normal(size=prop.size)
-    full = np.zeros(len(a_ref), dtype=complex)
+    unit = np.eye(prop.size)
+    s_map = np.zeros((len(a_ref), prop.size), dtype=complex)
     for mn, (rows, idx) in slots.items():
-        full[rows] = prop.block(y, *mn).ravel()[idx]
-    assert np.allclose(fold(prop._b @ y, prop._pairs), (b_ref @ full)[carried],
+        s_map[rows] = prop.block(unit, *mn).reshape(prop.size, -1)[:, idx].T
+
+    def read_back(images):
+        out = np.empty((prop.size,) + images.shape[1:])
+        for mn, (rows, re, im) in prop.slots.items():
+            full_rows, idx = slots[mn]
+            part = images[full_rows]
+            out[rows] = np.concatenate([part[np.searchsorted(idx, re)].real,
+                                        part[np.searchsorted(idx, im)].imag])
+        return out
+
+    assert np.array_equal(prop._a, read_back(a_ref @ s_map))
+    assert np.array_equal(prop._b, read_back(b_ref @ s_map))
+
+    x = np.random.default_rng(n).normal(size=prop.size)
+    full = s_map @ x
+    assert np.allclose(prop.derivative(0.7, x), read_back(a_ref @ full + 0.7 * (b_ref @ full)),
                        rtol=0, atol=1e-13)
 
 
@@ -192,13 +226,12 @@ def test_compile_applies_the_dissipator_once(monkeypatch):
 def test_operators_form_a_level_cascade(n, n_ph):
     """A keeps the level l = m + n of every entry, and B only raises it by
     one.  Checked on the compiled matrices, with levels labelled from slots;
-    then the levels() split must put every entry and every fold pair back
-    where it came from."""
+    then the levels() split must put every entry back where it came from."""
     cfg = random_chain(np.random.default_rng(400 + 10 * n + n_ph), n)
     prop = HierarchyPropagator(cfg, n_ph)
     a, b = prop._a, prop._b
     level = np.empty(prop.size, dtype=int)
-    for (m, k), (rows, _) in prop.slots.items():
+    for (m, k), (rows, _, _) in prop.slots.items():
         level[rows] = m + k
     rise = level[:, None] - level[None, :]
     assert np.any(a) and np.any(b)
@@ -208,19 +241,14 @@ def test_operators_form_a_level_cascade(n, n_ph):
     levels = prop.levels()
     assert len(levels) == 2 * n_ph + 1
     a_back, b_back = np.zeros_like(a), np.zeros_like(b)
-    pairs_back = []
     below = np.empty(0, dtype=int)
     for l, lv in enumerate(levels):
         assert np.array_equal(lv.rows, np.flatnonzero(level == l))
         a_back[np.ix_(lv.rows, lv.rows)] = lv.a
         b_back[np.ix_(lv.rows, below)] = lv.b
-        pairs_back += zip(lv.rows[lv.pairs[0]], lv.rows[lv.pairs[1]])
         below = lv.rows
     assert np.array_equal(a_back, a)
     assert np.array_equal(b_back, b)
-    assert sorted(pairs_back) == sorted(zip(*prop._pairs))
-    # a fold pair stays inside one diagonal block, so levels never mix
-    assert all(level[i] == level[j] and level[i] % 2 == 0 for i, j in pairs_back)
 
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, gather, scenario_path
-from oracles import full_hierarchy_run, rk4_solve
+from oracles import full_hierarchy_run, random_chain, rk4_solve
 from wgqed.hierarchy import HierarchyPropagator, block_order
 from wgqed.integrator import (
     MAX_STEPS,
@@ -40,6 +40,10 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
+    # a horizon shorter than one step: no step on the grid, reported under t_end
+    with pytest.raises(ValueError, match="^t_end"):
+        IntegratorConfig(dt=1e-3, t_end=5e-4)
+    assert IntegratorConfig(dt=1e-3, t_end=1e-3).n_steps == 1
     assert IntegratorConfig(dt=1e-3, t_end=1e-3 * MAX_STEPS).n_steps == MAX_STEPS
 
 
@@ -113,9 +117,10 @@ def test_integrate_returns_consistent_trajectory():
     assert isinstance(states, StateTrajectory)
     assert states.n_ph == 2
     assert states.register == EmitterRegister(1)
-    # one sector vector per record: 2 entries in each of the 3 diagonal blocks,
-    # 1 in each of the 2 carried blocks with n - m = 1, none where n - m = 2
-    assert states.blocks.shape == (len(states.times), 8)
+    # one real state vector per record: 2 real diagonal entries in each of the
+    # 3 diagonal blocks, the real and imaginary part of the 1 entry in each of
+    # the 2 carried blocks with n - m = 1, none where n - m = 2
+    assert states.blocks.shape == (len(states.times), 10)
     # block() scatters each block back out; physical() is the top diagonal block
     assert states.block(1, 2).shape == (len(states.times), 2, 2)
     assert np.array_equal(states.physical(), states.block(2, 2))
@@ -123,6 +128,28 @@ def test_integrate_returns_consistent_trajectory():
     # the sub-diagonal blocks are the adjoints of the super-diagonal ones
     for m, n in ((0, 1), (0, 2), (1, 2)):
         assert np.allclose(states.block(n, m), states.block(m, n).conj().transpose(0, 2, 1))
+
+def test_cascade_runs_in_float64():
+    """The levels and the snapshots are real: a complex array slipping back
+    in would double the work, and with real arrays a dropped imaginary part
+    raises ComplexWarning, an error in this suite."""
+    cfg = random_chain(np.random.default_rng(9), 3)  # complex couplings, detuning, loss
+    for level in HierarchyPropagator(cfg, 3).levels():
+        assert level.a.dtype == np.float64 and level.b.dtype == np.float64
+    pulse = GaussianPulse(mu=1.46, t_bar=1.0)
+    states = integrate(cfg, pulse, 3, IntegratorConfig(dt=1e-2, t_end=2.0, record_stride=10))
+    assert states.blocks.dtype == np.float64
+
+
+def test_diagonal_blocks_are_exactly_hermitian(scenario_run):
+    """Every diagonal block of every record of the shipped 3-emitter run is
+    its own conjugate transpose bit for bit, with an exactly real trace."""
+    _, states = scenario_run("three_emitter_chirality_sweep", 5.0)
+    for m in range(states.n_ph + 1):
+        blk = states.block(m, m)
+        assert np.array_equal(blk, blk.conj().swapaxes(-1, -2)), m
+        assert not np.any(np.einsum("tii->t", blk).imag), m
+
 
 def test_free_decay_of_excited_emitter_matches_exponential():
     """With no drive overlap (pulse centered far away) an initially excited

@@ -303,6 +303,32 @@ def test_step_count_limit_exits_2(tmp_path, capsys):
     assert "integrator.dt" in capsys.readouterr().err
 
 
+def test_horizon_shorter_than_a_step_exits_2(tmp_path, capsys):
+    """t_end < dt leaves a grid with no step, which would write a lone t = 0
+    row and exit 0; it is refused when the scenario is read, under
+    integrator.t_end, and nothing is written."""
+    path = write(tmp_path, "n_emitters = 1\nintegrator.t_end = 0.0005\n", name="instant.cfg")
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(path)
+    assert excinfo.value.key == "integrator.t_end"
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out), "--quiet"]) == 2
+    assert "integrator.t_end" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_dt_override_longer_than_the_horizon_exits_2(tmp_path, capsys):
+    """The same refusal, when the step comes from --dt, names integrator.dt."""
+    tiny = write(tmp_path, TINY)  # t_end = 2.0
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(tiny).with_dt(5.0)
+    assert excinfo.value.key == "integrator.dt"
+    out = tmp_path / "out"
+    assert main(["run", str(tiny), "--out-dir", str(out), "--dt", "5", "--quiet"]) == 2
+    assert "integrator.dt" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_sweep_without_ratios_exits_2(tmp_path, capsys):
     path = write(tmp_path, TINY)
     assert main(["sweep", str(path), "--quiet"]) == 2
