@@ -5,8 +5,7 @@ excitation-sector entries of every carried block rho_{m,n}, m <= n, laid
 out by HierarchyPropagator).  Its equation y' = A y + g(t) B y splits into
 levels l = m + n (HierarchyPropagator.levels): level l obeys
 y_l' = A_l y_l + f_l(t), forced by f_l = g B_l y_{l-1} from the level
-below, so the levels are solved in order, in float64 throughout.  Over one
-step h,
+below, in float64 throughout.  Over one step h,
 
     y_l(t + h) = E y_l(t) + int_0^h e^{(h - s) A_l} f_l(t + s) ds,   E = e^{h A_l},
 
@@ -14,15 +13,20 @@ and the integral is taken over the Hermite cubic through f_l and f_l' at
 both ends.  Both are known exactly on the grid from the level below,
 f_l' = g' B_l y_{l-1} + g B_l (A_{l-1} y_{l-1} + f_{l-1}), with g' in
 closed form, which makes the step fourth-order accurate (Hochbruck &
-Ostermann, Acta Numerica 19, 209, 2010).  E and the quadrature weights
-come from one Taylor series per level, valid while ||h A_l||_1 <= MAX_STEP_NORM.
+Ostermann, Acta Numerica 19, 209, 2010).
 
-The grid is walked in chunks of _CHUNK steps, all levels per chunk, so no
-array spans the whole grid except the recorded snapshots.  Within a chunk
-the recurrence y_{k+1} = E y_k + q_k runs in blocks of _BLOCK steps: one
-loop builds the in-block partial sums of every block at once, one loop
-carries the block starts, and one product with the powers of E fills in
-the grid.
+Level 0, the vacuum block rho_{0,0}, is unforced and A_0 maps the
+all-ground start to zero, so it is held, never stepped, and forces level 1
+as a constant.  The other levels are zero-padded to the largest and
+stacked; E and the quadrature weights come from one Taylor series over the
+stack, valid while ||h A_l||_1 <= MAX_STEP_NORM.  The grid is walked in
+chunks of _CHUNK steps as a wavefront: at iteration i level l steps chunk
+i + 1 - l, forced by what level l - 1 made of it at iteration i - 1, so one
+call steps every active level, n_chunks + 2 n_ph - 1 calls in all.  Within
+a chunk the recurrence y_{k+1} = E y_k + q_k runs in blocks of _BLOCK
+steps: one loop builds the in-block partial sums of every block at once,
+one loop carries the block starts, and one product with the powers of E
+fills in the grid.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .hierarchy import HierarchyPropagator
 from .liouvillian import ChainConfig
@@ -48,7 +53,7 @@ __all__ = [
 MAX_STEPS = 2_000_000  # largest t_end / dt accepted: 166x the shipped 12 000-step grid
 MAX_STEP_NORM = 1.0    # largest ||h A_l||_1 the Taylor weights are summed for
 _TAYLOR_TERMS = 20     # 1/20! < 1e-18: the series is converged below roundoff
-_CHUNK = 256           # steps per chunk: the work arrays stay below a megabyte per level
+_CHUNK = 256           # steps per chunk: the stacked work arrays stay below a megabyte
 _BLOCK = 16            # steps per block within a chunk, sqrt(_CHUNK)
 
 
@@ -94,17 +99,24 @@ class IntegrationBlowUpError(RuntimeError):
         super().__init__(f"integration blew up ({reason}) at t = {time:g}")
 
 
-class _LevelStep:
-    """Exact steps of y' = A y + f(t) on one level, with f Hermite-interpolated;
-    A, f and y are real."""
+class _StackedStep:
+    """Exact chunk steps of y_l' = A_l y_l + f_l(t), f_l Hermite-interpolated, for
+    levels l >= 1 in one call: zero-padded to p coordinates and stacked, operator
+    l - 1 for level l.  Padded rows and columns of every operator are exactly 0,
+    so padded coordinates stay 0.  States are rows; operators act from the right."""
 
-    def __init__(self, a: np.ndarray, h: float):
-        n = len(a)
-        z = h * a
-        powers = np.empty((_TAYLOR_TERMS, n, n))
-        powers[0] = np.eye(n)
-        for i in range(1, _TAYLOR_TERMS):
-            powers[i] = powers[i - 1] @ z
+    def __init__(self, levels: list, h: float, c: int):
+        n, p = len(levels) - 1, max(len(level.rows) for level in levels)
+        a, b, eye = np.zeros((3, n + 1, p, p))
+        for l, level in enumerate(levels):
+            k, j = level.b.shape
+            a[l, :k, :k], b[l, :k, :j], eye[l, range(k), range(k)] = level.a, level.b, 1.0
+        norm = h * np.abs(a).sum(axis=1).max(axis=1)  # ||h A_l||_1 per level
+        if norm.max() > MAX_STEP_NORM:
+            l = int(np.argmax(norm > MAX_STEP_NORM))
+            raise IntegrationBlowUpError(0.0, (
+                f"step dt = {h:g} is outside the integrator's range: ||dt A|| = {norm[l]:.3g} "
+                f"on level {l}, limit {MAX_STEP_NORM:g}"))
         # phi_k(z) = sum_i z^i / (i + k)!, and int_0^h e^{(h-s)A} s^j ds = h^(j+1) j! phi_(j+1)
         inv = np.array([1.0 / math.factorial(i) for i in range(_TAYLOR_TERMS + 4)])
         k = _TAYLOR_TERMS
@@ -116,35 +128,53 @@ class _LevelStep:
             6 * inv[3:k + 3] - 12 * inv[4:k + 4],
             -2 * inv[3:k + 3] + 6 * inv[4:k + 4],
         ])
-        e, p0, p1, q0, q1 = np.tensordot(coef, powers, 1)
-        # row-vector form: states are rows, so every matrix acts from the right
-        self.from_start = np.concatenate([h * p0.T, h * h * p1.T])  # on [f, f'] at t
-        self.from_end = np.concatenate([h * q0.T, h * h * q1.T])    # on [f, f'] at t + h
-        e_pow = np.empty((_BLOCK + 1, n, n))
-        e_pow[0] = np.eye(n)
-        for j in range(1, _BLOCK + 1):
-            e_pow[j] = e_pow[j - 1] @ e
-        self.e_t = e.T
-        self.e_block_t = e_pow[_BLOCK].T.copy()
-        self.e_fill_t = np.concatenate(list(e_pow[:_BLOCK].transpose(0, 2, 1)), axis=1)  # (n, B n)
+        z = h * a[1:]
+        powers = np.empty((k, n, p, p))
+        powers[0] = eye[1:]
+        for i in range(1, k):
+            powers[i] = powers[i - 1] @ z
+        # one (5, k) by (k, p^2) product per level: no level's sums depend on the stack
+        series = (coef @ powers.reshape(k, n, p * p).swapaxes(0, 1)).reshape(n, 5, p, p)
+        del powers  # the largest set-up array: free it before the work buffers
+        e, p0, p1, q0, q1 = series.swapaxes(0, 1).swapaxes(-1, -2)
+        self.from_start = np.concatenate([h * p0, h * h * p1], axis=1)  # on [f, f'] at t
+        self.from_end = np.concatenate([h * q0, h * h * q1], axis=1)    # on [f, f'] at t + h
+        bt = b[1:].swapaxes(-1, -2)
+        # [y_{l-1}, f_{l-1}] -> [B_l y_{l-1}, B_l (A_{l-1} y_{l-1} + f_{l-1})]
+        self.couple = np.block([[bt, (b[1:] @ a[:-1]).swapaxes(-1, -2)], [np.zeros_like(bt), bt]])
+        fill = self.e_fill = np.empty((n, p, _BLOCK * p))  # [E, E^2, ..., E^B]
+        fill[..., :p] = e
+        for j in range(p, _BLOCK * p, p):
+            np.matmul(e, fill[..., j - p:j], out=fill[..., j:j + p])
+        self.p, self.c = p, c
+        self._work = np.empty(n * (c + 1) * 2 * p)
+        self._starts = np.empty((n, c // _BLOCK + 1, p))
 
-    def run(self, y0: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
-        """States on the grid points of f, f' (c + 1 rows), starting from y0."""
-        c, n = len(f) - 1, len(y0)
-        forcing = np.concatenate([f, df], axis=1)
-        n_blocks = -(-c // _BLOCK)
-        q = np.zeros((n_blocks * _BLOCK, n))
-        q[:c] = forcing[:-1] @ self.from_start + forcing[1:] @ self.from_end
-        q = q.reshape(n_blocks, _BLOCK, n)
-        partial = np.zeros((n_blocks, _BLOCK + 1, n))  # blocks started from 0
-        for j in range(_BLOCK):
-            partial[:, j + 1] = partial[:, j] @ self.e_t + q[:, j]
-        starts = np.empty((n_blocks + 1, n))
-        starts[0] = y0
-        for b in range(n_blocks):
-            starts[b + 1] = starts[b] @ self.e_block_t + partial[b, _BLOCK]
-        grid = (starts[:-1] @ self.e_fill_t).reshape(n_blocks, _BLOCK, n) + partial[:, :_BLOCK]
-        return np.concatenate([grid.reshape(-1, n), starts[-1:]])[: c + 1]
+    def run(self, w: np.ndarray, lo: int, hi: int, g: np.ndarray, dg: np.ndarray) -> None:
+        """Step levels lo..hi of w by one chunk each, in place.  w[l] is [y_l, f_l]
+        on level l's last chunk, (c + 1, 2 p): level l starts from w[l, -1, :p] and
+        is forced by w[l - 1].  g and dg, (hi - lo + 1, c + 1), are the drive and
+        its rate on each level's chunk."""
+        s, p, c, n = slice(lo - 1, hi), self.p, self.c, hi - lo + 1
+        starts, work = self._starts[:n], self._work[:n * (c + 1) * 2 * p]
+        starts[:, 0] = w[lo:hi + 1, -1, :p]
+        x = np.matmul(w[lo - 1:hi], self.couple[s], out=work.reshape(n, c + 1, 2 * p))
+        y, f = w[lo:hi + 1, :, :p], w[lo:hi + 1, :, p:]  # now read: scratch until written
+        drive, rate = x[..., :p], x[..., p:]
+        rate *= g[..., None]
+        rate += np.multiply(drive, dg[..., None], out=f)
+        drive *= g[..., None]  # x = [f, f'] on the grid
+        q = np.matmul(x[:, :-1], self.from_start[s], out=y[:, 1:])
+        q += np.matmul(x[:, 1:], self.from_end[s], out=f[:, 1:])
+        f[...] = drive
+        q = q.reshape(n, -1, _BLOCK, p)  # a view into y
+        for j in range(1, _BLOCK):  # in-block partial sums of every block, started from 0
+            q[:, :, j] += q[:, :, j - 1] @ self.e_fill[s, :, :p]
+        for k in range(q.shape[1]):  # block starts, by E^B
+            starts[:, k + 1] = (starts[:, k, None] @ self.e_fill[s, :, -p:])[:, 0] + q[:, k, -1]
+        fill = work[:n * c * p].reshape(n, -1, _BLOCK * p)  # x is spent
+        q += np.matmul(starts[:, :-1], self.e_fill[s], out=fill).reshape(q.shape)
+        y[:, ::_BLOCK] = starts  # the block starts, as carried
 
 
 @dataclass
@@ -190,46 +220,42 @@ def integrate(
     grid k * dt, recording step 0, every record_stride-th step and the last.
 
     Raises IntegrationBlowUpError at t = 0 when dt is outside the range of
-    the level steps, and at the first record whose state is not finite.
+    the level steps, and at the first record whose state is not finite;
+    RuntimeError if A_0 would move the held vacuum level off the start.
     """
     prop = HierarchyPropagator(chain, n_ph)
     h = icfg.dt
     levels = prop.levels()
-    for l, level in enumerate(levels):
-        norm = h * np.abs(level.a).sum(axis=0).max()
-        if norm > MAX_STEP_NORM:
-            raise IntegrationBlowUpError(0.0, (
-                f"step dt = {h:g} is outside the integrator's range: ||dt A|| = {norm:.3g} "
-                f"on level {l}, limit {MAX_STEP_NORM:g}"
-            ))
-    steppers = [_LevelStep(level.a, h) for level in levels]
+    ground = prop.ground()
+    if np.any(levels[0].a @ ground[levels[0].rows]):
+        raise RuntimeError("level 0 moves off the all-ground state, so it cannot be held")
 
-    n_steps = icfg.n_steps
+    n_steps, top = icfg.n_steps, 2 * n_ph
+    c = min(_CHUNK, -(-n_steps // _BLOCK) * _BLOCK)  # the last chunk runs past t_end
+    n_chunks = -(-n_steps // c)
+    stepper = _StackedStep(levels, h, c)
     recorded = np.append(np.arange(0, n_steps, icfg.record_stride), n_steps)  # step numbers
     times = recorded * h
-    snaps = np.empty((len(recorded), prop.size))
-    snaps[0] = prop.ground()
-    y = [snaps[0, level.rows] for level in levels]
+    bounds = np.searchsorted(recorded, np.arange(n_chunks + 1) * c, side="right")  # per chunk
+    snaps = np.tile(ground, (len(recorded), 1))  # level 0 is held at the start
+    w = np.zeros((len(levels), c + 1, 2 * stepper.p))  # [y_l, f_l] on level l's last chunk
+    for level, wl in zip(levels, w):
+        wl[:, :len(level.rows)] = ground[level.rows]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, n_steps, _CHUNK):
-            k1 = min(k0 + _CHUNK, n_steps)
-            t = np.arange(k0, k1 + 1) * h
-            g = amplitude(pulse, t)[:, None]
-            dg = amplitude_rate(pulse, t)[:, None]
-            lo, hi = np.searchsorted(recorded, [k0, k1], side="right")
-            # level -1: nothing, so level 0 is unforced
-            below = below_f = np.zeros((len(t), 0))
-            below_a = np.zeros((0, 0))
-            for l, (level, stepper) in enumerate(zip(levels, steppers)):
-                drive = below @ level.b.T
-                f = g * drive
-                df = dg * drive + g * ((below @ below_a.T + below_f) @ level.b.T)
-                ys = stepper.run(y[l], f, df)
-                y[l] = ys[-1]
-                snaps[lo:hi, level.rows] = ys[recorded[lo:hi] - k0]
-                below, below_f, below_a = ys, f, level.a
-            finite = np.isfinite(snaps[lo:hi]).all(axis=1)
-            if not finite.all():
-                raise IntegrationBlowUpError(float(times[lo + np.argmin(finite)]))
+        t = np.arange(n_chunks * c + 1) * h
+        g = sliding_window_view(amplitude(pulse, t), c + 1)[::c]  # (n_chunks, c + 1)
+        dg = sliding_window_view(amplitude_rate(pulse, t), c + 1)[::c]
+        for i in range(n_chunks + top - 1):  # level l steps chunk i + 1 - l
+            lo, hi = max(1, i + 2 - n_chunks), min(top, i + 1)
+            chunks = i + 1 - np.arange(lo, hi + 1)
+            stepper.run(w, lo, hi, g[chunks], dg[chunks])
+            for l, j in zip(range(lo, hi + 1), chunks):
+                rec = slice(bounds[j], bounds[j + 1])
+                snaps[rec, levels[l].rows] = w[l, recorded[rec] - j * c, :len(levels[l].rows)]
+            if hi == top:  # chunk i + 1 - top is now done on every level
+                rec = slice(bounds[i + 1 - top], bounds[i + 2 - top])
+                finite = np.isfinite(snaps[rec]).all(axis=1)
+                if not finite.all():
+                    raise IntegrationBlowUpError(float(times[rec.start + np.argmin(finite)]))
     return StateTrajectory(times, snaps, prop)

@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 
-from wgqed.integrator import IntegrationBlowUpError, IntegratorConfig
+from wgqed.hierarchy import HierarchyPropagator
+from wgqed.integrator import IntegrationBlowUpError, IntegratorConfig, StateTrajectory
 from wgqed.liouvillian import ChainConfig, EmitterParams, apply_total
-from wgqed.pulse import GaussianPulse, amplitude
+from wgqed.pulse import GaussianPulse, amplitude, amplitude_rate
 from wgqed.qubit_algebra import EmitterRegister, commutator, lowering_op
 
 
@@ -129,6 +130,99 @@ def full_hierarchy_run(cfg: ChainConfig, pulse: GaussianPulse, n_ph: int,
         out[:, idx] = snaps[:, rows]
         blocks[mn] = out.reshape(len(times), dim, dim)
     return times, blocks
+
+
+_TAYLOR_TERMS = 20
+_CHUNK = 256
+_BLOCK = 16
+
+
+class _OneLevelStep:
+    """Exact steps of y' = A y + f(t) on one level, with f Hermite-interpolated;
+    A, f and y are real."""
+
+    def __init__(self, a: np.ndarray, h: float):
+        n = len(a)
+        z = h * a
+        powers = np.empty((_TAYLOR_TERMS, n, n))
+        powers[0] = np.eye(n)
+        for i in range(1, _TAYLOR_TERMS):
+            powers[i] = powers[i - 1] @ z
+        # phi_k(z) = sum_i z^i / (i + k)!, and int_0^h e^{(h-s)A} s^j ds = h^(j+1) j! phi_(j+1)
+        inv = np.array([1.0 / math.factorial(i) for i in range(_TAYLOR_TERMS + 4)])
+        k = _TAYLOR_TERMS
+        coef = np.array([
+            inv[:k],                                           # E
+            # the Hermite cubic's integral: weights of f(0), f'(0), f(h), f'(h) over h, h^2, h, h^2
+            inv[1:k + 1] - 6 * inv[3:k + 3] + 12 * inv[4:k + 4],
+            inv[2:k + 2] - 4 * inv[3:k + 3] + 6 * inv[4:k + 4],
+            6 * inv[3:k + 3] - 12 * inv[4:k + 4],
+            -2 * inv[3:k + 3] + 6 * inv[4:k + 4],
+        ])
+        e, p0, p1, q0, q1 = np.tensordot(coef, powers, 1)
+        # row-vector form: states are rows, so every matrix acts from the right
+        self.from_start = np.concatenate([h * p0.T, h * h * p1.T])  # on [f, f'] at t
+        self.from_end = np.concatenate([h * q0.T, h * h * q1.T])    # on [f, f'] at t + h
+        e_pow = np.empty((_BLOCK + 1, n, n))
+        e_pow[0] = np.eye(n)
+        for j in range(1, _BLOCK + 1):
+            e_pow[j] = e_pow[j - 1] @ e
+        self.e_t = e.T
+        self.e_block_t = e_pow[_BLOCK].T.copy()
+        self.e_fill_t = np.concatenate(list(e_pow[:_BLOCK].transpose(0, 2, 1)), axis=1)  # (n, B n)
+
+    def run(self, y0: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
+        """States on the grid points of f, f' (c + 1 rows), starting from y0."""
+        c, n = len(f) - 1, len(y0)
+        forcing = np.concatenate([f, df], axis=1)
+        n_blocks = -(-c // _BLOCK)
+        q = np.zeros((n_blocks * _BLOCK, n))
+        q[:c] = forcing[:-1] @ self.from_start + forcing[1:] @ self.from_end
+        q = q.reshape(n_blocks, _BLOCK, n)
+        partial = np.zeros((n_blocks, _BLOCK + 1, n))  # blocks started from 0
+        for j in range(_BLOCK):
+            partial[:, j + 1] = partial[:, j] @ self.e_t + q[:, j]
+        starts = np.empty((n_blocks + 1, n))
+        starts[0] = y0
+        for b in range(n_blocks):
+            starts[b + 1] = starts[b] @ self.e_block_t + partial[b, _BLOCK]
+        grid = (starts[:-1] @ self.e_fill_t).reshape(n_blocks, _BLOCK, n) + partial[:, :_BLOCK]
+        return np.concatenate([grid.reshape(-1, n), starts[-1:]])[: c + 1]
+
+
+def level_by_level_integrate(cfg: ChainConfig, pulse: GaussianPulse, n_ph: int,
+                             icfg: IntegratorConfig) -> StateTrajectory:
+    """Reference cascade run: the same exact level steps as
+    integrator.integrate, but one level at a time, every level stepped
+    (the vacuum level included), chunk by chunk in order, with one Taylor
+    series per level.  Records as integrate does."""
+    prop = HierarchyPropagator(cfg, n_ph)
+    h = icfg.dt
+    levels = prop.levels()
+    steppers = [_OneLevelStep(level.a, h) for level in levels]
+    n_steps = icfg.n_steps
+    recorded = np.append(np.arange(0, n_steps, icfg.record_stride), n_steps)  # step numbers
+    snaps = np.empty((len(recorded), prop.size))
+    snaps[0] = prop.ground()
+    y = [snaps[0, level.rows] for level in levels]
+    for k0 in range(0, n_steps, _CHUNK):
+        k1 = min(k0 + _CHUNK, n_steps)
+        t = np.arange(k0, k1 + 1) * h
+        g = amplitude(pulse, t)[:, None]
+        dg = amplitude_rate(pulse, t)[:, None]
+        lo, hi = np.searchsorted(recorded, [k0, k1], side="right")
+        # level -1: nothing, so level 0 is unforced
+        below = below_f = np.zeros((len(t), 0))
+        below_a = np.zeros((0, 0))
+        for l, (level, stepper) in enumerate(zip(levels, steppers)):
+            drive = below @ level.b.T
+            f = g * drive
+            df = dg * drive + g * ((below @ below_a.T + below_f) @ level.b.T)
+            ys = stepper.run(y[l], f, df)
+            y[l] = ys[-1]
+            snaps[lo:hi, level.rows] = ys[recorded[lo:hi] - k0]
+            below, below_f, below_a = ys, f, level.a
+    return StateTrajectory(recorded * h, snaps, prop)
 
 
 def random_chain(rng, n):

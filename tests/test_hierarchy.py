@@ -11,7 +11,7 @@ from oracles import (
     handwritten_three_photon_rhs,
     random_chain,
 )
-from wgqed import hierarchy
+from wgqed import hierarchy, integrator
 from wgqed.hierarchy import HierarchyPropagator, block_order
 from wgqed.integrator import IntegratorConfig, integrate
 from wgqed.liouvillian import ChainConfig, EmitterParams, apply_total
@@ -274,3 +274,36 @@ def test_vacuum_block_never_moves():
     ground = np.zeros((4, 4))
     ground[0, 0] = 1.0
     assert np.abs(states.block(0, 0) - ground).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vacuum_level_is_at_rest_on_random_chains(n):
+    """integrate holds level 0 instead of stepping it, which is exact only
+    while A_0 maps the all-ground coordinates to exactly zero.  Checked bit
+    for bit on detuned, lossy, chiral chains with d_ratio != 0."""
+    rng = np.random.default_rng(800 + n)
+    for _ in range(4):
+        cfg = random_chain(rng, n)
+        assert cfg.d_ratio > 0
+        for em in cfg.emitters:
+            assert em.delta != 0 and em.gamma_spont > 0 and em.gamma_r != em.gamma_l
+        for n_ph in (1, 2, 3):
+            prop = HierarchyPropagator(cfg, n_ph)
+            vacuum = prop.levels()[0]
+            assert not np.any(vacuum.a @ prop.ground()[vacuum.rows])
+
+
+def test_integrate_refuses_a_vacuum_level_that_moves(monkeypatch):
+    """Holding level 0 would silently drop its motion, so one entry of A_0
+    planted on the ground coordinate must stop integrate."""
+
+    class Planted(HierarchyPropagator):
+        def __init__(self, cfg, n_ph):
+            super().__init__(cfg, n_ph)
+            rows = self.slots[(0, 0)][0]
+            self._a[rows.start + 1, rows.start] = 1.0
+
+    monkeypatch.setattr(integrator, "HierarchyPropagator", Planted)
+    cfg = ChainConfig((EmitterParams(), EmitterParams()))
+    with pytest.raises(RuntimeError, match="cannot be held"):
+        integrate(cfg, PULSE, 1, IntegratorConfig(dt=1e-2, t_end=1.0))

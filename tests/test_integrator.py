@@ -1,6 +1,6 @@
-"""Level-cascade integration against the RK4 oracle: accuracy, order,
-recording grid, limits and failure modes.  The RK4 oracle's own tests come
-first."""
+"""Level-cascade integration against the RK4 oracle and the level-by-level
+reference: accuracy, order, recording grid, the stacked wavefront, limits
+and failure modes.  The RK4 oracle's own tests come first."""
 
 import dataclasses
 
@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, gather, scenario_path
-from oracles import full_hierarchy_run, random_chain, rk4_solve
+from oracles import full_hierarchy_run, level_by_level_integrate, random_chain, rk4_solve
+from wgqed import integrator
 from wgqed.hierarchy import HierarchyPropagator, block_order
 from wgqed.integrator import (
     MAX_STEPS,
@@ -266,3 +267,113 @@ def test_non_finite_record_is_reported_with_its_time():
         integrate(cfg, pulse, 3, IntegratorConfig(dt=1e-3, t_end=2.0, record_stride=150))
     assert excinfo.value.time == pytest.approx(0.6)
     assert "non-finite" in str(excinfo.value)
+
+
+# ----------------------------------------------------------- stacked wavefront
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_ph", [1, 3])
+@pytest.mark.parametrize("grid", [
+    {"dt": 1e-2, "t_end": 4.0, "record_stride": 16},   # two chunks, the second one partial
+    {"dt": 1e-2, "t_end": 0.5, "record_stride": 7},    # shorter than one chunk
+    {"dt": 1e-2, "t_end": 0.01, "record_stride": 1},   # a single step
+    {"dt": 1e-3, "t_end": 1.3, "record_stride": 37},   # 1300 steps; 37 does not divide a chunk
+])
+def test_wavefront_matches_level_by_level_reference(n, n_ph, grid):
+    """The stacked wavefront against the level-by-level design kept in
+    oracles.py: every level stepped on its own, the vacuum level included,
+    chunk by chunk.  The arithmetic differs only in rounding (zero padding,
+    the forcing derivative's operator product), so every coordinate of
+    every record agrees to 1e-13."""
+    cfg = random_chain(np.random.default_rng(600 + 10 * n + n_ph), n)
+    pulse = GaussianPulse(mu=1.46, t_bar=2.0)
+    icfg = IntegratorConfig(**grid)
+    states = integrate(cfg, pulse, n_ph, icfg)
+    ref = level_by_level_integrate(cfg, pulse, n_ph, icfg)
+    assert np.array_equal(states.times, ref.times)
+    assert np.abs(states.blocks - ref.blocks).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_ph", [1, 2, 3])
+def test_stacked_operators_vanish_outside_each_level(n, n_ph):
+    """Every stacked step operator is exactly zero on the padded rows and
+    columns of its level, and a step keeps the padded coordinates of w
+    exactly 0, so no level leaks into the padding or reads from it."""
+    levels = HierarchyPropagator(random_chain(np.random.default_rng(700 + n), n), n_ph).levels()
+    c = 2 * integrator._BLOCK
+    step = integrator._StackedStep(levels, 1e-2, c)
+    p, size = step.p, [len(level.rows) for level in levels]
+
+    def inside(k):  # mask of the first k coordinates of each p-wide group
+        return np.arange(p) < k
+
+    for l in range(1, len(levels)):
+        own, below = inside(size[l]), inside(size[l - 1])
+        masks = {
+            "from_start": np.outer(np.tile(own, 2), own),
+            "from_end": np.outer(np.tile(own, 2), own),
+            "couple": np.outer(np.tile(below, 2), np.tile(own, 2)),
+            "e_fill": np.outer(own, np.tile(own, integrator._BLOCK)),
+        }
+        for name, mask in masks.items():
+            op = getattr(step, name)[l - 1]
+            assert np.any(op[mask]), (name, l)
+            assert not np.any(op[~mask]), (name, l)
+
+    rng = np.random.default_rng(n)
+    w = np.zeros((len(levels), c + 1, 2 * p))
+    for l, k in enumerate(size):
+        w[l, :, :k], w[l, :, p:p + k] = rng.normal(size=(2, c + 1, k))
+    drive = rng.normal(size=(len(levels) - 1, c + 1))
+    step.run(w, 1, len(levels) - 1, drive, drive[::-1])
+    for l, k in enumerate(size):
+        assert not np.any(w[l, :, k:p]) and not np.any(w[l, :, p + k:]), l
+
+
+def test_integrate_steps_all_levels_in_one_call_per_wavefront_iteration(monkeypatch):
+    """One stacked call per wavefront iteration, n_chunks + 2 n_ph - 1 in
+    all on the shipped 3-emitter grid, where one call per level and chunk
+    would take (2 n_ph + 1) n_chunks = 329.  Every level but the vacuum
+    level steps every chunk exactly once; level 0 never steps."""
+    calls = []
+    run = integrator._StackedStep.run
+
+    def counted(self, w, lo, hi, g, dg):
+        calls.append((lo, hi))
+        return run(self, w, lo, hi, g, dg)
+
+    monkeypatch.setattr(integrator._StackedStep, "run", counted)
+    sc = load_scenario(scenario_path("three_emitter_chirality_sweep"))
+    integrate(sc.chain, sc.pulse, sc.n_photons, sc.integrator)
+    n_chunks = -(-sc.integrator.n_steps // integrator._CHUNK)
+    assert len(calls) <= n_chunks + 2 * sc.n_photons - 1
+    stepped = [l for lo, hi in calls for l in range(lo, hi + 1)]
+    assert sorted(stepped) == sorted(list(range(1, 2 * sc.n_photons + 1)) * n_chunks)
+
+
+@pytest.mark.parametrize("spike", [False, True])
+def test_blow_up_under_the_wavefront_names_the_first_bad_record(monkeypatch, spike):
+    """The lower levels run up to 2 n_ph - 1 chunks ahead of the top one.
+    With g NaN from t = 1.3 on, the reported time must still be the first
+    record at or after 1.3, as in chunk-by-chunk order.  With a one-step
+    spike g = 1e55 at t = 1.3 only the top level overflows (it scales as
+    g^6), and g is NaN on every level from t = 2; the lower levels reach
+    t = 2 first, but the spike's record must be the one named."""
+    amplitude = integrator.amplitude
+
+    def bad(pulse, t):
+        g = amplitude(pulse, t)
+        if spike:
+            return np.where(t >= 2.0, np.nan, np.where((t >= 1.3) & (t < 1.3005), 1e55, g))
+        return np.where(t >= 1.3, np.nan, g)
+
+    monkeypatch.setattr(integrator, "amplitude", bad)
+    cfg = ChainConfig(tuple(EmitterParams(gamma_r=3.0, gamma_l=1.0) for _ in range(3)))
+    icfg = IntegratorConfig(dt=1e-3, t_end=4.0, record_stride=100)
+    with pytest.raises(IntegrationBlowUpError) as excinfo:
+        integrate(cfg, GaussianPulse(mu=1.46, t_bar=1.0), 3, icfg)
+    records = np.arange(0, icfg.n_steps + 1, icfg.record_stride) * icfg.dt
+    assert excinfo.value.time == records[records >= 1.3][0]
+    assert excinfo.value.time == pytest.approx(1.3)
