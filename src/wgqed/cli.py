@@ -22,6 +22,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .integrator import IntegrationBlowUpError, integrate
 from .observables import Trajectory, build_trajectory, peak
 from .scenario import Scenario, ScenarioError, load_scenario, ratio_tag
@@ -42,16 +44,12 @@ def simulate_scenario(sc: Scenario):
     return traj, states
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _write_csv(path: Path, times, series: dict) -> None:
-    lines = ["t," + ",".join(series)]
-    columns = list(series.values())
-    for i, t in enumerate(times):
-        lines.append(",".join([_fmt(t)] + [_fmt(col[i]) for col in columns]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: list, columns: list) -> None:
+    """Write the columns as rows of 12-significant-digit values, one row at a time."""
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
+    with path.open("w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(row % v for v in zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -69,7 +67,7 @@ def _write_run(out: Path, tag: str, sc: Scenario, traj: Trajectory):
     peaks = {name: dataclasses.asdict(peak(traj, name)) for name in series}
     csv_path = out / f"{tag}.csv"
     json_path = out / f"{tag}_summary.json"
-    _write_csv(csv_path, traj.times, series)
+    _write_csv(csv_path, ["t", *series], [traj.times, *series.values()])
     _write_json(
         json_path,
         {
@@ -127,11 +125,8 @@ def sweep(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
         ))
 
     header = ["ratio"] + [col for n in names for col in (f"{n}_max", f"{n}_t")]
-    lines = [",".join(header)]
-    for row in agg_rows:
-        lines.append(",".join(_fmt(v) for v in row))
     agg_csv = out / f"{stem}_sweep.csv"
-    agg_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(agg_csv, header, list(zip(*agg_rows)))
     agg_json = out / f"{stem}_sweep_summary.json"
     _write_json(
         agg_json,

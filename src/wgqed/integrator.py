@@ -13,7 +13,11 @@ and the integral is taken over the Hermite cubic through f_l and f_l' at
 both ends.  Both are known exactly on the grid from the level below,
 f_l' = g' B_l y_{l-1} + g B_l (A_{l-1} y_{l-1} + f_{l-1}), with g' in
 closed form, which makes the step fourth-order accurate (Hochbruck &
-Ostermann, Acta Numerica 19, 209, 2010).
+Ostermann, Acta Numerica 19, 209, 2010).  The quadrature is linear in
+[f_l, f_l'], so it is folded onto u = [g y_{l-1}, g f_{l-1} + g' y_{l-1}]:
+step k's forcing is q_k = u_k M_s + u_{k+1} M_e, M_s = [B^T h P_0 + (B A)^T
+h^2 P_1 ; B^T h^2 P_1] from the weights P_0, P_1 of f, f' at the step's
+start (M_e from the end weights Q_0, Q_1), and f_l = (g y_{l-1}) B^T.
 
 Level 0, the vacuum block rho_{0,0}, is unforced and A_0 maps the
 all-ground start to zero, so it is held, never stepped, and forces level 1
@@ -102,8 +106,9 @@ class IntegrationBlowUpError(RuntimeError):
 class _StackedStep:
     """Exact chunk steps of y_l' = A_l y_l + f_l(t), f_l Hermite-interpolated, for
     levels l >= 1 in one call: zero-padded to p coordinates and stacked, operator
-    l - 1 for level l.  Padded rows and columns of every operator are exactly 0,
-    so padded coordinates stay 0.  States are rows; operators act from the right."""
+    l - 1 for level l: M_s, M_e (from_start, from_end) and B_l^T (bt).  Padded
+    rows and columns of every operator are exactly 0, so padded coordinates stay
+    0.  States are rows; operators act from the right."""
 
     def __init__(self, levels: list, h: float, c: int):
         n, p = len(levels) - 1, max(len(level.rows) for level in levels)
@@ -137,11 +142,11 @@ class _StackedStep:
         series = (coef @ powers.reshape(k, n, p * p).swapaxes(0, 1)).reshape(n, 5, p, p)
         del powers  # the largest set-up array: free it before the work buffers
         e, p0, p1, q0, q1 = series.swapaxes(0, 1).swapaxes(-1, -2)
-        self.from_start = np.concatenate([h * p0, h * h * p1], axis=1)  # on [f, f'] at t
-        self.from_end = np.concatenate([h * q0, h * h * q1], axis=1)    # on [f, f'] at t + h
-        bt = b[1:].swapaxes(-1, -2)
-        # [y_{l-1}, f_{l-1}] -> [B_l y_{l-1}, B_l (A_{l-1} y_{l-1} + f_{l-1})]
-        self.couple = np.block([[bt, (b[1:] @ a[:-1]).swapaxes(-1, -2)], [np.zeros_like(bt), bt]])
+        bt, bat = b[1:].swapaxes(-1, -2), (b[1:] @ a[:-1]).swapaxes(-1, -2)
+        w0, w1 = h * np.stack([p0, q0]), h * h * np.stack([p1, q1])  # of f, f' at t and t + h
+        # M_s, M_e: those weights pulled back onto u = [g y, g f + g' y] of the level below
+        self.from_start, self.from_end = np.concatenate([bt @ w0 + bat @ w1, bt @ w1], axis=2)
+        self.bt = bt
         fill = self.e_fill = np.empty((n, p, _BLOCK * p))  # [E, E^2, ..., E^B]
         fill[..., :p] = e
         for j in range(p, _BLOCK * p, p):
@@ -158,21 +163,21 @@ class _StackedStep:
         s, p, c, n = slice(lo - 1, hi), self.p, self.c, hi - lo + 1
         starts, work = self._starts[:n], self._work[:n * (c + 1) * 2 * p]
         starts[:, 0] = w[lo:hi + 1, -1, :p]
-        x = np.matmul(w[lo - 1:hi], self.couple[s], out=work.reshape(n, c + 1, 2 * p))
-        y, f = w[lo:hi + 1, :, :p], w[lo:hi + 1, :, p:]  # now read: scratch until written
-        drive, rate = x[..., :p], x[..., p:]
-        rate *= g[..., None]
-        rate += np.multiply(drive, dg[..., None], out=f)
-        drive *= g[..., None]  # x = [f, f'] on the grid
-        q = np.matmul(x[:, :-1], self.from_start[s], out=y[:, 1:])
-        q += np.matmul(x[:, 1:], self.from_end[s], out=f[:, 1:])
-        f[...] = drive
+        u, below, g, dg = work.reshape(n, c + 1, 2 * p), w[lo - 1:hi], g[..., None], dg[..., None]
+        np.multiply(below[..., :p], dg, out=u[..., p:])
+        np.multiply(below[..., p:], g, out=u[..., :p])
+        u[..., p:] += u[..., :p]
+        np.multiply(below[..., :p], g, out=u[..., :p])  # u = [g y, g f + g' y] below; w is read
+        y, f = w[lo:hi + 1, :, :p], w[lo:hi + 1, :, p:]
+        q = np.matmul(u[:, :-1], self.from_start[s], out=y[:, 1:])
+        q += np.matmul(u[:, 1:], self.from_end[s], out=f[:, 1:])
+        np.matmul(u[..., :p], self.bt[s], out=f)  # f_l = g B_l y_{l-1}
         q = q.reshape(n, -1, _BLOCK, p)  # a view into y
         for j in range(1, _BLOCK):  # in-block partial sums of every block, started from 0
             q[:, :, j] += q[:, :, j - 1] @ self.e_fill[s, :, :p]
         for k in range(q.shape[1]):  # block starts, by E^B
             starts[:, k + 1] = (starts[:, k, None] @ self.e_fill[s, :, -p:])[:, 0] + q[:, k, -1]
-        fill = work[:n * c * p].reshape(n, -1, _BLOCK * p)  # x is spent
+        fill = work[:n * c * p].reshape(n, -1, _BLOCK * p)  # u is spent
         q += np.matmul(starts[:, :-1], self.e_fill[s], out=fill).reshape(q.shape)
         y[:, ::_BLOCK] = starts  # the block starts, as carried
 

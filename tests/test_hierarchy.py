@@ -9,6 +9,7 @@ from oracles import (
     column_by_column_operators,
     full_slots,
     handwritten_three_photon_rhs,
+    level_by_level_integrate,
     random_chain,
 )
 from wgqed import hierarchy, integrator
@@ -267,13 +268,17 @@ def test_levels_refuse_couplings_outside_the_cascade():
 
 def test_vacuum_block_never_moves():
     """The lowest block sees no drive, and the all-ground projector is a
-    steady state of the dissipator, so it must stay pinned."""
+    steady state of the dissipator, so it must stay pinned.  integrate
+    holds level 0 at its start, so only the level-by-level reference,
+    which steps it, can show it moving."""
     cfg = ChainConfig((EmitterParams(), EmitterParams()))
     icfg = IntegratorConfig(dt=5e-3, t_end=8.0, record_stride=100)
     states = integrate(cfg, PULSE, 3, icfg)
     ground = np.zeros((4, 4))
     ground[0, 0] = 1.0
     assert np.abs(states.block(0, 0) - ground).max() < 1e-12
+    stepped = level_by_level_integrate(cfg, PULSE, 3, icfg)  # steps level 0 under A_0
+    assert np.abs(stepped.block(0, 0) - ground).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

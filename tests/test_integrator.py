@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, gather, scenario_path
-from oracles import full_hierarchy_run, level_by_level_integrate, random_chain, rk4_solve
+from oracles import (
+    _OneLevelStep,
+    full_hierarchy_run,
+    level_by_level_integrate,
+    random_chain,
+    rk4_solve,
+)
 from wgqed import integrator
 from wgqed.hierarchy import HierarchyPropagator, block_order
 from wgqed.integrator import (
@@ -312,9 +318,9 @@ def test_stacked_operators_vanish_outside_each_level(n, n_ph):
     for l in range(1, len(levels)):
         own, below = inside(size[l]), inside(size[l - 1])
         masks = {
-            "from_start": np.outer(np.tile(own, 2), own),
-            "from_end": np.outer(np.tile(own, 2), own),
-            "couple": np.outer(np.tile(below, 2), np.tile(own, 2)),
+            "from_start": np.outer(np.tile(below, 2), own),  # [y, f] below -> own
+            "from_end": np.outer(np.tile(below, 2), own),
+            "bt": np.outer(below, own),
             "e_fill": np.outer(own, np.tile(own, integrator._BLOCK)),
         }
         for name, mask in masks.items():
@@ -330,6 +336,38 @@ def test_stacked_operators_vanish_outside_each_level(n, n_ph):
     step.run(w, 1, len(levels) - 1, drive, drive[::-1])
     for l, k in enumerate(size):
         assert not np.any(w[l, :, k:p]) and not np.any(w[l, :, p + k:]), l
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_ph", [1, 2, 3])
+def test_one_call_forces_each_level_with_the_level_below_before_the_call(n, n_ph):
+    """One run over every level against the unfolded step written out per
+    level: the forcing f = g B_l y and its rate f' = g' B_l y + g B_l (A_{l-1} y
+    + f_{l-1}) from the level below, then the Hermite quadrature on [f, f']
+    (oracles._OneLevelStep).  The same call overwrites level l - 1 while it
+    steps level l, so level l must see what w held before the call."""
+    rng = np.random.default_rng(900 + 10 * n + n_ph)
+    levels = HierarchyPropagator(random_chain(rng, n), n_ph).levels()
+    h, c = 1e-2, 4 * integrator._BLOCK
+    step = integrator._StackedStep(levels, h, c)
+    p, top = step.p, len(levels) - 1
+    w = np.zeros((top + 1, c + 1, 2 * p))
+    for l, level in enumerate(levels):
+        k = len(level.rows)
+        w[l, :, :k], w[l, :, p:p + k] = rng.normal(size=(2, c + 1, k))
+    g, dg = rng.normal(size=(2, top, c + 1, 1))
+    before = w.copy()
+    step.run(w, 1, top, g[..., 0], dg[..., 0])
+    for l in range(1, top + 1):
+        below, level = levels[l - 1], levels[l]
+        j, k = len(below.rows), len(level.rows)
+        y, f_below = before[l - 1, :, :j], before[l - 1, :, p:p + j]
+        drive = y @ level.b.T
+        f = g[l - 1] * drive
+        df = dg[l - 1] * drive + g[l - 1] * ((y @ below.a.T + f_below) @ level.b.T)
+        ref = _OneLevelStep(level.a, h).run(before[l, -1, :k], f, df)
+        assert np.abs(w[l, :, :k] - ref).max() <= 1e-13 * np.abs(ref).max(), l
+        assert np.abs(w[l, :, p:p + k] - f).max() <= 1e-13 * np.abs(f).max(), l
 
 
 def test_integrate_steps_all_levels_in_one_call_per_wavefront_iteration(monkeypatch):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wgqed import cli
 from wgqed.cli import main
 from wgqed.scenario import (
     Scenario,
@@ -412,6 +413,25 @@ def test_csv_values_are_finite_and_formatted(tmp_path):
             assert len(field.replace("-", "").replace(".", "").replace("e", "")) <= 17
 
 
+def test_csv_writer_matches_per_value_formatting(tmp_path):
+    """The row-at-a-time writer gives the same bytes as formatting every
+    value on its own with format(x, ".12g"), on the values where the two
+    could part: signed zeros, the ends of the float range, infinities, NaN
+    and ties in the 13th significant digit."""
+    special = [0.0, -0.0, 1.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf,
+               np.nan, 100000000000.5, 100000000001.5, 1234567890.125, -1234567890.375,
+               0.1234567890125, 12345678901.25, 2.0 / 3.0, -1e300, 12.0]
+    rng = np.random.default_rng(5)
+    scattered = rng.normal(size=len(special)) * 10.0 ** rng.integers(-20, 20, len(special))
+    columns = [np.array(special), scattered, np.array(special[::-1]), np.arange(len(special))]
+    header = ["t", "a", "b", "c"]
+    cli._write_csv(tmp_path / "table.csv", header, columns)
+    lines = [",".join(header)] + [
+        ",".join(format(col[i], ".12g") for col in columns) for i in range(len(special))
+    ]
+    assert (tmp_path / "table.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def test_module_entry_point_runs_without_runtime_warning():
     """`python -m wgqed.cli` must not find wgqed.cli already imported by the
     package, which would print a RuntimeWarning before the help text."""
@@ -426,3 +446,27 @@ def test_module_entry_point_runs_without_runtime_warning():
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage: wgqed" in proc.stdout
+
+
+def test_traced_benchmark_pass_finds_every_wrapped_name(tmp_path):
+    """The benchmark's traced pass wraps module attributes by name and drops
+    every metric whose name has gone, so a rename would pass unnoticed:
+    run its tracing script on a one-step 3-emitter run and require that it
+    finds every name and reads the integration's shape."""
+    text = scenario_path("three_emitter_chirality_sweep").read_text(encoding="utf-8")
+    path = write(tmp_path, text.replace("integrator.t_end = 12.0", "integrator.t_end = 1e-3"))
+    report = tmp_path / "report.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(SRC_DIR.parent / "perfbench" / "tracing.py"), str(report),
+         "run", str(path), "--out-dir", str(tmp_path), "--quiet"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(report.read_text())
+    assert traced["absent"] == []
+    assert [(i["state_len"], i["steps"]) for i in traced["integrations"]] == [(196, 1)]
