@@ -1,44 +1,46 @@
-"""Two-qubit concurrence and the three-qubit concurrence-fill measure.
+"""Two-qubit concurrence and the three-qubit concurrence fill, in closed
+form on excitation-graded states.
 
-wootters_concurrence implements the standard mixed-state construction:
-eigenvalues of rho (sy x sy) rho* (sy x sy), square-rooted in descending
-order lam1 >= ... >= lam4, C = max(0, l1 - l2 - l3 - l4).
+Every physical block the hierarchy records is excitation-graded:
+<a|rho|b> = 0 unless exc(a) = exc(b), where exc counts the excited
+emitters of a basis state (Baragiola et al., PRA 86, 013811, 2012).  On
+such states both measures are exact closed forms, with no eigensolver and
+no partial trace:
 
-concurrence_fill treats the three squared one-to-other concurrences
-C^2_{i(jk)} = 2 (1 - Tr rho_i^2) as triangle sides and returns the
-normalized Heron area
+- a graded pair state holds only rho_gg, the {eg, ge} 2x2 block and
+  rho_ee, an X state, so its Wootters concurrence is
+  C = 2 max(0, |rho_{eg,ge}| - sqrt(rho_gg rho_ee))
+  (Yu & Eberly, Quantum Inf. Comput. 7, 459, 2007);
+- every single-emitter reduced state of a graded three-qubit state is
+  diagonal, so the squared one-to-other concurrence is
+  C^2_{i(jk)} = 2 (1 - Tr rho_i^2) = 4 p_i (1 - p_i), where p_i is the
+  excitation probability of emitter i.
+
+concurrence_fill treats the three C^2_{i(jk)} as triangle sides and
+returns the normalized Heron area
 
     F = [ (16/3) Q (Q - a)(Q - b)(Q - c) ]^(1/4),   Q = (a + b + c)/2,
 
-which is 1 on the GHZ state, 8/9 on the W state and 0 on product states.
+which is 8/9 on the W state and 0 on product states.
 
-Inputs with trace below one (produced by the non-recycled spontaneous-loss
-model) are renormalized to the conditional no-loss state before either
-measure is evaluated.
+Both measures refuse a state with a nonzero entry outside the grading,
+on which the closed forms would be wrong.  Inputs with trace below one
+(produced by the non-recycled spontaneous-loss model) are renormalized to
+the conditional no-loss state before either measure is evaluated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .qubit_algebra import EmitterRegister, partial_trace
-
-__all__ = ["wootters_concurrence", "one_to_other_c2", "concurrence_fill"]
-
-# sigma_y (x) sigma_y in the computational basis; real, so it conjugates freely
-_SPIN_FLIP = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ],
-    dtype=complex,
-)
+__all__ = ["wootters_concurrence", "concurrence_fill"]
 
 _TRACE_TOL = 1e-6
 _HERM_TOL = 1e-6
 _PSD_TOL = -1e-8
+
+# basis indices with emitter i = 1, 2, 3 excited (emitter 1 is the most significant bit)
+_EXCITED = [[a for a in range(8) if a >> (3 - i) & 1] for i in (1, 2, 3)]
 
 
 def _first_bad(bad: np.ndarray, values: np.ndarray, message: str) -> None:
@@ -50,9 +52,9 @@ def _first_bad(bad: np.ndarray, values: np.ndarray, message: str) -> None:
         raise ValueError(message.format(np.ravel(values)[i]) + where)
 
 
-def _validate_state(rho: np.ndarray, dim: int, check_psd: bool) -> np.ndarray:
-    """Sanity-check a density matrix, or a (..., dim, dim) stack of them, and
-    return the trace of each.
+def _validate_state(rho: np.ndarray, dim: int) -> np.ndarray:
+    """Sanity-check an excitation-graded density matrix, or a (..., dim,
+    dim) stack of them, and return the trace of each.
 
     Loss models (spontaneous emission without a recycling term) legitimately
     shrink the trace below one, so any trace in (0, 1] is accepted and the
@@ -63,47 +65,33 @@ def _validate_state(rho: np.ndarray, dim: int, check_psd: bool) -> np.ndarray:
     defect = np.conjugate(np.swapaxes(rho, -1, -2))  # the ufunc copies even a real input
     np.subtract(rho, defect, out=defect)
     herm_defect = np.abs(defect, out=defect).real.max(axis=(-2, -1))
+    del defect  # a copy of the whole stack: free it before the grading check takes |rho|
     _first_bad(herm_defect > _HERM_TOL, herm_defect, "state not hermitian (defect {:.3e})")
     tr = np.trace(rho, axis1=-2, axis2=-1).real
     _first_bad(~((0.0 < tr) & (tr <= 1.0 + _TRACE_TOL)), tr, "state trace {} is not in (0, 1]")
-    if check_psd:
-        min_eig = np.linalg.eigvalsh(0.5 * (rho + np.swapaxes(rho, -1, -2).conj())).min(axis=-1)
-        _first_bad(min_eig < _PSD_TOL * np.maximum(tr, _TRACE_TOL), min_eig,
-                   "state not positive semidefinite (min eig {:.3e})")
+    exc = np.array([bin(a).count("1") for a in range(dim)])
+    outside = np.abs(rho).max(axis=(-2, -1), where=np.not_equal.outer(exc, exc), initial=0.0)
+    _first_bad(outside > 0.0, outside, "state not excitation-graded (entry {:.3e} outside the grading)")
     return tr
 
 
 def wootters_concurrence(rho: np.ndarray):
-    """Concurrence of a two-qubit density matrix, in [0, 1]; a (..., 4, 4)
-    stack gives the (...) array of concurrences."""
-    tr = _validate_state(rho, 4, check_psd=True)
-    rho = rho / tr[..., None, None]
-    flipped = rho @ _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
-    lams = np.linalg.eigvals(flipped).real
-    lams[lams < 0.0] = 0.0  # roundoff only; spectrum is nonnegative in exact arithmetic
-    roots = np.sort(np.sqrt(lams), axis=-1)[..., ::-1]
-    return np.maximum(0.0, roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3])
-
-
-def _c2_of_valid(rho3: np.ndarray, tr: np.ndarray, i: int) -> np.ndarray:
-    """2 (1 - Tr rho_i^2) of validated three-qubit states with traces `tr`."""
-    rho_i = partial_trace(rho3, EmitterRegister(3), {i}) / tr[..., None, None]
-    purity = np.trace(rho_i @ rho_i, axis1=-2, axis2=-1).real
-    return 2.0 * (1.0 - purity)
-
-
-def one_to_other_c2(rho3: np.ndarray, i: int):
-    """Squared concurrence across the bipartition {qubit i} vs {other two},
-    from the purity of the reduced single-qubit state: 2 (1 - Tr rho_i^2).
-    A (..., 8, 8) stack gives the (...) array of values."""
-    if i not in (1, 2, 3):
-        raise ValueError(f"qubit index must be 1, 2 or 3, got {i}")
-    return _c2_of_valid(rho3, _validate_state(rho3, 8, check_psd=False), i)
+    """Concurrence of an excitation-graded two-qubit density matrix, in
+    [0, 1]; a (..., 4, 4) stack gives the (...) array of concurrences."""
+    tr = _validate_state(rho, 4)
+    gg, ge, eg, ee = (rho[..., k, k].real for k in range(4))
+    coherence = np.abs(rho[..., 2, 1])  # |rho_{eg,ge}|
+    # the exact spectrum of a graded pair: gg, ee and the {ge, eg} block's two eigenvalues
+    min_eig = np.minimum(np.minimum(gg, ee), 0.5 * (ge + eg) - np.hypot(0.5 * (ge - eg), coherence))
+    _first_bad(min_eig < _PSD_TOL * np.maximum(tr, _TRACE_TOL), min_eig,
+               "state not positive semidefinite (min eig {:.3e})")
+    # a population inside the positivity tolerance may be a roundoff below zero
+    return np.maximum(0.0, 2.0 * (coherence - np.sqrt(np.maximum(0.0, gg * ee))) / tr)
 
 
 def concurrence_fill(rho3: np.ndarray):
-    """Genuine tripartite entanglement of a three-qubit state, in [0, 1]; a
-    (..., 8, 8) stack gives the (...) array of values.
+    """Genuine tripartite entanglement of an excitation-graded three-qubit
+    state, in [0, 1]; a (..., 8, 8) stack gives the (...) array of values.
 
     The triangle inequality among the squared one-to-other concurrences is
     guaranteed for pure states only; a sufficiently mixed state can push one
@@ -111,9 +99,10 @@ def concurrence_fill(rho3: np.ndarray):
     this at late times).  The Heron factors are clamped at zero, so such
     states — like exactly degenerate triangles — report zero fill.
     """
-    tr = _validate_state(rho3, 8, check_psd=False)
-    sides = np.stack([_c2_of_valid(rho3, tr, i) for i in (1, 2, 3)], axis=-1)
-    sides = np.clip(sides, 0.0, 1.0)
+    tr = _validate_state(rho3, 8)
+    diag = np.diagonal(rho3, axis1=-2, axis2=-1).real
+    p = np.stack([diag[..., idx].sum(axis=-1) / tr for idx in _EXCITED], axis=-1)
+    sides = np.clip(4.0 * p * (1.0 - p), 0.0, 1.0)
     q = 0.5 * sides.sum(axis=-1)
     factors = np.clip(q[..., None] - sides, 0.0, None)
     area4 = (16.0 / 3.0) * q * np.prod(factors, axis=-1)

@@ -17,7 +17,6 @@ __all__ = [
     "EmitterRegister",
     "basis_index",
     "lowering_op",
-    "partial_trace",
     "commutator",
 ]
 
@@ -64,38 +63,6 @@ def lowering_op(register: EmitterRegister, j: int) -> np.ndarray:
     for site in range(1, register.n_emitters + 1):
         op = np.kron(op, sigma if site == j else eye2)
     return op
-
-
-def partial_trace(rho: np.ndarray, register: EmitterRegister, keep) -> np.ndarray:
-    """Reduced operator on the emitters in `keep` (1-based indices).
-
-    Trace-preserving; the kept subsystems appear in ascending emitter
-    order in the output.  Leading axes of a (..., dim, dim) stack are
-    carried through, so a recorded series reduces in one call.
-    """
-    n = register.n_emitters
-    dim = register.dim
-    if rho.shape[-2:] != (dim, dim):
-        raise ValueError(f"rho has shape {rho.shape}, expected (..., {dim}, {dim})")
-    keep = sorted(set(keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if not all(1 <= j <= n for j in keep):
-        raise ValueError(f"keep={keep} contains indices outside 1..{n}")
-
-    # Reshape to one axis per ket/bra site and trace the complement pairwise.
-    lead = rho.shape[:-2]
-    work = rho.reshape(lead + (2,) * (2 * n))
-    traced = 0
-    for j in range(1, n + 1):
-        if j in keep:
-            continue
-        ket_ax = len(lead) + (j - 1) - traced
-        bra_ax = ket_ax + (n - traced)
-        work = np.trace(work, axis1=ket_ax, axis2=bra_ax)
-        traced += 1
-    d_out = 2 ** len(keep)
-    return work.reshape(lead + (d_out, d_out))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -367,3 +367,146 @@ def spin_flip_spectrum_by_eigensolver(rho):
     sy = np.array([[0, -1j], [1j, 0]])
     flip = np.kron(sy, sy)
     return np.sort(np.linalg.eigvals(rho @ flip @ rho.conj() @ flip).real)
+
+
+# The general two- and three-qubit measures, for states of any structure.
+# Production evaluates closed forms that hold on excitation-graded states
+# only; these are the cross-check, and the reference on states (GHZ,
+# |gg> + |ee>, random) that are not graded.
+
+# sigma_y (x) sigma_y in the computational basis; real, so it conjugates freely
+_SPIN_FLIP = np.array(
+    [
+        [0.0, 0.0, 0.0, -1.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0],
+    ],
+    dtype=complex,
+)
+
+_TRACE_TOL = 1e-6
+_HERM_TOL = 1e-6
+_PSD_TOL = -1e-8
+
+
+def partial_trace(rho: np.ndarray, register: EmitterRegister, keep) -> np.ndarray:
+    """Reduced operator on the emitters in `keep` (1-based indices).
+
+    Trace-preserving; the kept subsystems appear in ascending emitter
+    order in the output.  Leading axes of a (..., dim, dim) stack are
+    carried through, so a recorded series reduces in one call.
+    """
+    n = register.n_emitters
+    dim = register.dim
+    if rho.shape[-2:] != (dim, dim):
+        raise ValueError(f"rho has shape {rho.shape}, expected (..., {dim}, {dim})")
+    keep = sorted(set(keep))
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    if not all(1 <= j <= n for j in keep):
+        raise ValueError(f"keep={keep} contains indices outside 1..{n}")
+
+    # Reshape to one axis per ket/bra site and trace the complement pairwise.
+    lead = rho.shape[:-2]
+    work = rho.reshape(lead + (2,) * (2 * n))
+    traced = 0
+    for j in range(1, n + 1):
+        if j in keep:
+            continue
+        ket_ax = len(lead) + (j - 1) - traced
+        bra_ax = ket_ax + (n - traced)
+        work = np.trace(work, axis1=ket_ax, axis2=bra_ax)
+        traced += 1
+    d_out = 2 ** len(keep)
+    return work.reshape(lead + (d_out, d_out))
+
+
+def _first_bad(bad: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise ValueError naming the value of the first record where `bad`
+    holds and, for a stack, its flat record index."""
+    if np.any(bad):
+        i = np.argmax(bad)
+        where = f" at record {i}" if np.ndim(bad) else ""
+        raise ValueError(message.format(np.ravel(values)[i]) + where)
+
+
+def _validate_state(rho: np.ndarray, dim: int, check_psd: bool) -> np.ndarray:
+    """Sanity-check a density matrix, or a (..., dim, dim) stack of them, and
+    return the trace of each.
+
+    Loss models (spontaneous emission without a recycling term) legitimately
+    shrink the trace below one, so any trace in (0, 1] is accepted and the
+    caller renormalizes to the conditional state.
+    """
+    if rho.shape[-2:] != (dim, dim):
+        raise ValueError(f"state has shape {rho.shape}, expected (..., {dim}, {dim})")
+    defect = np.conjugate(np.swapaxes(rho, -1, -2))  # the ufunc copies even a real input
+    np.subtract(rho, defect, out=defect)
+    herm_defect = np.abs(defect, out=defect).real.max(axis=(-2, -1))
+    _first_bad(herm_defect > _HERM_TOL, herm_defect, "state not hermitian (defect {:.3e})")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    _first_bad(~((0.0 < tr) & (tr <= 1.0 + _TRACE_TOL)), tr, "state trace {} is not in (0, 1]")
+    if check_psd:
+        min_eig = np.linalg.eigvalsh(0.5 * (rho + np.swapaxes(rho, -1, -2).conj())).min(axis=-1)
+        _first_bad(min_eig < _PSD_TOL * np.maximum(tr, _TRACE_TOL), min_eig,
+                   "state not positive semidefinite (min eig {:.3e})")
+    return tr
+
+
+def spin_flip_concurrence(rho: np.ndarray):
+    """Wootters concurrence of any two-qubit density matrix, in [0, 1]: the
+    square roots l1 >= ... >= l4 of the eigenvalues of
+    rho (sy x sy) rho* (sy x sy) give C = max(0, l1 - l2 - l3 - l4).  A
+    (..., 4, 4) stack gives the (...) array of concurrences."""
+    tr = _validate_state(rho, 4, check_psd=True)
+    rho = rho / tr[..., None, None]
+    flipped = rho @ _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
+    lams = np.linalg.eigvals(flipped).real
+    lams[lams < 0.0] = 0.0  # roundoff only; spectrum is nonnegative in exact arithmetic
+    roots = np.sort(np.sqrt(lams), axis=-1)[..., ::-1]
+    return np.maximum(0.0, roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3])
+
+
+def _c2_of_valid(rho3: np.ndarray, tr: np.ndarray, i: int) -> np.ndarray:
+    """2 (1 - Tr rho_i^2) of validated three-qubit states with traces `tr`."""
+    rho_i = partial_trace(rho3, EmitterRegister(3), {i}) / tr[..., None, None]
+    purity = np.trace(rho_i @ rho_i, axis1=-2, axis2=-1).real
+    return 2.0 * (1.0 - purity)
+
+
+def one_to_other_c2(rho3: np.ndarray, i: int):
+    """Squared concurrence across the bipartition {qubit i} vs {other two},
+    from the purity of the reduced single-qubit state: 2 (1 - Tr rho_i^2).
+    A (..., 8, 8) stack gives the (...) array of values."""
+    if i not in (1, 2, 3):
+        raise ValueError(f"qubit index must be 1, 2 or 3, got {i}")
+    return _c2_of_valid(rho3, _validate_state(rho3, 8, check_psd=False), i)
+
+
+def purity_fill(rho3: np.ndarray):
+    """Concurrence fill of any three-qubit state, in [0, 1]: the normalized
+    Heron area of the triangle with sides one_to_other_c2(rho3, i), with
+    the Heron factors clamped at zero.  A (..., 8, 8) stack gives the (...)
+    array of values."""
+    tr = _validate_state(rho3, 8, check_psd=False)
+    sides = np.stack([_c2_of_valid(rho3, tr, i) for i in (1, 2, 3)], axis=-1)
+    sides = np.clip(sides, 0.0, 1.0)
+    q = 0.5 * sides.sum(axis=-1)
+    factors = np.clip(q[..., None] - sides, 0.0, None)
+    area4 = (16.0 / 3.0) * q * np.prod(factors, axis=-1)
+    # two correctly rounded square roots, not pow: the same bits alone or in a stack
+    return np.sqrt(np.sqrt(np.maximum(0.0, area4)))
+
+
+def random_graded_density(rng, n: int, trace: float = 1.0) -> np.ndarray:
+    """Random excitation-graded n-emitter density matrix of the given trace:
+    one random positive block per excitation number, zero between them."""
+    dim = 2**n
+    exc = np.array([bin(a).count("1") for a in range(dim)])
+    rho = np.zeros((dim, dim), dtype=complex)
+    for k in range(n + 1):
+        idx = np.flatnonzero(exc == k)
+        g = rng.normal(size=(idx.size, idx.size)) + 1j * rng.normal(size=(idx.size, idx.size))
+        rho[np.ix_(idx, idx)] = rng.uniform(0.05, 1.0) * (g @ g.conj().T)
+    return trace * rho / np.trace(rho).real

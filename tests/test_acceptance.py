@@ -13,6 +13,7 @@ import numpy as np
 
 from oracles import (
     closed_form_spin_flip_spectrum,
+    purity_fill,
     random_chain,
     rk4_solve,
     spin_flip_spectrum_by_eigensolver,
@@ -242,12 +243,14 @@ LOSS_FREE_RUNS = (
 
 
 def test_loss_free_runs_conserve_trace_hermiticity_positivity(scenario_run):
-    """Without spontaneous loss, each diagonal block keeps unit trace and
-    stays hermitian, and the physical block stays positive, at every
-    recorded time of every shipped loss-free run."""
+    """Without spontaneous loss, each diagonal block keeps unit trace at
+    every recorded time of every shipped loss-free run.  Each diagonal
+    block stays positive: the physical block, and every rho_{k,k} with
+    k < n_ph, the emitter state under a k-photon pulse.  (Hermiticity holds
+    by construction: a diagonal block is carried as its upper triangle.)"""
     failures = []
     worst_tr, worst_tr_at = 0.0, ""
-    worst_herm, worst_herm_at = 0.0, ""
+    worst_low, worst_low_at = np.inf, ""
     worst_eig, worst_eig_at = np.inf, ""
     for stem, ratio in LOSS_FREE_RUNS:
         _, states = scenario_run(stem, ratio)
@@ -257,9 +260,10 @@ def test_loss_free_runs_conserve_trace_hermiticity_positivity(scenario_run):
             tr_err = np.abs(np.einsum("tii->t", blk) - 1.0).max()
             if tr_err > worst_tr:
                 worst_tr, worst_tr_at = tr_err, f"{tag} block ({m},{m})"
-            herm = np.abs(blk - blk.conj().transpose(0, 2, 1)).max()
-            if herm > worst_herm:
-                worst_herm, worst_herm_at = herm, f"{tag} block ({m},{m})"
+            if m < states.n_ph:
+                low = np.linalg.eigvalsh(blk).min()
+                if low < worst_low:
+                    worst_low, worst_low_at = low, f"{tag} block ({m},{m})"
         min_eig = min(np.linalg.eigvalsh(rho).min() for rho in states.physical())
         if min_eig < worst_eig:
             worst_eig, worst_eig_at = min_eig, tag
@@ -272,9 +276,9 @@ def test_loss_free_runs_conserve_trace_hermiticity_positivity(scenario_run):
     )
     check(
         failures,
-        "diagonal-block hermiticity",
-        worst_herm < 1e-9,
-        f"worst defect = {worst_herm:.3e} ({worst_herm_at}), want < 1e-9",
+        "fewer-photon diagonal-block positivity",
+        worst_low >= -1e-6,
+        f"worst eigenvalue = {worst_low:.3e} ({worst_low_at}), want >= -1e-6",
     )
     check(
         failures,
@@ -291,7 +295,8 @@ def test_loss_free_runs_conserve_trace_hermiticity_positivity(scenario_run):
 def test_closed_form_oracles():
     """Independent closed forms: spin-flip spectrum of the structured pair
     family vs the eigensolver (1e-10), the handwritten ten-block equations
-    vs the compiled propagator (1e-12), and the canonical fill fixtures (1e-9)."""
+    vs the compiled propagator (1e-12), and the canonical fill fixtures (1e-9;
+    the ungraded GHZ state through the partial-trace oracle)."""
     failures = []
 
     rng = np.random.default_rng(777)
@@ -325,16 +330,16 @@ def test_closed_form_oracles():
     fixtures = []
     ghz = np.zeros(8, dtype=complex)
     ghz[basis_index(reg, "ggg")] = ghz[basis_index(reg, "eee")] = 1 / np.sqrt(2)
-    fixtures.append(("GHZ", ghz, 1.0))
+    fixtures.append(("GHZ", ghz, 1.0, purity_fill))
     w = np.zeros(8, dtype=complex)
     for lbl in ("egg", "geg", "gge"):
         w[basis_index(reg, lbl)] = 1 / np.sqrt(3)
-    fixtures.append(("W", w, 8.0 / 9.0))
+    fixtures.append(("W", w, 8.0 / 9.0, concurrence_fill))
     prod = np.zeros(8, dtype=complex)
     prod[basis_index(reg, "geg")] = 1.0
-    fixtures.append(("product", prod, 0.0))
-    for name, psi, ref in fixtures:
-        got = concurrence_fill(np.outer(psi, psi.conj()))
+    fixtures.append(("product", prod, 0.0, concurrence_fill))
+    for name, psi, ref, measure in fixtures:
+        got = measure(np.outer(psi, psi.conj()))
         check(
             failures,
             f"{name} fill fixture",

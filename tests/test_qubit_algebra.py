@@ -1,17 +1,13 @@
-"""Register indexing, ladder operators and partial traces."""
+"""Register indexing, ladder operators, and the partial trace of the test
+oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgqed.qubit_algebra import (
-    EmitterRegister,
-    basis_index,
-    commutator,
-    lowering_op,
-    partial_trace,
-)
+from oracles import partial_trace
+from wgqed.qubit_algebra import EmitterRegister, basis_index, commutator, lowering_op
 
 SIGMA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 

@@ -451,22 +451,29 @@ def test_module_entry_point_runs_without_runtime_warning():
 def test_traced_benchmark_pass_finds_every_wrapped_name(tmp_path):
     """The benchmark's traced pass wraps module attributes by name and drops
     every metric whose name has gone, so a rename would pass unnoticed:
-    run its tracing script on a one-step 3-emitter run and require that it
-    finds every name and reads the integration's shape."""
-    text = scenario_path("three_emitter_chirality_sweep").read_text(encoding="utf-8")
-    path = write(tmp_path, text.replace("integrator.t_end = 12.0", "integrator.t_end = 1e-3"))
-    report = tmp_path / "report.json"
+    run its tracing script on one-step 3- and 2-emitter runs and require
+    that it finds every name, reads the integration's shape, and counts
+    one call of the entanglement measure each run requests (a name kept
+    only as a dead import would count none)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(SRC_DIR.parent / "perfbench" / "tracing.py"), str(report),
-         "run", str(path), "--out-dir", str(tmp_path), "--quiet"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    traced = json.loads(report.read_text())
-    assert traced["absent"] == []
-    assert [(i["state_len"], i["steps"]) for i in traced["integrations"]] == [(196, 1)]
+    for stem, state_len, span in (
+        ("three_emitter_chirality_sweep", 196, "entanglement.fill"),
+        ("two_emitter_chirality_sweep", 52, "entanglement.concurrence"),
+    ):
+        text = scenario_path(stem).read_text(encoding="utf-8")
+        path = write(tmp_path, text.replace("integrator.t_end = 12.0", "integrator.t_end = 1e-3"))
+        report = tmp_path / "report.json"
+        proc = subprocess.run(
+            [sys.executable, str(SRC_DIR.parent / "perfbench" / "tracing.py"), str(report),
+             "run", str(path), "--out-dir", str(tmp_path), "--quiet"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        traced = json.loads(report.read_text())
+        assert traced["absent"] == []
+        assert [(i["state_len"], i["steps"]) for i in traced["integrations"]] == [(state_len, 1)]
+        assert traced["spans"][span]["count"] == 1
