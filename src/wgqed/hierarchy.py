@@ -13,7 +13,7 @@ Every block evolves under one generic rule,
     d/dt rho_{m,n} = L[rho_{m,n}] + sqrt(m) g(t) [rho_{m-1,n}, L_in^dag]
                                   + sqrt(n) g*(t) [L_in, rho_{m,n-1}],
 
-    L_in = sum_i sqrt(Gamma_ir) e^{-i k0 d_i} s_i,
+    L_in = sum_i sqrt(Gamma_ir) e^{-2 pi i d_ratio (i - 1)} s_i,
 
 with the m=0 (resp. n=0) term absent.  Only right-moving photons drive the
 couplings (the left input is vacuum), hence the lone sqrt(Gamma_ir).

@@ -37,7 +37,7 @@ times in 1/Gamma.  apply_total also takes a (..., dim, dim) stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,29 +73,26 @@ class EmitterParams:
 class ChainConfig:
     """Per-emitter parameters plus chain-level geometry.
 
-    d_ratio is the inter-emitter spacing over the resonant wavelength;
-    k0d holds the per-emitter driving phases k0*d_j in radians (all zero
-    by default — emitters co-located on the drive).
+    d_ratio is the inter-emitter spacing over the resonant wavelength.  It
+    sets both the propagation phases of `coupling_matrix` and the drive
+    phases `k0d`, so the two cannot disagree.
     """
 
     emitters: tuple
     d_ratio: float = 0.0
-    k0d: tuple = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not self.emitters:
             raise ValueError("chain needs at least one emitter")
         object.__setattr__(self, "emitters", tuple(self.emitters))
-        if self.k0d is None:
-            object.__setattr__(self, "k0d", (0.0,) * len(self.emitters))
-        else:
-            object.__setattr__(self, "k0d", tuple(float(p) for p in self.k0d))
-        if len(self.k0d) != len(self.emitters):
-            raise ValueError(
-                f"k0d has {len(self.k0d)} entries for {len(self.emitters)} emitters"
-            )
-        if not all(math.isfinite(p) for p in self.k0d) or not math.isfinite(self.d_ratio):
-            raise ValueError("phases must be finite")
+        if not math.isfinite(self.d_ratio):
+            raise ValueError(f"d_ratio must be finite, got {self.d_ratio}")
+
+    @property
+    def k0d(self) -> tuple:
+        """Drive phase 2 pi d_ratio (j - 1) of emitter j, in radians: what the
+        right-moving pulse picks up on its way from emitter 1."""
+        return tuple(2.0 * math.pi * self.d_ratio * (j - 1) for j in range(1, self.n_emitters + 1))
 
     @property
     def n_emitters(self) -> int:

@@ -39,13 +39,7 @@ _DEFAULT_POPULATIONS = {
     3: ("egg+geg+gge", "eeg+ege+gee", "eee"),
 }
 
-_EMITTER_DEFAULTS = {
-    "gamma_r": "1.0",
-    "gamma_l": "1.0",
-    "gamma_spont": "0.0",
-    "delta": "0.0",
-    "k0d": "0.0",
-}
+_EMITTER_DEFAULTS = {"gamma_r": 1.0, "gamma_l": 1.0, "gamma_spont": 0.0, "delta": 0.0}
 
 
 class ScenarioError(ValueError):
@@ -192,28 +186,36 @@ def build_scenario(kv: dict) -> Scenario:
 
     d_ratio = _as_float("chain.d_ratio", take("chain.d_ratio", "0.0"))
 
-    # emitter parameters: chain-wide values first, then per-emitter overrides
-    base = {}
-    for name in _EMITTER_FIELDS:
-        raw = take(f"emitter.{name}")
-        base[name] = _as_float(
-            f"emitter.{name}", _EMITTER_DEFAULTS[name] if raw is None else raw
-        )
-    per = [dict(base) for _ in range(n_emitters)]
-    for key in list(kv):
+    # emitter values, each kept with the key that set it: chain-wide keys
+    # first, then per-emitter overrides
+    per = [{name: (f"emitter.{name}", v) for name, v in _EMITTER_DEFAULTS.items()}
+           for _ in range(n_emitters)]
+    for key in sorted((k for k in kv if k.startswith("emitter.")), key=lambda k: k.count(".")):
         parts = key.split(".")
-        if len(parts) == 3 and parts[0] == "emitter" and parts[2] in _EMITTER_FIELDS:
+        if len(parts) > 3 or parts[-1] not in _EMITTER_FIELDS:
+            continue  # left for the unknown-key check
+        targets = per
+        if len(parts) == 3:
             idx = _as_int(key, parts[1])
             if not 1 <= idx <= n_emitters:
                 raise ScenarioError(key, f"emitter index out of range 1..{n_emitters}")
-            per[idx - 1][parts[2]] = _as_float(key, kv.pop(key))
-    try:
-        emitters = tuple(
-            EmitterParams(p["gamma_r"], p["gamma_l"], p["gamma_spont"], p["delta"]) for p in per
-        )
-        chain = ChainConfig(emitters, d_ratio=d_ratio, k0d=tuple(p["k0d"] for p in per))
-    except ValueError as exc:
-        raise ScenarioError("emitter.*", str(exc)) from None
+            targets = per[idx - 1:idx]
+        value = _as_float(key, kv.pop(key))
+        for p in targets:
+            p[parts[-1]] = (key, value)
+    written_phases = [p.pop("k0d", None) for p in per]
+    emitters = []
+    for p in per:
+        try:
+            emitters.append(EmitterParams(**{name: v for name, (_, v) in p.items()}))
+        except ValueError as exc:  # the message starts with the field
+            raise ScenarioError(p[str(exc).split()[0]][0], str(exc)) from None
+    chain = ChainConfig(tuple(emitters), d_ratio=d_ratio)
+    # A k0d key is only accepted at the phase the spacing already fixes.
+    for j, (written, phase) in enumerate(zip(written_phases, chain.k0d), start=1):
+        if written is not None and written[1] != phase:
+            raise ScenarioError(written[0], f"the drive phase of emitter {j} follows from "
+                                f"chain.d_ratio: 2 pi d_ratio (j - 1) = {phase!r}, got {written[1]!r}")
 
     dt = _as_float("integrator.dt", take("integrator.dt", "1e-3"))
     t_end = _as_float("integrator.t_end", take("integrator.t_end", "12.0"))

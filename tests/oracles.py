@@ -81,8 +81,11 @@ def column_by_column_operators(cfg: ChainConfig, n_ph: int):
     dim = cfg.register.dim
     d2 = dim * dim
     sigmas = [lowering_op(cfg.register, j) for j in range(1, cfg.n_emitters + 1)]
+    # conjugate L_in weights: the right-moving pulse reaches emitter j + 1
+    # with the phase 2 pi d_ratio j
     weights = [
-        math.sqrt(em.gamma_r) * np.exp(1j * k0d) for em, k0d in zip(cfg.emitters, cfg.k0d)
+        math.sqrt(em.gamma_r) * np.exp(2j * math.pi * cfg.d_ratio * j)
+        for j, em in enumerate(cfg.emitters)
     ]
     liou, c_up, c_dn = (np.empty((d2, d2), dtype=complex) for _ in range(3))
     basis = np.zeros((dim, dim), dtype=complex)
@@ -235,8 +238,7 @@ def random_chain(rng, n):
         )
         for _ in range(n)
     )
-    k0d = tuple(rng.uniform(-np.pi, np.pi, size=n))
-    return ChainConfig(emitters, d_ratio=rng.uniform(0.0, 0.5), k0d=k0d)
+    return ChainConfig(emitters, d_ratio=rng.uniform(0.0, 0.5))
 
 
 def random_blocks(rng, n, pairs):
@@ -261,7 +263,7 @@ def handwritten_three_photon_rhs(cfg: ChainConfig, blocks: dict, t: float,
     g = amplitude(pulse, t)
     sig = [lowering_op(reg, j) for j in range(1, n + 1)]
     w = [math.sqrt(em.gamma_r) for em in cfg.emitters]
-    ph = [np.exp(1j * k) for k in cfg.k0d]
+    ph = [np.exp(2j * math.pi * cfg.d_ratio * j) for j in range(n)]  # from emitter 1 to j + 1
     r = blocks
     s2, s3 = math.sqrt(2.0), math.sqrt(3.0)
 

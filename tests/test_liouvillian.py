@@ -24,8 +24,7 @@ def random_chain(rng, n):
         )
         for _ in range(n)
     )
-    k0d = tuple(rng.uniform(-np.pi, np.pi, size=n))
-    return ChainConfig(emitters, d_ratio=rng.uniform(0.0, 0.5), k0d=k0d)
+    return ChainConfig(emitters, d_ratio=rng.uniform(0.0, 0.5))
 
 
 # ---------------------------------------------------------------- validation
@@ -43,9 +42,12 @@ def test_chain_config_validation():
     with pytest.raises(ValueError):
         ChainConfig(())
     with pytest.raises(ValueError):
-        ChainConfig((EmitterParams(),), k0d=(0.0, 0.0))
+        ChainConfig((EmitterParams(),), d_ratio=float("nan"))
+    with pytest.raises(TypeError):  # the drive phase is not a setting
+        ChainConfig((EmitterParams(),), k0d=(0.0,))
+    cfg = ChainConfig((EmitterParams(),) * 3, d_ratio=0.3)
+    assert cfg.k0d == (0.0, 2 * np.pi * 0.3, 4 * np.pi * 0.3)
     cfg = ChainConfig((EmitterParams(), EmitterParams()))
-    assert cfg.k0d == (0.0, 0.0)
     assert cfg.n_emitters == 2
     assert cfg.register.dim == 4
 

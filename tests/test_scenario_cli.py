@@ -1,5 +1,7 @@
 """Scenario parsing/validation and the command-line front end."""
 
+import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -76,7 +78,10 @@ def test_value_range_checks():
         ({"n_emitters": "1", "pulse.mu": "abc"}, "pulse.mu"),
         ({"n_emitters": "1", "integrator.dt": "0"}, "integrator.dt"),
         ({"n_emitters": "1", "integrator.stride": "0"}, "integrator.stride"),
-        ({"n_emitters": "1", "emitter.gamma_r": "-2"}, "emitter.*"),
+        ({"n_emitters": "1", "emitter.gamma_r": "-2"}, "emitter.gamma_r"),
+        ({"n_emitters": "2", "emitter.2.gamma_r": "-1"}, "emitter.2.gamma_r"),
+        ({"n_emitters": "3", "emitter.gamma_spont": "-0.5"}, "emitter.gamma_spont"),
+        ({"n_emitters": "2", "emitter.delta": "1", "emitter.2.gamma_l": "-3"}, "emitter.2.gamma_l"),
         ({"n_emitters": "1", "sweep.ratios": " , "}, "sweep.ratios"),
         ({"n_emitters": "1", "sweep.ratios": "1, -2"}, "sweep.ratios"),
         ({"n_emitters": "1", "sweep.ratios": "1, 2, 1.0000001"}, "sweep.ratios"),
@@ -95,6 +100,28 @@ def test_value_range_checks():
         with pytest.raises(ScenarioError) as excinfo:
             build_scenario(kv)
         assert excinfo.value.key == key, kv
+
+
+def test_drive_phase_key_is_only_accepted_at_the_derived_value():
+    """The drive phase follows from chain.d_ratio; a k0d key may restate it
+    bit for bit, as resolved() writes it, and is refused otherwise under
+    the key that was written, with the derived value in the message."""
+    spaced = {"n_emitters": "3", "chain.d_ratio": "0.3"}
+    derived = build_scenario(spaced).chain.k0d
+    restated = {f"emitter.{j}.k0d": repr(phase) for j, phase in enumerate(derived, start=1)}
+    assert build_scenario({**spaced, **restated}) == build_scenario(spaced)
+    assert build_scenario({"n_emitters": "2", "emitter.k0d": "0"}).chain.k0d == (0.0, 0.0)
+    for extra, key, phase in (
+        ({"emitter.2.k0d": "0"}, "emitter.2.k0d", derived[1]),
+        ({"emitter.3.k0d": repr(derived[2] + 1e-15)}, "emitter.3.k0d", derived[2]),
+        ({"emitter.k0d": "0"}, "emitter.k0d", derived[1]),
+        ({"emitter.k0d": "0", "emitter.2.k0d": repr(derived[1])}, "emitter.k0d", derived[2]),
+        ({"emitter.4.k0d": "0"}, "emitter.4.k0d", None),
+    ):
+        with pytest.raises(ScenarioError) as excinfo:
+            build_scenario({**spaced, **extra})
+        assert excinfo.value.key == key, extra
+        assert phase is None or repr(phase) in str(excinfo.value), extra
 
 
 def test_defaults_per_register_size():
@@ -477,3 +504,19 @@ def test_traced_benchmark_pass_finds_every_wrapped_name(tmp_path):
         assert traced["absent"] == []
         assert [(i["state_len"], i["steps"]) for i in traced["integrations"]] == [(state_len, 1)]
         assert traced["spans"][span]["count"] == 1
+
+
+def test_benchmark_scenario_files_restate_the_derived_drive_phase(monkeypatch):
+    """Every benchmark scenario file writes emitter.<j>.k0d; build_scenario
+    refuses any value but the derived phase, so a change to the phase
+    expression that moves it by one bit fails here, not in the benchmark."""
+    monkeypatch.syspath_prepend(str(SRC_DIR.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    spaced = 0
+    for name, shapes in workloads.WORKLOADS.items():
+        for shape, seed in itertools.product(shapes, (0, 1, 2, 17)):
+            kv = parse_scenario_text(workloads.scenario_text(name, shape, seed))
+            written = tuple(float(kv[f"emitter.{j}.k0d"]) for j in range(1, shape.n_emitters + 1))
+            assert build_scenario(kv).chain.k0d == written, (name, shape.stem, seed)
+            spaced += any(written)
+    assert spaced >= 8  # seeds other than 0 draw d_ratio > 0
