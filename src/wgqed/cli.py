@@ -7,7 +7,9 @@
 
 `wgqed sweep <scenario>` repeats the run for every Gamma_r/Gamma_l ratio
 in `sweep.ratios` (Gamma_l held at Gamma, Gamma_r = ratio * Gamma_l) and
-additionally writes an aggregate CSV of per-ratio peak values.
+additionally writes an aggregate CSV of per-ratio peak values.  The ratios
+run in parallel, in forked workers, on every CPU the process may use;
+`taskset -c 0 wgqed sweep ...` runs them one after another.
 
 Exit codes: 0 success; 2 scenario parse/validation failure (the message
 names the offending key); 3 integration blow-up (message reports the
@@ -19,8 +21,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import pickle
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -95,8 +100,64 @@ def run(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
     return written
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_share(sc: Scenario, out: Path, stem: str, ratios: list, send) -> None:
+    """Run and write each ratio in turn, passing `send` its (paths, peaks); a
+    blow-up is passed as its IntegrationBlowUpError and ends the share."""
+    for ratio in ratios:
+        sc_ratio = sc.with_ratio(ratio)
+        try:
+            traj, _states = simulate_scenario(sc_ratio)
+        except IntegrationBlowUpError as exc:
+            send(exc)
+            return
+        send(_write_run(out, f"{stem}_ratio{ratio_tag(ratio)}", sc_ratio, traj))
+
+
+def _serve_share(fd: int, sc: Scenario, out: Path, stem: str, ratios: list) -> NoReturn:
+    """Body of a forked worker: run a share, pickling each outcome into the
+    pipe `fd` as it comes.  Exits the process; never returns to the caller."""
+    code = 1
+    try:
+        with os.fdopen(fd, "wb") as pipe:
+
+            def send(outcome):
+                pickle.dump(outcome, pipe)
+                pipe.flush()
+
+            _run_share(sc, out, stem, ratios, send)
+        code = 0
+    except BaseException:  # a forked worker reports and exits; it must not unwind into the caller
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _receive(pipe) -> list:
+    """Every outcome a worker pickled into `pipe`, read to its end."""
+    outcomes = []
+    while True:
+        try:
+            outcomes.append(pickle.load(pipe))
+        except EOFError:
+            return outcomes
+
+
 def sweep(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
-    """One run per Gamma_r/Gamma_l ratio plus an aggregate peak CSV."""
+    """One run per Gamma_r/Gamma_l ratio plus an aggregate peak CSV.
+
+    The ratios are dealt round-robin into one share per usable CPU.  This
+    process runs the first share and a forked worker each other one; the
+    progress lines, the aggregates and a blow-up follow ratio order."""
     sc = load_scenario(scenario_path, dt_override=dt)
     if not sc.sweep_ratios:
         raise ScenarioError("sweep.ratios", "required for the sweep command")
@@ -105,14 +166,49 @@ def sweep(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
     stem = Path(scenario_path).stem
 
     ratios = list(sc.sweep_ratios)
+    k = min(len(ratios), _usable_cpus())
+    shares = [ratios[j::k] for j in range(k)]
+    sys.stdout.flush()  # a forked worker must not write out a copy of pending output
+    sys.stderr.flush()
+    pids, pipes = [], []
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve_share(w, sc, out, stem, share)
+                pids.append(pid)
+            finally:
+                os.close(w)
+        received = [[]]
+        _run_share(sc, out, stem, shares[0], received[0].append)
+        received += [_receive(pipe) for pipe in pipes]
+    except BaseException:
+        import signal  # imported here only: a run loads no module it does not use
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
     written = []
     agg_rows = []
     peaks_by_ratio = {}
-    for ratio in ratios:
+    for i, ratio in enumerate(ratios):
         tag = ratio_tag(ratio)
-        sc_ratio = sc.with_ratio(ratio)
-        traj, _states = simulate_scenario(sc_ratio)
-        paths, peaks = _write_run(out, f"{stem}_ratio{tag}", sc_ratio, traj)
+        share = received[i % k]  # ratio i is outcome i // k of share i % k
+        if i // k >= len(share):
+            raise RuntimeError(f"the sweep worker running ratio {tag} exited without its result")
+        outcome = share[i // k]
+        if isinstance(outcome, IntegrationBlowUpError):
+            raise outcome
+        paths, peaks = outcome
         written += paths
         peaks_by_ratio[tag] = peaks
         # the drive shape is ratio-independent; the other series are the same for every ratio

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["wootters_concurrence", "concurrence_fill"]
+__all__ = ["StateCheckError", "wootters_concurrence", "concurrence_fill"]
 
 _TRACE_TOL = 1e-6
 _HERM_TOL = 1e-6
@@ -43,13 +43,22 @@ _PSD_TOL = -1e-8
 _EXCITED = [[a for a in range(8) if a >> (3 - i) & 1] for i in (1, 2, 3)]
 
 
+class StateCheckError(ValueError):
+    """A state failed a check; `reason` says which, `record` is the flat index
+    of the first bad matrix of a stack (None for a single matrix)."""
+
+    def __init__(self, reason: str, record: int = None):
+        self.reason = reason
+        self.record = record
+        super().__init__(reason if record is None else f"{reason} at record {record}")
+
+
 def _first_bad(bad: np.ndarray, values: np.ndarray, message: str) -> None:
-    """Raise ValueError naming the value of the first record where `bad`
+    """Raise StateCheckError naming the value of the first record where `bad`
     holds and, for a stack, its flat record index."""
     if np.any(bad):
-        i = np.argmax(bad)
-        where = f" at record {i}" if np.ndim(bad) else ""
-        raise ValueError(message.format(np.ravel(values)[i]) + where)
+        i = int(np.argmax(bad))
+        raise StateCheckError(message.format(np.ravel(values)[i]), i if np.ndim(bad) else None)
 
 
 def _validate_state(rho: np.ndarray, dim: int) -> np.ndarray:

@@ -100,7 +100,11 @@ class IntegrationBlowUpError(RuntimeError):
 
     def __init__(self, time: float, reason: str = "non-finite state"):
         self.time = time
+        self.reason = reason
         super().__init__(f"integration blew up ({reason}) at t = {time:g}")
+
+    def __reduce__(self):  # rebuild from the arguments, not from the formatted message
+        return type(self), (self.time, self.reason)
 
 
 class _StackedStep:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entanglement import concurrence_fill, wootters_concurrence
-from .integrator import StateTrajectory
+from .entanglement import StateCheckError, concurrence_fill, wootters_concurrence
+from .integrator import IntegrationBlowUpError, StateTrajectory
 from .pulse import GaussianPulse, amplitude
 from .qubit_algebra import EmitterRegister, basis_index
 
@@ -80,12 +80,20 @@ def build_trajectory(
     want_fill: bool = False,
     pulse: GaussianPulse = None,
 ) -> Trajectory:
-    """Assemble the requested named series from recorded hierarchy states."""
+    """Assemble the requested named series from recorded hierarchy states.
+
+    A physical block that fails a state check of a measure is reported as an
+    IntegrationBlowUpError at the time of the first bad record."""
     phys = states.physical()
+    try:
+        concurrence = wootters_concurrence(phys) if want_concurrence else None
+        fill = concurrence_fill(phys) if want_fill else None
+    except StateCheckError as exc:
+        raise IntegrationBlowUpError(float(states.times[exc.record]), exc.reason) from exc
     return Trajectory(
         times=states.times,
         populations={lb: population(phys, states.register, lb) for lb in population_labels},
-        concurrence=wootters_concurrence(phys) if want_concurrence else None,
-        fill=concurrence_fill(phys) if want_fill else None,
+        concurrence=concurrence,
+        fill=fill,
         pulse_intensity=None if pulse is None else np.square(amplitude(pulse, states.times)),
     )

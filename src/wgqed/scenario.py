@@ -47,7 +47,11 @@ class ScenarioError(ValueError):
 
     def __init__(self, key: str, message: str):
         self.key = key
+        self.message = message
         super().__init__(f"scenario key {key!r}: {message}")
+
+    def __reduce__(self):  # rebuild from the arguments, not from the formatted message
+        return type(self), (self.key, self.message)
 
 
 def parse_scenario_text(text: str) -> dict:
