@@ -26,11 +26,15 @@ stacked; E and the quadrature weights come from one Taylor series over the
 stack, valid while ||h A_l||_1 <= MAX_STEP_NORM.  The grid is walked in
 chunks of _CHUNK steps as a wavefront: at iteration i level l steps chunk
 i + 1 - l, forced by what level l - 1 made of it at iteration i - 1, so one
-call steps every active level, n_chunks + 2 n_ph - 1 calls in all.  Within
-a chunk the recurrence y_{k+1} = E y_k + q_k runs in blocks of _BLOCK
-steps: one loop builds the in-block partial sums of every block at once,
-one loop carries the block starts, and one product with the powers of E
-fills in the grid.
+call steps every active level, n_chunks + 2 n_ph - 1 calls in all.  A
+level's chunk is stored as [y_l; f_l], (2 p, c + 1), with the grid as the
+contiguous axis: u is formed in rows of c + 1 reals and every product runs
+over the chunk's c steps at once.  Within a chunk the recurrence
+y_{k+1} = E y_k + q_k runs in blocks of B = _BLOCK steps: one loop builds
+the in-block partial sums r_b of every block at once, a doubling scan
+carries the block starts x_{b+1} = E^B x_b + r_b in ceil(log2(c / B))
+steps (Blelloch, "Prefix sums and their applications", 1990), and one
+product with the powers of E fills in the grid.
 """
 
 from __future__ import annotations
@@ -110,9 +114,21 @@ class IntegrationBlowUpError(RuntimeError):
 class _StackedStep:
     """Exact chunk steps of y_l' = A_l y_l + f_l(t), f_l Hermite-interpolated, for
     levels l >= 1 in one call: zero-padded to p coordinates and stacked, operator
-    l - 1 for level l: M_s, M_e (from_start, from_end) and B_l^T (bt).  Padded
-    rows and columns of every operator are exactly 0, so padded coordinates stay
-    0.  States are rows; operators act from the right."""
+    l - 1 for level l.  Padded rows and columns of every operator are exactly 0,
+    so padded coordinates stay 0.
+
+    A chunk is stored with the grid as the contiguous axis, w[l] = [y_l; f_l] of
+    shape (2 p, c + 1), so u = [g y, g f + g' y] of the level below is formed in
+    rows of c + 1 and f_l = B_l (g y_{l-1}) is one (p, p) @ (p, c + 1) product
+    (b).  The forcing q_k = M_s u_k + M_e u_{k+1} and the recurrence run in row
+    form, a step's state being a row and operators acting from the right:
+    q = u_s^T M_s^T + u_e^T M_e^T (from_start, from_end) is written as c rows of
+    p into the memory of y_l, and e_fill = [E^T, ..., (E^B)^T].  With the
+    block-end partial sums r_k, the block starts x_{k+1} = F x_k + r_k, F = E^B,
+    come from a doubling scan: v_0 = F x_0 + r_0 and v_k = r_k, then
+    v_k += F^d v_{k-d} for k >= d, d = 1, 2, 4, ... < c / B (scan holds
+    (F^d)^T), leaves v_k = x_{k+1}.  The fill product goes into _work, where
+    u is spent, and is copied back into the columns of y_l."""
 
     def __init__(self, levels: list, h: float, c: int):
         n, p = len(levels) - 1, max(len(level.rows) for level in levels)
@@ -148,42 +164,54 @@ class _StackedStep:
         e, p0, p1, q0, q1 = series.swapaxes(0, 1).swapaxes(-1, -2)
         bt, bat = b[1:].swapaxes(-1, -2), (b[1:] @ a[:-1]).swapaxes(-1, -2)
         w0, w1 = h * np.stack([p0, q0]), h * h * np.stack([p1, q1])  # of f, f' at t and t + h
-        # M_s, M_e: those weights pulled back onto u = [g y, g f + g' y] of the level below
+        # M_s^T, M_e^T: those weights pulled back onto u = [g y, g f + g' y] of the level below
         self.from_start, self.from_end = np.concatenate([bt @ w0 + bat @ w1, bt @ w1], axis=2)
-        self.bt = bt
+        self.b = b[1:]
         fill = self.e_fill = np.empty((n, p, _BLOCK * p))  # [E, E^2, ..., E^B]
         fill[..., :p] = e
         for j in range(p, _BLOCK * p, p):
             np.matmul(e, fill[..., j - p:j], out=fill[..., j:j + p])
+        nb = c // _BLOCK  # (F^d)^T for the scan's steps d = 1, 2, 4, ... < nb; F^T also folds in x_0
+        scan = self.scan = np.empty((max(1, (nb - 1).bit_length()), n, p, p))
+        scan[0] = fill[..., -p:]
+        for j in range(1, len(scan)):
+            np.matmul(scan[j - 1], scan[j - 1], out=scan[j])
         self.p, self.c = p, c
         self._work = np.empty(n * (c + 1) * 2 * p)
-        self._starts = np.empty((n, c // _BLOCK + 1, p))
+        self._starts = np.empty((n, nb + 1, p))
 
     def run(self, w: np.ndarray, lo: int, hi: int, g: np.ndarray, dg: np.ndarray) -> None:
-        """Step levels lo..hi of w by one chunk each, in place.  w[l] is [y_l, f_l]
-        on level l's last chunk, (c + 1, 2 p): level l starts from w[l, -1, :p] and
+        """Step levels lo..hi of w by one chunk each, in place.  w[l] is [y_l; f_l]
+        on level l's last chunk, (2 p, c + 1): level l starts from w[l, :p, -1] and
         is forced by w[l - 1].  g and dg, (hi - lo + 1, c + 1), are the drive and
         its rate on each level's chunk."""
         s, p, c, n = slice(lo - 1, hi), self.p, self.c, hi - lo + 1
         starts, work = self._starts[:n], self._work[:n * (c + 1) * 2 * p]
-        starts[:, 0] = w[lo:hi + 1, -1, :p]
-        u, below, g, dg = work.reshape(n, c + 1, 2 * p), w[lo - 1:hi], g[..., None], dg[..., None]
-        np.multiply(below[..., :p], dg, out=u[..., p:])
-        np.multiply(below[..., p:], g, out=u[..., :p])
-        u[..., p:] += u[..., :p]
-        np.multiply(below[..., :p], g, out=u[..., :p])  # u = [g y, g f + g' y] below; w is read
-        y, f = w[lo:hi + 1, :, :p], w[lo:hi + 1, :, p:]
-        q = np.matmul(u[:, :-1], self.from_start[s], out=y[:, 1:])
-        q += np.matmul(u[:, 1:], self.from_end[s], out=f[:, 1:])
-        np.matmul(u[..., :p], self.bt[s], out=f)  # f_l = g B_l y_{l-1}
-        q = q.reshape(n, -1, _BLOCK, p)  # a view into y
+        starts[:, 0] = w[lo:hi + 1, :p, -1]
+        u, below, g, dg = work.reshape(n, 2 * p, c + 1), w[lo - 1:hi], g[:, None], dg[:, None]
+        np.multiply(below[:, :p], dg, out=u[:, p:])
+        np.multiply(below[:, p:], g, out=u[:, :p])
+        u[:, p:] += u[:, :p]
+        np.multiply(below[:, :p], g, out=u[:, :p])  # u = [g y, g f + g' y] below; w is read
+        own = w[lo:hi + 1]
+        rows = own.reshape(n, 2, -1)[..., :c * p].reshape(n, 2, c, p)  # y_l's, f_l's memory
+        u_t = u.swapaxes(1, 2)
+        q = np.matmul(u_t[:, :-1], self.from_start[s], out=rows[:, 0])
+        q += np.matmul(u_t[:, 1:], self.from_end[s], out=rows[:, 1])
+        np.matmul(self.b[s], u[:, :p], out=own[:, p:])  # f_l = g B_l y_{l-1}
+        q = q.reshape(n, -1, _BLOCK, p)
         for j in range(1, _BLOCK):  # in-block partial sums of every block, started from 0
             q[:, :, j] += q[:, :, j - 1] @ self.e_fill[s, :, :p]
-        for k in range(q.shape[1]):  # block starts, by E^B
-            starts[:, k + 1] = (starts[:, k, None] @ self.e_fill[s, :, -p:])[:, 0] + q[:, k, -1]
+        starts[:, 1:] = q[:, :, -1]  # block starts: v_0 = F x_0 + r_0, v_k = r_k
+        starts[:, 1] += (starts[:, 0, None] @ self.scan[0, s])[:, 0]
+        for j in range((c // _BLOCK - 1).bit_length()):  # v_k += F^d v_{k-d}, d = 2^j
+            d = 1 << j
+            starts[:, 1 + d:] += starts[:, 1:-d] @ self.scan[j, s]
         fill = work[:n * c * p].reshape(n, -1, _BLOCK * p)  # u is spent
-        q += np.matmul(starts[:, :-1], self.e_fill[s], out=fill).reshape(q.shape)
-        y[:, ::_BLOCK] = starts  # the block starts, as carried
+        np.matmul(starts[:, :-1], self.e_fill[s], out=fill)
+        fill += q.reshape(fill.shape)
+        own[:, :p, 1:] = fill.reshape(n, c, p).swapaxes(1, 2)
+        own[:, :p, ::_BLOCK] = starts.swapaxes(1, 2)  # the block starts, as carried
 
 
 @dataclass
@@ -247,9 +275,9 @@ def integrate(
     times = recorded * h
     bounds = np.searchsorted(recorded, np.arange(n_chunks + 1) * c, side="right")  # per chunk
     snaps = np.tile(ground, (len(recorded), 1))  # level 0 is held at the start
-    w = np.zeros((len(levels), c + 1, 2 * stepper.p))  # [y_l, f_l] on level l's last chunk
+    w = np.zeros((len(levels), 2 * stepper.p, c + 1))  # [y_l; f_l] on level l's last chunk
     for level, wl in zip(levels, w):
-        wl[:, :len(level.rows)] = ground[level.rows]
+        wl[:len(level.rows)] = ground[level.rows, None]
 
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.arange(n_chunks * c + 1) * h
@@ -261,7 +289,7 @@ def integrate(
             stepper.run(w, lo, hi, g[chunks], dg[chunks])
             for l, j in zip(range(lo, hi + 1), chunks):
                 rec = slice(bounds[j], bounds[j + 1])
-                snaps[rec, levels[l].rows] = w[l, recorded[rec] - j * c, :len(levels[l].rows)]
+                snaps[rec, levels[l].rows] = w[l, :len(levels[l].rows), recorded[rec] - j * c]
             if hi == top:  # chunk i + 1 - top is now done on every level
                 rec = slice(bounds[i + 1 - top], bounds[i + 2 - top])
                 finite = np.isfinite(snaps[rec]).all(axis=1)

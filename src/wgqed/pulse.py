@@ -31,15 +31,16 @@ class GaussianPulse:
 
 
 def amplitude(pulse: GaussianPulse, t):
-    """Mode amplitude g(t); real, so it equals its own conjugate."""
+    """Mode amplitude g(t); real, so it equals its own conjugate.  A float for
+    a scalar t (0-d arrays included), an array for a list, tuple or array."""
     s = np.asarray(t, dtype=float) - pulse.t_bar
     val = np.sqrt(pulse.mu) / (2.0 * np.pi) ** 0.25 * np.exp(-(pulse.mu ** 2) * s * s / 4.0)
-    if np.isscalar(t) or getattr(t, "ndim", 0) == 0:
-        return float(val)
-    return val
+    return float(val) if np.ndim(t) == 0 else val
 
 
 def amplitude_rate(pulse: GaussianPulse, t):
-    """Time derivative g'(t) = -(mu^2 / 2) (t - t_bar) g(t), in closed form."""
+    """Time derivative g'(t) = -(mu^2 / 2) (t - t_bar) g(t), in closed form;
+    returned as amplitude returns g."""
     s = np.asarray(t, dtype=float) - pulse.t_bar
-    return -0.5 * pulse.mu ** 2 * s * amplitude(pulse, t)
+    rate = -0.5 * pulse.mu ** 2 * s * amplitude(pulse, t)
+    return float(rate) if np.ndim(t) == 0 else rate

@@ -273,7 +273,7 @@ def build_scenario(kv: dict) -> Scenario:
         unknown = sorted(kv)[0]
         raise ScenarioError(unknown, "unknown key")
 
-    return Scenario(
+    sc = Scenario(
         n_emitters=n_emitters,
         n_photons=n_photons,
         pulse=pulse,
@@ -285,6 +285,12 @@ def build_scenario(kv: dict) -> Scenario:
         want_pulse=want_pulse,
         sweep_ratios=sweep_ratios,
     )
+    for ratio in sweep_ratios or ():
+        try:
+            sc.with_ratio(ratio)
+        except ValueError as exc:  # ratio * gamma_l overflows to inf
+            raise ScenarioError("sweep.ratios", f"ratio {ratio!r}: {exc}") from None
+    return sc
 
 
 def load_scenario(path, dt_override: float = None) -> Scenario:

@@ -3,6 +3,7 @@ reference: accuracy, order, recording grid, the stacked wavefront, limits
 and failure modes.  The RK4 oracle's own tests come first."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,24 +319,25 @@ def test_stacked_operators_vanish_outside_each_level(n, n_ph):
     for l in range(1, len(levels)):
         own, below = inside(size[l]), inside(size[l - 1])
         masks = {
-            "from_start": np.outer(np.tile(below, 2), own),  # [y, f] below -> own
+            "from_start": np.outer(np.tile(below, 2), own),  # [y, f] below -> own, on rows
             "from_end": np.outer(np.tile(below, 2), own),
-            "bt": np.outer(below, own),
+            "b": np.outer(own, below),  # on the columns of [y; f] below
             "e_fill": np.outer(own, np.tile(own, integrator._BLOCK)),
         }
-        for name, mask in masks.items():
-            op = getattr(step, name)[l - 1]
+        ops = [(name, getattr(step, name)[l - 1], mask) for name, mask in masks.items()]
+        ops += [("scan", power, np.outer(own, own)) for power in step.scan[:, l - 1]]
+        for name, op, mask in ops:
             assert np.any(op[mask]), (name, l)
             assert not np.any(op[~mask]), (name, l)
 
     rng = np.random.default_rng(n)
-    w = np.zeros((len(levels), c + 1, 2 * p))
+    w = np.zeros((len(levels), 2 * p, c + 1))
     for l, k in enumerate(size):
-        w[l, :, :k], w[l, :, p:p + k] = rng.normal(size=(2, c + 1, k))
+        w[l, :k], w[l, p:p + k] = rng.normal(size=(2, k, c + 1))
     drive = rng.normal(size=(len(levels) - 1, c + 1))
     step.run(w, 1, len(levels) - 1, drive, drive[::-1])
     for l, k in enumerate(size):
-        assert not np.any(w[l, :, k:p]) and not np.any(w[l, :, p + k:]), l
+        assert not np.any(w[l, k:p]) and not np.any(w[l, p + k:]), l
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -345,29 +347,62 @@ def test_one_call_forces_each_level_with_the_level_below_before_the_call(n, n_ph
     level: the forcing f = g B_l y and its rate f' = g' B_l y + g B_l (A_{l-1} y
     + f_{l-1}) from the level below, then the Hermite quadrature on [f, f']
     (oracles._OneLevelStep).  The same call overwrites level l - 1 while it
-    steps level l, so level l must see what w held before the call."""
+    steps level l, so level l must see what w held before the call.  Chunks
+    of 1, 3 and 5 blocks run the block-start scan with no doubling step and
+    with block counts that are not powers of two."""
     rng = np.random.default_rng(900 + 10 * n + n_ph)
     levels = HierarchyPropagator(random_chain(rng, n), n_ph).levels()
-    h, c = 1e-2, 4 * integrator._BLOCK
-    step = integrator._StackedStep(levels, h, c)
-    p, top = step.p, len(levels) - 1
-    w = np.zeros((top + 1, c + 1, 2 * p))
-    for l, level in enumerate(levels):
-        k = len(level.rows)
-        w[l, :, :k], w[l, :, p:p + k] = rng.normal(size=(2, c + 1, k))
-    g, dg = rng.normal(size=(2, top, c + 1, 1))
-    before = w.copy()
-    step.run(w, 1, top, g[..., 0], dg[..., 0])
-    for l in range(1, top + 1):
-        below, level = levels[l - 1], levels[l]
-        j, k = len(below.rows), len(level.rows)
-        y, f_below = before[l - 1, :, :j], before[l - 1, :, p:p + j]
-        drive = y @ level.b.T
-        f = g[l - 1] * drive
-        df = dg[l - 1] * drive + g[l - 1] * ((y @ below.a.T + f_below) @ level.b.T)
-        ref = _OneLevelStep(level.a, h).run(before[l, -1, :k], f, df)
-        assert np.abs(w[l, :, :k] - ref).max() <= 1e-13 * np.abs(ref).max(), l
-        assert np.abs(w[l, :, p:p + k] - f).max() <= 1e-13 * np.abs(f).max(), l
+    h, p, top = 1e-2, max(len(level.rows) for level in levels), len(levels) - 1
+    for blocks in (1, 3, 5):
+        c = blocks * integrator._BLOCK
+        step = integrator._StackedStep(levels, h, c)
+        w = np.zeros((top + 1, 2 * p, c + 1))
+        for l, level in enumerate(levels):
+            k = len(level.rows)
+            w[l, :k], w[l, p:p + k] = rng.normal(size=(2, k, c + 1))
+        g, dg = rng.normal(size=(2, top, c + 1, 1))
+        before = w.copy()
+        step.run(w, 1, top, g[..., 0], dg[..., 0])
+        for l in range(1, top + 1):
+            below, level = levels[l - 1], levels[l]
+            j, k = len(below.rows), len(level.rows)
+            y, f_below = before[l - 1, :j].T, before[l - 1, p:p + j].T
+            drive = y @ level.b.T
+            f = g[l - 1] * drive
+            df = dg[l - 1] * drive + g[l - 1] * ((y @ below.a.T + f_below) @ level.b.T)
+            ref = _OneLevelStep(level.a, h).run(before[l, :k, -1], f, df)
+            assert np.abs(w[l, :k].T - ref).max() <= 1e-13 * np.abs(ref).max(), (blocks, l)
+            assert np.abs(w[l, p:p + k].T - f).max() <= 1e-13 * np.abs(f).max(), (blocks, l)
+
+
+def test_stepper_work_buffers_stay_within_the_row_layout_footprint():
+    """The stepper's own buffers hold no more floats than those of the
+    row-layout stepper it replaced: n (c + 1) 2 p for u and n (c / B + 1) p
+    for the block starts, n levels of p padded coordinates.  The operators,
+    the scan's powers among them, are not counted.  At 3 emitters a run
+    also allocates less than one level's [y; f] chunk, numpy's fixed ufunc
+    buffer included: u, the forcing's row-layout copy and the fill product
+    share those buffers and the memory of w."""
+    c, b = integrator._CHUNK, integrator._BLOCK
+    operators = {"from_start", "from_end", "b", "e_fill", "scan"}
+    for n in (1, 2, 3):
+        levels = HierarchyPropagator(random_chain(np.random.default_rng(40 + n), n), 3).levels()
+        step = integrator._StackedStep(levels, 1e-2, c)
+        p, top = step.p, len(levels) - 1
+        buffers = [a for name, a in vars(step).items()
+                   if isinstance(a, np.ndarray) and name not in operators]
+        assert sum(a.size for a in buffers) <= top * (c + 1) * 2 * p + top * (c // b + 1) * p, n
+
+    w = np.random.default_rng(n).normal(size=(top + 1, 2 * p, c + 1))  # the 3-emitter step
+    drive = np.ones((top, c + 1))
+    step.run(w, 1, top, drive, drive)  # warm: first-call allocations are not the run's
+    tracemalloc.start()
+    try:
+        step.run(w, 1, top, drive, drive)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < w[0].nbytes, peak
 
 
 def test_integrate_steps_all_levels_in_one_call_per_wavefront_iteration(monkeypatch):

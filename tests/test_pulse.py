@@ -57,6 +57,23 @@ def test_scalar_and_array_calls_agree():
     assert np.allclose(arr, [amplitude(p, float(t)) for t in ts])
 
 
+@pytest.mark.parametrize("t", [[0.0, 2.5, 5.0], (0.0, 2.5, 5.0), np.array(2.5), 2.5],
+                         ids=["list", "tuple", "0-d array", "float"])
+def test_amplitude_and_rate_take_any_time_argument(t):
+    """A list or tuple of times gives an array of the same values as the
+    per-time calls; a scalar, a 0-d array included, gives a Python float."""
+    p = GaussianPulse(mu=1.46, t_bar=5.0)
+    times = np.asarray(t, dtype=float)
+    for fn in (amplitude, amplitude_rate):
+        val = fn(p, t)
+        if times.ndim == 0:
+            assert type(val) is float
+        else:
+            assert isinstance(val, np.ndarray) and val.shape == times.shape
+        assert np.array_equal(val, [fn(p, float(x)) for x in times.ravel()] if times.ndim
+                              else fn(p, float(times)))
+
+
 @pytest.mark.parametrize("mu,t_bar", [(1.46, 5.0), (0.8, 3.0), (3.0, -1.0)])
 def test_rate_matches_central_difference_and_is_odd(mu, t_bar):
     p = GaussianPulse(mu=mu, t_bar=t_bar)

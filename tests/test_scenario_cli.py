@@ -363,6 +363,24 @@ def test_cli_sweep_without_ratios_exits_2(tmp_path, capsys):
     assert "sweep.ratios" in capsys.readouterr().err
 
 
+def test_sweep_ratio_that_overflows_gamma_r_exits_2_and_writes_nothing(tmp_path, capsys):
+    """A ratio whose ratio * gamma_l overflows to inf for some emitter is
+    refused while the scenario is built: exit 2 naming the key and the
+    ratio, and no output directory.  Where gamma_l = 0 on every emitter the
+    same ratio gives gamma_r = 0 and is accepted."""
+    text = ("n_emitters = 2\nemitter.1.gamma_l = 10\nemitter.2.gamma_l = 0\n"
+            "integrator.dt = 0.01\nintegrator.t_end = 0.1\nsweep.ratios = 1, 1e308\n")
+    out = tmp_path / "out"
+    assert main(["sweep", str(write(tmp_path, text)), "--out-dir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "sweep.ratios" in err and "1e+308" in err
+    assert not out.exists()
+    kv = parse_scenario_text(text.replace("emitter.1.gamma_l = 10", "emitter.1.gamma_l = 0"))
+    assert build_scenario(kv).with_ratio(1e308).chain.emitters[0].gamma_r == 0.0
+    with pytest.raises(ScenarioError, match="sweep.ratios"):
+        build_scenario(parse_scenario_text(text.replace("1, 1e308", "2e307")))
+
+
 def test_cli_unstable_step_exits_3(tmp_path, capsys):
     text = """
 n_emitters = 1
