@@ -33,14 +33,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .qubit_algebra import EmitterRegister, excitation_count, excited
+
 __all__ = ["StateCheckError", "wootters_concurrence", "concurrence_fill"]
 
 _TRACE_TOL = 1e-6
 _HERM_TOL = 1e-6
 _PSD_TOL = -1e-8
 
-# basis indices with emitter i = 1, 2, 3 excited (emitter 1 is the most significant bit)
-_EXCITED = [[a for a in range(8) if a >> (3 - i) & 1] for i in (1, 2, 3)]
+_EXCITED = [np.flatnonzero(bit) for bit in excited(EmitterRegister(3)).T]  # emitter i excited
 
 
 class StateCheckError(ValueError):
@@ -61,14 +62,15 @@ def _first_bad(bad: np.ndarray, values: np.ndarray, message: str) -> None:
         raise StateCheckError(message.format(np.ravel(values)[i]), i if np.ndim(bad) else None)
 
 
-def _validate_state(rho: np.ndarray, dim: int) -> np.ndarray:
-    """Sanity-check an excitation-graded density matrix, or a (..., dim,
-    dim) stack of them, and return the trace of each.
+def _validate_state(rho: np.ndarray, register: EmitterRegister) -> np.ndarray:
+    """Sanity-check an excitation-graded density matrix of the register,
+    or a (..., dim, dim) stack of them, and return the trace of each.
 
     Loss models (spontaneous emission without a recycling term) legitimately
     shrink the trace below one, so any trace in (0, 1] is accepted and the
     caller renormalizes to the conditional state.
     """
+    dim = register.dim
     if rho.shape[-2:] != (dim, dim):
         raise ValueError(f"state has shape {rho.shape}, expected (..., {dim}, {dim})")
     defect = np.conjugate(np.swapaxes(rho, -1, -2))  # the ufunc copies even a real input
@@ -78,7 +80,7 @@ def _validate_state(rho: np.ndarray, dim: int) -> np.ndarray:
     _first_bad(herm_defect > _HERM_TOL, herm_defect, "state not hermitian (defect {:.3e})")
     tr = np.trace(rho, axis1=-2, axis2=-1).real
     _first_bad(~((0.0 < tr) & (tr <= 1.0 + _TRACE_TOL)), tr, "state trace {} is not in (0, 1]")
-    exc = np.array([bin(a).count("1") for a in range(dim)])
+    exc = excitation_count(register)
     outside = np.abs(rho).max(axis=(-2, -1), where=np.not_equal.outer(exc, exc), initial=0.0)
     _first_bad(outside > 0.0, outside, "state not excitation-graded (entry {:.3e} outside the grading)")
     return tr
@@ -87,7 +89,7 @@ def _validate_state(rho: np.ndarray, dim: int) -> np.ndarray:
 def wootters_concurrence(rho: np.ndarray):
     """Concurrence of an excitation-graded two-qubit density matrix, in
     [0, 1]; a (..., 4, 4) stack gives the (...) array of concurrences."""
-    tr = _validate_state(rho, 4)
+    tr = _validate_state(rho, EmitterRegister(2))
     gg, ge, eg, ee = (rho[..., k, k].real for k in range(4))
     coherence = np.abs(rho[..., 2, 1])  # |rho_{eg,ge}|
     # the exact spectrum of a graded pair: gg, ee and the {ge, eg} block's two eigenvalues
@@ -108,7 +110,7 @@ def concurrence_fill(rho3: np.ndarray):
     this at late times).  The Heron factors are clamped at zero, so such
     states — like exactly degenerate triangles — report zero fill.
     """
-    tr = _validate_state(rho3, 8)
+    tr = _validate_state(rho3, EmitterRegister(3))
     diag = np.diagonal(rho3, axis1=-2, axis2=-1).real
     p = np.stack([diag[..., idx].sum(axis=-1) / tr for idx in _EXCITED], axis=-1)
     sides = np.clip(4.0 * p * (1.0 - p), 0.0, 1.0)

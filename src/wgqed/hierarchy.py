@@ -43,12 +43,13 @@ construction, and its trace exactly real.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .liouvillian import ChainConfig, apply_total
-from .qubit_algebra import commutator, lowering_op
+from .qubit_algebra import commutator, excitation_count, lowering_op
 
 __all__ = ["block_order", "Level", "HierarchyPropagator"]
 
@@ -83,10 +84,11 @@ class HierarchyPropagator:
     A (dissipator) and B (drive couplings) are real matrices.  Column j is
     the derivative, read back into coordinates, of the blocks coordinate j
     stands for (through `block`, so rho_{n,n-1} is the adjoint of
-    rho_{n-1,n}).  The derivative comes from superoperator matrices, each
-    from one call of apply_total or a drive commutator on the stack of all
-    dim^2 basis operators, so those stay the single definition of the
-    physics.
+    rho_{n-1,n}).  apply_total and the two drive commutators, the single
+    definition of the physics, map those operators themselves, and the
+    target block's re and im read each image back, the inverse of `block`.
+    Blocks of one sector n - m share their coordinates, so each map runs
+    once per sector, on the stack of that sector's operators.
     """
 
     def __init__(self, cfg: ChainConfig, n_ph: int):
@@ -94,9 +96,8 @@ class HierarchyPropagator:
             raise ValueError(f"photon number {n_ph} unsupported (must be 1..{MAX_PHOTONS})")
         reg = cfg.register
         dim = reg.dim
-        d2 = dim * dim
 
-        exc = np.array([bin(a).count("1") for a in range(dim)])
+        exc = excitation_count(reg)
         grading = np.subtract.outer(exc, exc).ravel()  # exc(a) - exc(b) of |a><b|
         slots = {}  # (m, n) -> (slice of y, re, im), as in the class docstring
         size = 0
@@ -120,31 +121,26 @@ class HierarchyPropagator:
             math.sqrt(em.gamma_r) * np.exp(-1j * k0d) * lowering_op(reg, j)
             for j, (em, k0d) in enumerate(zip(cfg.emitters, cfg.k0d), start=1)
         )
-        basis = np.eye(d2, dtype=complex).reshape(d2, dim, dim)  # every |a><b|
-        # The raveled image of basis operator col is column col of each superoperator.
-        liou = apply_total(cfg, basis).reshape(d2, d2).T
-        # c_up multiplies sqrt(m) g(t), c_dn multiplies sqrt(n) g*(t)
-        c_up = commutator(basis, l_in.conj().T).reshape(d2, d2).T
-        c_dn = commutator(l_in, basis).reshape(d2, d2).T
+        liou = partial(apply_total, cfg)  # each map takes a (..., dim, dim) stack
+        up = partial(commutator, b=l_in.conj().T)  # times sqrt(m) g(t)
+        dn = partial(commutator, l_in)  # times sqrt(n) g*(t)
+        images = {}  # (map, sector m - n of the source) -> image of each source coordinate
 
-        unit = np.eye(size)
-        source = {}  # (m, n) -> (the coordinates it is read from, its sector, their entries there)
-        for m, n in block_order(n_ph):
-            cols = slots[(min(m, n), max(m, n))][0]
-            idx = np.flatnonzero(grading == m - n)
-            source[(m, n)] = cols, idx, self.block(unit[cols], m, n).reshape(-1, d2)[:, idx].T
         a_mat = np.zeros((size, size))
         b_mat = np.zeros((size, size))
         for (m, n), (rows, re, im) in slots.items():
-            terms = [(a_mat, liou, (m, n))]
+            terms = [(a_mat, 1.0, liou, m, n)]
             if m >= 1:
-                terms.append((b_mat, math.sqrt(m) * c_up, (m - 1, n)))
+                terms.append((b_mat, math.sqrt(m), up, m - 1, n))
             if n >= 1:  # for m = n, rho_{n,n-1} is read as the adjoint of rho_{n-1,n}
-                terms.append((b_mat, math.sqrt(n) * c_dn, (m, n - 1)))
-            for mat, op, src in terms:
-                cols, idx, entries = source[src]
-                image = op[np.ix_(np.concatenate([re, im]), idx)] @ entries
-                mat[rows, cols] += np.concatenate([image[:re.size].real, image[re.size:].imag])
+                terms.append((b_mat, math.sqrt(n), dn, m, n - 1))
+            for mat, scale, op, p, q in terms:
+                cols = slots[(min(p, q), max(p, q))][0]
+                if (op, p - q) not in images:  # every block of one sector has the same coordinates
+                    unit = np.eye(cols.stop - cols.start, size, cols.start)
+                    images[(op, p - q)] = op(self.block(unit, p, q)).reshape(-1, dim * dim)
+                image = images[(op, p - q)]  # read back with the target's re and im
+                mat[rows, cols] += scale * np.concatenate([image[:, re].real, image[:, im].imag], 1).T
         self._a = a_mat
         self._b = b_mat
 

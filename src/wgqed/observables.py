@@ -20,6 +20,7 @@ from .qubit_algebra import EmitterRegister, basis_index
 __all__ = [
     "PeakSummary",
     "Trajectory",
+    "population_indices",
     "population",
     "peak",
     "build_trajectory",
@@ -52,13 +53,21 @@ class Trajectory:
         return out
 
 
+def population_indices(register: EmitterRegister, label_spec: str) -> list:
+    """Basis indices of the states a population label names, in order.
+
+    Raises ValueError if a token is not a basis state of the register or
+    the label names one state twice."""
+    idxs = [basis_index(register, tok.strip()) for tok in label_spec.split("+")]
+    if len(set(idxs)) < len(idxs):
+        raise ValueError(f"label {label_spec!r} repeats a basis state")
+    return idxs
+
+
 def population(rho: np.ndarray, register: EmitterRegister, label_spec: str):
     """Sum of the named diagonal elements of a density matrix; a (..., d, d)
     stack gives the (...) array of sums."""
-    tokens = [tok.strip() for tok in label_spec.split("+")]
-    if any(not tok for tok in tokens):
-        raise ValueError(f"malformed population label {label_spec!r}")
-    idxs = [basis_index(register, tok) for tok in tokens]
+    idxs = population_indices(register, label_spec)
     return rho[..., idxs, idxs].real.sum(axis=-1)
 
 

@@ -16,6 +16,8 @@ import numpy as np
 __all__ = [
     "EmitterRegister",
     "basis_index",
+    "excited",
+    "excitation_count",
     "lowering_op",
     "commutator",
 ]
@@ -51,6 +53,16 @@ def basis_index(register: EmitterRegister, label: str) -> int:
         else:
             raise ValueError(f"label {label!r} contains {ch!r}; only 'g'/'e' allowed")
     return idx
+
+
+def excited(register: EmitterRegister) -> np.ndarray:
+    """(dim, n_emitters) 0/1 table: [b, j - 1] is bit n_emitters - j of b, emitter j's."""
+    return np.arange(register.dim)[:, None] >> np.arange(register.n_emitters - 1, -1, -1) & 1
+
+
+def excitation_count(register: EmitterRegister) -> np.ndarray:
+    """exc(b), the number of excited emitters of each basis state b, as (dim,)."""
+    return excited(register).sum(axis=1)
 
 
 def lowering_op(register: EmitterRegister, j: int) -> np.ndarray:

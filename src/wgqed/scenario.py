@@ -21,8 +21,9 @@ from dataclasses import dataclass, replace
 from .hierarchy import MAX_PHOTONS
 from .liouvillian import ChainConfig, EmitterParams
 from .integrator import IntegratorConfig
+from .observables import population_indices
 from .pulse import GaussianPulse
-from .qubit_algebra import EmitterRegister, basis_index
+from .qubit_algebra import EmitterRegister
 
 __all__ = ["ScenarioError", "Scenario", "ratio_tag", "parse_scenario_text", "build_scenario",
            "load_scenario"]
@@ -194,16 +195,16 @@ def build_scenario(kv: dict) -> Scenario:
     # first, then per-emitter overrides
     per = [{name: (f"emitter.{name}", v) for name, v in _EMITTER_DEFAULTS.items()}
            for _ in range(n_emitters)]
+    indices = [str(j) for j in range(1, n_emitters + 1)]
     for key in sorted((k for k in kv if k.startswith("emitter.")), key=lambda k: k.count(".")):
         parts = key.split(".")
         if len(parts) > 3 or parts[-1] not in _EMITTER_FIELDS:
             continue  # left for the unknown-key check
         targets = per
         if len(parts) == 3:
-            idx = _as_int(key, parts[1])
-            if not 1 <= idx <= n_emitters:
-                raise ScenarioError(key, f"emitter index out of range 1..{n_emitters}")
-            targets = per[idx - 1:idx]
+            if parts[1] not in indices:  # one spelling per emitter: no "01" or "+2" beside "1", "2"
+                raise ScenarioError(key, f"emitter index must be one of {', '.join(indices)}")
+            targets = [per[indices.index(parts[1])]]
         value = _as_float(key, kv.pop(key))
         for p in targets:
             p[parts[-1]] = (key, value)
@@ -238,11 +239,9 @@ def build_scenario(kv: dict) -> Scenario:
         raise ScenarioError("output.populations", f"labels repeat: {populations}")
     for label in populations:
         try:
-            idxs = [basis_index(register, token.strip()) for token in label.split("+")]
+            population_indices(register, label)
         except ValueError as exc:
             raise ScenarioError("output.populations", str(exc)) from None
-        if len(set(idxs)) < len(idxs):
-            raise ScenarioError("output.populations", f"label {label!r} repeats a basis state")
 
     want_concurrence = _as_bool(
         "output.concurrence", take("output.concurrence", "true" if n_emitters == 2 else "false")

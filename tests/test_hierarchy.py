@@ -205,8 +205,10 @@ def test_compiled_operators_equal_column_by_column_reference(n, n_ph):
 
 
 def test_compile_applies_the_dissipator_once(monkeypatch):
-    """The dissipator's superoperator comes from one apply_total call on the
-    basis stack, not one call per basis operator."""
+    """apply_total runs once per excitation sector n - m = 0..n_ph, on the
+    stack of the operators that sector's coordinates stand for: 20 + 30 +
+    12 + 2 = 64 = dim^2 operators in all at 3 emitters, not one call per
+    block or per operator."""
     calls = []
 
     def counted(cfg, rho):
@@ -216,7 +218,36 @@ def test_compile_applies_the_dissipator_once(monkeypatch):
     monkeypatch.setattr(hierarchy, "apply_total", counted)
     cfg = random_chain(np.random.default_rng(7), 3)
     HierarchyPropagator(cfg, 3)
-    assert calls == [(64, 8, 8)]
+    assert calls == [(20, 8, 8), (30, 8, 8), (12, 8, 8), (2, 8, 8)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_ph", [1, 2, 3])
+def test_blocks_of_one_sector_share_their_coordinates_and_operators(n, n_ph):
+    """Every carried block rho_{m,n} of one sector n - m has the same re and
+    im and, bit for bit, the same A-block.  Each B-block is sqrt(m) (from
+    rho_{m-1,n}) or sqrt(n) (from rho_{m,n-1}) times one block per pair of
+    source and target sectors; for m = n the source rho_{n,n-1} is the
+    adjoint of rho_{n-1,n}, a sector of its own."""
+    cfg = random_chain(np.random.default_rng(600 + 10 * n + n_ph), n)
+    prop = HierarchyPropagator(cfg, n_ph)
+    first = {}  # sector -> (re, im, A-block) of its first block
+    drives = {}  # (term, source sector) -> the B-block over its scale, first seen
+    for (m, k), (rows, re, im) in prop.slots.items():
+        a_block = prop._a[rows, rows]
+        sector_re, sector_im, sector_a = first.setdefault(k - m, (re, im, a_block))
+        assert np.array_equal(re, sector_re) and np.array_equal(im, sector_im)
+        assert np.array_equal(a_block, sector_a), (m, k)
+        sources = []
+        if m >= 1:
+            sources.append(("up", np.sqrt(m), m - 1, k))
+        if k >= 1:
+            sources.append(("dn", np.sqrt(k), m, k - 1))
+        for term, scale, p, q in sources:
+            b_block = prop._b[rows, prop.slots[(min(p, q), max(p, q))][0]]
+            assert b_block.size == 0 or np.any(b_block), (m, k, term)
+            base = drives.setdefault((term, p - q), b_block / scale)
+            np.testing.assert_allclose(b_block, scale * base, rtol=1e-15, atol=0)
 
 
 # ----------------------------------------------------- structural invariants

@@ -10,6 +10,7 @@ from wgqed.observables import (
     build_trajectory,
     peak,
     population,
+    population_indices,
 )
 from wgqed.pulse import GaussianPulse, amplitude
 from wgqed.qubit_algebra import EmitterRegister, basis_index
@@ -30,6 +31,17 @@ def test_population_rejects_malformed_labels():
     rho = np.eye(4, dtype=complex) / 4
     for bad in ("", "eg+", "+ge", "e", "exg"):
         with pytest.raises(ValueError):
+            population(rho, reg, bad)
+
+
+def test_population_refuses_a_label_that_repeats_a_state():
+    """A label such as "eg+eg" would count rho_{eg,eg} twice; the library
+    call refuses it as the scenario check does, with the same message."""
+    reg = EmitterRegister(2)
+    rho = np.eye(4, dtype=complex) / 4
+    assert population_indices(reg, " eg + ge ") == [2, 1]
+    for bad in ("eg+eg", "ee+gg+ee", " eg + eg "):
+        with pytest.raises(ValueError, match="repeats a basis state"):
             population(rho, reg, bad)
 
 

@@ -102,6 +102,19 @@ def test_value_range_checks():
         assert excinfo.value.key == key, kv
 
 
+def test_emitter_index_has_one_spelling():
+    """An emitter index is written as str(j): "01" or "+2" would let two keys
+    set one field, and one would silently override the other."""
+    base = {"n_emitters": "2", "emitter.1.delta": "0.1"}
+    assert build_scenario(base).chain.emitters[0].delta == 0.1
+    for key in ("emitter.01.delta", "emitter.+2.delta", "emitter. 1.delta", "emitter.1_0.delta",
+                "emitter.0.delta", "emitter.3.delta", "emitter.x.delta"):
+        with pytest.raises(ScenarioError) as excinfo:
+            build_scenario({**base, key: "0.2"})
+        assert excinfo.value.key == key
+        assert "one of 1, 2" in str(excinfo.value)
+
+
 def test_drive_phase_key_is_only_accepted_at_the_derived_value():
     """The drive phase follows from chain.d_ratio; a k0d key may restate it
     bit for bit, as resolved() writes it, and is refused otherwise under
