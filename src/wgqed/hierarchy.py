@@ -168,6 +168,29 @@ class HierarchyPropagator:
             out[..., col * self.dim + row] = out[..., im].conj()
         return out.reshape(lead + (self.dim, self.dim))
 
+    def entry(self, y: np.ndarray, m: int, n: int, a: int, b: int) -> np.ndarray:
+        """Entry <a|rho_{m,n}|b> of a state vector y (..., size), complex
+        (...): block(y, m, n)[..., a, b], read from at most two coordinates
+        without building the block."""
+        if m > n or (m == n and a > b):  # stored as the adjoint's entry
+            return self.entry(y, n, m, b, a).conj()
+        rows, re, im = self.slots[(m, n)]
+        flat = a * self.dim + b
+        out = np.zeros(y.shape[:-1], dtype=complex)
+        i, j = np.searchsorted(re, flat), np.searchsorted(im, flat)
+        if i < re.size and re[i] == flat:
+            out.real = y[..., rows.start + i]
+        if j < im.size and im[j] == flat:
+            out.imag = y[..., rows.start + re.size + j]
+        return out
+
+    def diagonal(self, y: np.ndarray, n: int) -> np.ndarray:
+        """Real diagonal of the Hermitian block rho_{n,n} of a state vector y
+        (..., size), as (..., dim): its re coordinates at the flat indices
+        k (dim + 1), gathered without building the block."""
+        rows, re, _ = self.slots[(n, n)]
+        return y[..., rows.start + np.searchsorted(re, np.arange(self.dim) * (self.dim + 1))]
+
     def levels(self) -> list:
         """The cascade as one Level per l = m + n, 0 <= l <= 2 n_ph.
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,18 @@ class ChainConfig:
     def register(self) -> EmitterRegister:
         return EmitterRegister(self.n_emitters)
 
+    @cached_property
+    def _operators(self) -> tuple:
+        """(H, H^dag, the jump feeds sum_j J_ij s_j, the raising operators sd_i)
+        of apply_total, built on first use and kept with the chain."""
+        s = np.stack([lowering_op(self.register, j) for j in range(1, self.n_emitters + 1)])
+        sd = s.conj().swapaxes(-1, -2)
+        d = coupling_matrix(self)
+        local = np.diag([em.delta - 0.5j * em.gamma_spont for em in self.emitters])
+        h = np.einsum("ij,iab,jbc->ac", local - 1j * d, sd, s)
+        feed = np.tensordot(d + d.conj().T, s, axes=1)  # one per i
+        return h, h.conj().T, feed, sd
+
 
 def coupling_matrix(cfg: ChainConfig) -> np.ndarray:
     """The chain's n x n waveguide coupling matrix D (module docstring)."""
@@ -119,11 +132,6 @@ def apply_total(cfg: ChainConfig, rho: np.ndarray) -> np.ndarray:
     reg = cfg.register
     if rho.shape[-2:] != (reg.dim, reg.dim):
         raise ValueError(f"operator has shape {rho.shape}, chain dimension is {reg.dim}")
-    s = np.stack([lowering_op(reg, j) for j in range(1, cfg.n_emitters + 1)])
-    sd = s.conj().swapaxes(-1, -2)
-    d = coupling_matrix(cfg)
-    local = np.diag([em.delta - 0.5j * em.gamma_spont for em in cfg.emitters])
-    h = np.einsum("ij,iab,jbc->ac", local - 1j * d, sd, s)
-    feed = np.tensordot(d + d.conj().T, s, axes=1)  # sum_j J_ij s_j, one per i
+    h, h_adj, feed, sd = cfg._operators
     jumps = np.sum(feed @ rho[..., None, :, :] @ sd, axis=-3)
-    return -1j * (h @ rho - rho @ h.conj().T) + jumps
+    return -1j * (h @ rho - rho @ h_adj) + jumps

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entanglement import StateCheckError, concurrence_fill, wootters_concurrence
+from .entanglement import PAIR_COHERENCE, StateCheckError, concurrence_fill, wootters_concurrence
 from .integrator import IntegrationBlowUpError, StateTrajectory
 from .pulse import GaussianPulse, amplitude
 from .qubit_algebra import EmitterRegister, basis_index
@@ -64,11 +64,10 @@ def population_indices(register: EmitterRegister, label_spec: str) -> list:
     return idxs
 
 
-def population(rho: np.ndarray, register: EmitterRegister, label_spec: str):
-    """Sum of the named diagonal elements of a density matrix; a (..., d, d)
-    stack gives the (...) array of sums."""
-    idxs = population_indices(register, label_spec)
-    return rho[..., idxs, idxs].real.sum(axis=-1)
+def population(populations: np.ndarray, register: EmitterRegister, label_spec: str):
+    """Sum of the named entries of a density matrix's diagonal (..., d), the
+    populations; a stack gives the (...) array of sums."""
+    return populations[..., population_indices(register, label_spec)].sum(axis=-1)
 
 
 def peak(trajectory: Trajectory, series_name: str) -> PeakSummary:
@@ -91,17 +90,21 @@ def build_trajectory(
 ) -> Trajectory:
     """Assemble the requested named series from recorded hierarchy states.
 
-    A physical block that fails a state check of a measure is reported as an
+    Every series is read from the physical block's diagonal and, for the
+    concurrence, its pair coherence, taken straight from the recorded
+    coordinates.  A state check of a measure that fails is reported as an
     IntegrationBlowUpError at the time of the first bad record."""
-    phys = states.physical()
+    prop, y, n = states.propagator, states.blocks, states.n_ph
+    populations = prop.diagonal(y, n)
     try:
-        concurrence = wootters_concurrence(phys) if want_concurrence else None
-        fill = concurrence_fill(phys) if want_fill else None
+        concurrence = (wootters_concurrence(populations, prop.entry(y, n, n, *PAIR_COHERENCE))
+                       if want_concurrence else None)
+        fill = concurrence_fill(populations) if want_fill else None
     except StateCheckError as exc:
         raise IntegrationBlowUpError(float(states.times[exc.record]), exc.reason) from exc
     return Trajectory(
         times=states.times,
-        populations={lb: population(phys, states.register, lb) for lb in population_labels},
+        populations={lb: population(populations, states.register, lb) for lb in population_labels},
         concurrence=concurrence,
         fill=fill,
         pulse_intensity=None if pulse is None else np.square(amplitude(pulse, states.times)),

@@ -101,8 +101,14 @@ def _as_bool(key, value):
     raise ScenarioError(key, f"expected true/false, got {value!r}")
 
 
-def _as_list(value):
-    return [item.strip() for item in value.split(",") if item.strip()]
+def _as_list(key, value):
+    """The comma-separated items of a value; an empty value is an empty list."""
+    if not value.strip():
+        return []
+    items = [item.strip() for item in value.split(",")]
+    if "" in items:
+        raise ScenarioError(key, f"empty item in the list {value!r}")
+    return items
 
 
 def ratio_tag(ratio: float) -> str:
@@ -234,7 +240,7 @@ def build_scenario(kv: dict) -> Scenario:
     if pops_raw is None:
         populations = _DEFAULT_POPULATIONS[n_emitters]
     else:
-        populations = tuple(_as_list(pops_raw))
+        populations = tuple(_as_list("output.populations", pops_raw))
     if len(set(populations)) < len(populations):
         raise ScenarioError("output.populations", f"labels repeat: {populations}")
     for label in populations:
@@ -258,7 +264,7 @@ def build_scenario(kv: dict) -> Scenario:
     sweep_ratios = None
     ratios_raw = take("sweep.ratios")
     if ratios_raw is not None:
-        items = _as_list(ratios_raw)
+        items = _as_list("sweep.ratios", ratios_raw)
         if not items:
             raise ScenarioError("sweep.ratios", "ratio list is empty")
         sweep_ratios = tuple(_as_float("sweep.ratios", item) for item in items)

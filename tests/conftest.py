@@ -5,6 +5,9 @@ runs use each scenario's own grid (dt = 1e-3 over t in [0, 12], snapshot
 every 10 steps).  Every (scenario, ratio) pair is integrated exactly once
 and the result is shared by all test modules.
 
+concurrence_of and fill_of measure density matrices the way a library
+caller does: through the checked reader read_state, then the closed form.
+
 The sector helpers build dicts of dense blocks rho_{m,k}, as the longhand
 oracle in oracles.py takes them, and gather them into the compiled
 propagator's real state vector.
@@ -21,6 +24,7 @@ import pytest
 
 from oracles import handwritten_three_photon_rhs, random_blocks
 from wgqed.cli import simulate_scenario
+from wgqed.entanglement import concurrence_fill, read_state, wootters_concurrence
 from wgqed.hierarchy import HierarchyPropagator, block_order
 from wgqed.pulse import amplitude
 from wgqed.qubit_algebra import EmitterRegister, basis_index
@@ -31,6 +35,17 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 def scenario_path(stem: str) -> Path:
     return SCENARIO_DIR / f"{stem}.cfg"
+
+
+def concurrence_of(rho: np.ndarray):
+    """Concurrence of a pair density matrix, or of each of a (..., 4, 4) stack."""
+    return wootters_concurrence(*read_state(rho, EmitterRegister(2)))
+
+
+def fill_of(rho: np.ndarray):
+    """Concurrence fill of a three-emitter density matrix, or of each of a
+    (..., 8, 8) stack."""
+    return concurrence_fill(read_state(rho, EmitterRegister(3))[0])
 
 
 @functools.lru_cache(maxsize=None)

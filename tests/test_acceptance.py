@@ -20,14 +20,13 @@ from oracles import (
     structured_pair_state,
 )
 from wgqed.cli import simulate_scenario
-from wgqed.entanglement import concurrence_fill
 from wgqed.integrator import IntegratorConfig
 from wgqed.observables import peak
 from wgqed.pulse import GaussianPulse
 from wgqed.qubit_algebra import EmitterRegister, basis_index
 from wgqed.scenario import load_scenario
 
-from conftest import oracle_deviation, random_sector_state, scenario_path
+from conftest import fill_of, oracle_deviation, random_sector_state, scenario_path
 
 ONE = "one_emitter_chirality_sweep"
 TWO = "two_emitter_chirality_sweep"
@@ -334,10 +333,10 @@ def test_closed_form_oracles():
     w = np.zeros(8, dtype=complex)
     for lbl in ("egg", "geg", "gge"):
         w[basis_index(reg, lbl)] = 1 / np.sqrt(3)
-    fixtures.append(("W", w, 8.0 / 9.0, concurrence_fill))
+    fixtures.append(("W", w, 8.0 / 9.0, fill_of))
     prod = np.zeros(8, dtype=complex)
     prod[basis_index(reg, "geg")] = 1.0
-    fixtures.append(("product", prod, 0.0, concurrence_fill))
+    fixtures.append(("product", prod, 0.0, fill_of))
     for name, psi, ref, measure in fixtures:
         got = measure(np.outer(psi, psi.conj()))
         check(

@@ -3,9 +3,10 @@
 Production evaluates closed forms that hold on excitation-graded states
 only (<a|rho|b> = 0 unless exc(a) = exc(b)).  Graded fixtures (W, the
 {eg, ge} Bell states, product states, random graded states) run against
-production.  The rest (GHZ, |gg> + |ee>, random and rotated states) run
-against the general eigensolver and partial-trace forms in oracles.py,
-and production must refuse them.
+production, through the checked reader read_state (conftest's
+concurrence_of and fill_of).  The rest (GHZ, |gg> + |ee>, random and
+rotated states) run against the general eigensolver and partial-trace
+forms in oracles.py, and production must refuse them.
 """
 
 import dataclasses
@@ -23,12 +24,11 @@ from oracles import (
     structured_pair_state,
 )
 from wgqed.cli import simulate_scenario
-from wgqed.entanglement import concurrence_fill, wootters_concurrence
 from wgqed.integrator import IntegratorConfig
 from wgqed.qubit_algebra import EmitterRegister, basis_index
 from wgqed.scenario import load_scenario
 
-from conftest import scenario_path
+from conftest import concurrence_of, fill_of, scenario_path
 
 
 def ket2(a_gg=0.0, a_ge=0.0, a_eg=0.0, a_ee=0.0):
@@ -81,18 +81,18 @@ PRODUCT3 = dm(three_qubit_ket({"geg": 1.0}))
 
 def test_bell_states_are_maximally_entangled():
     for psi in (ket2(a_ge=1, a_eg=1), ket2(a_ge=1, a_eg=-1)):
-        assert wootters_concurrence(dm(psi)) == pytest.approx(1.0, abs=1e-12)
+        assert concurrence_of(dm(psi)) == pytest.approx(1.0, abs=1e-12)
     for psi in (ket2(a_gg=1, a_ee=1), ket2(a_gg=1, a_ee=-1)):
         assert spin_flip_concurrence(dm(psi)) == pytest.approx(1.0, abs=1e-12)
-        assert_refused(wootters_concurrence, dm(psi))
+        assert_refused(concurrence_of, dm(psi))
 
 
 def test_product_states_are_unentangled():
-    assert wootters_concurrence(dm(ket2(a_gg=1))) == pytest.approx(0.0, abs=1e-12)
-    assert wootters_concurrence(dm(ket2(a_eg=1))) == pytest.approx(0.0, abs=1e-12)
+    assert concurrence_of(dm(ket2(a_gg=1))) == pytest.approx(0.0, abs=1e-12)
+    assert concurrence_of(dm(ket2(a_eg=1))) == pytest.approx(0.0, abs=1e-12)
     plus_plus = dm((np.kron([1, 1], [1, 1]) / 2.0).astype(complex))
     assert spin_flip_concurrence(plus_plus) == pytest.approx(0.0, abs=1e-9)
-    assert_refused(wootters_concurrence, plus_plus)
+    assert_refused(concurrence_of, plus_plus)
 
 
 def test_pure_superposition_concurrence_is_twice_amplitude_product():
@@ -101,22 +101,22 @@ def test_pure_superposition_concurrence_is_twice_amplitude_product():
     # above that floor; the closed form has no such floor
     for a in (0.1, 0.3, 0.5, 0.9):
         b = np.sqrt(1 - a**2)
-        assert wootters_concurrence(dm(ket2(a_ge=a, a_eg=b))) == pytest.approx(2 * a * b, abs=1e-15)
+        assert concurrence_of(dm(ket2(a_ge=a, a_eg=b))) == pytest.approx(2 * a * b, abs=1e-15)
         rho = dm(ket2(a_gg=a, a_ee=b))
         assert spin_flip_concurrence(rho) == pytest.approx(2 * a * b, abs=1e-7)
-        assert_refused(wootters_concurrence, rho)
+        assert_refused(concurrence_of, rho)
 
 
 def test_werner_state_threshold():
     for bell, measure in (
-        (dm(ket2(a_ge=1, a_eg=1)), wootters_concurrence),
+        (dm(ket2(a_ge=1, a_eg=1)), concurrence_of),
         (dm(ket2(a_gg=1, a_ee=1)), spin_flip_concurrence),
     ):
         for p in (0.0, 0.2, 1 / 3, 0.5, 0.8, 1.0):
             rho = p * bell + (1 - p) * np.eye(4) / 4
             expected = max(0.0, (3 * p - 1) / 2)
             assert measure(rho) == pytest.approx(expected, abs=1e-12)
-    assert_refused(wootters_concurrence, 0.5 * dm(ket2(a_gg=1, a_ee=1)) + 0.5 * np.eye(4) / 4)
+    assert_refused(concurrence_of, 0.5 * dm(ket2(a_gg=1, a_ee=1)) + 0.5 * np.eye(4) / 4)
 
 
 def test_concurrence_is_invariant_under_local_unitaries():
@@ -127,12 +127,12 @@ def test_concurrence_is_invariant_under_local_unitaries():
         c0 = spin_flip_concurrence(rho)
         c1 = spin_flip_concurrence(u @ rho @ u.conj().T)
         assert c1 == pytest.approx(c0, abs=1e-10)
-        assert_refused(wootters_concurrence, rho)
+        assert_refused(concurrence_of, rho)
         # local phase rotations are the local unitaries that keep a state graded
         graded = random_graded_density(rng, 2)
         phases = np.kron(np.exp(1j * rng.uniform(0, 2 * np.pi, 2)), np.exp(1j * rng.uniform(0, 2 * np.pi, 2)))
         rotated = phases[:, None] * graded * phases.conj()[None, :]
-        assert wootters_concurrence(rotated) == pytest.approx(wootters_concurrence(graded), abs=1e-15)
+        assert concurrence_of(rotated) == pytest.approx(concurrence_of(graded), abs=1e-15)
 
 
 def test_concurrence_stays_in_unit_interval():
@@ -140,15 +140,15 @@ def test_concurrence_stays_in_unit_interval():
     for _ in range(50):
         rho = random_density(rng, 4)
         assert 0.0 <= spin_flip_concurrence(rho) <= 1.0 + 1e-12
-        assert_refused(wootters_concurrence, rho)
-        assert 0.0 <= wootters_concurrence(random_graded_density(rng, 2)) <= 1.0
+        assert_refused(concurrence_of, rho)
+        assert 0.0 <= concurrence_of(random_graded_density(rng, 2)) <= 1.0
 
 
 def test_subnormalized_states_are_renormalized():
     """Loss-model outputs carry trace < 1; measures report the conditional
     (no-loss) state, never a spuriously inflated or deflated value."""
-    assert wootters_concurrence(0.4 * dm(ket2(a_ge=1, a_eg=1))) == pytest.approx(1.0, abs=1e-12)
-    assert concurrence_fill(0.4 * W) == pytest.approx(8.0 / 9.0, abs=1e-12)
+    assert concurrence_of(0.4 * dm(ket2(a_ge=1, a_eg=1))) == pytest.approx(1.0, abs=1e-12)
+    assert fill_of(0.4 * W) == pytest.approx(8.0 / 9.0, abs=1e-12)
     assert spin_flip_concurrence(0.4 * dm(ket2(a_gg=1, a_ee=1))) == pytest.approx(1.0, abs=1e-12)
     assert purity_fill(0.4 * GHZ) == pytest.approx(1.0, abs=1e-9)
 
@@ -163,7 +163,7 @@ def test_state_validation_rejects_garbage():
     indefinite = np.diag([0.8, 0.4, -0.2, 0.0]).astype(complex)
     oracle_good = np.stack([random_density(np.random.default_rng(k), 4) for k in range(5)])
     for measure, good in (
-        (wootters_concurrence, random_graded_stack(2)),
+        (concurrence_of, random_graded_stack(2)),
         (spin_flip_concurrence, oracle_good),
     ):
         with pytest.raises(ValueError):
@@ -195,11 +195,11 @@ def test_production_names_the_first_ungraded_record():
     stack = random_graded_stack(2)
     stack[3, 0, 3] = stack[3, 3, 0] = 0.25  # a gg-ee coherence
     with pytest.raises(ValueError, match=r"entry 2\.500e-01 outside the grading\) at record 3$"):
-        wootters_concurrence(stack)
+        concurrence_of(stack)
     with pytest.raises(ValueError, match=r"trace 2\.0 .* at record 2$"):
-        concurrence_fill(np.stack([GHZ, W, 2.0 * PRODUCT3]))
+        fill_of(np.stack([GHZ, W, 2.0 * PRODUCT3]))
     with pytest.raises(ValueError, match=r"outside the grading\) at record 0$"):
-        concurrence_fill(np.stack([GHZ, W, PRODUCT3]))
+        fill_of(np.stack([GHZ, W, PRODUCT3]))
 
 
 def test_real_inputs_are_measured_and_left_unchanged():
@@ -210,8 +210,8 @@ def test_real_inputs_are_measured_and_left_unchanged():
     triples = np.stack([np.eye(8) / 8, W.real, PRODUCT3.real, np.diag(np.arange(1.0, 9.0)) / 36])
     oracle_triples = np.stack([np.eye(8) / 8, GHZ.real, W.real, np.diag(np.arange(1.0, 9.0)) / 36])
     for measure, stack in (
-        (wootters_concurrence, pairs),
-        (concurrence_fill, triples),
+        (concurrence_of, pairs),
+        (fill_of, triples),
         (spin_flip_concurrence, pairs),
         (purity_fill, oracle_triples),
     ):
@@ -242,13 +242,13 @@ def test_closed_form_spin_flip_spectrum_on_structured_states():
         roots = np.sqrt(np.clip(lam_closed, 0.0, None))[::-1]
         c_closed = max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
         assert spin_flip_concurrence(rho) == pytest.approx(c_closed, abs=1e-7)
-        assert_refused(wootters_concurrence, rho)
+        assert_refused(concurrence_of, rho)
 
         graded = rho.copy()
         graded[0, 3] = graded[3, 0] = 0.0
         roots = np.sqrt(closed_form_spin_flip_spectrum(r1, 0.0, r6, r16))[::-1]
         c_closed = max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
-        assert wootters_concurrence(graded) == pytest.approx(c_closed, abs=1e-15)
+        assert concurrence_of(graded) == pytest.approx(c_closed, abs=1e-15)
 
 
 # --------------------------------------- closed forms against the oracles
@@ -265,9 +265,9 @@ def test_closed_forms_match_oracles_on_random_graded_states(n):
         for tr in np.concatenate([np.ones(40), rng.uniform(0.05, 1.0, 160)])
     ])
     if n == 2:
-        production, oracle, tol = wootters_concurrence(states), spin_flip_concurrence(states), 1.5e-8
+        production, oracle, tol = concurrence_of(states), spin_flip_concurrence(states), 1.5e-8
     else:
-        production, oracle, tol = concurrence_fill(states), purity_fill(states), 1e-13
+        production, oracle, tol = fill_of(states), purity_fill(states), 1e-13
     assert np.abs(production - oracle).max() <= tol
     assert np.count_nonzero(oracle > 0.05) >= 20  # not a suite of zeros
 
@@ -285,7 +285,7 @@ def test_symmetric_populations_give_fill_of_one_population():
         rho[one, one], rho[two, two] = w1 / 3, w2 / 3
         tr = rng.uniform(0.1, 1.0)
         p = w1 / 3 + 2 * w2 / 3 + w3
-        assert concurrence_fill(tr * rho) == pytest.approx(4 * p * (1 - p), abs=1e-14)
+        assert fill_of(tr * rho) == pytest.approx(4 * p * (1 - p), abs=1e-14)
 
 
 def _closed_form_in_long_double(phys):
@@ -357,17 +357,17 @@ def test_one_to_other_c2_range_on_random_states():
 
 def test_fill_canonical_fixtures():
     assert purity_fill(GHZ) == pytest.approx(1.0, abs=1e-9)
-    assert_refused(concurrence_fill, GHZ)
-    assert concurrence_fill(W) == pytest.approx(8.0 / 9.0, abs=1e-9)
-    assert concurrence_fill(PRODUCT3) == pytest.approx(0.0, abs=1e-9)
+    assert_refused(fill_of, GHZ)
+    assert fill_of(W) == pytest.approx(8.0 / 9.0, abs=1e-9)
+    assert fill_of(PRODUCT3) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fill_vanishes_when_only_two_parties_entangle():
     ground3 = np.diag([1.0, 0.0]).astype(complex)
     rho = np.kron(dm(ket2(a_gg=1, a_ee=1)), ground3)
     assert purity_fill(rho) == pytest.approx(0.0, abs=1e-12)
-    assert_refused(concurrence_fill, rho)
-    assert concurrence_fill(np.kron(dm(ket2(a_ge=1, a_eg=1)), ground3)) == pytest.approx(0.0, abs=1e-12)
+    assert_refused(fill_of, rho)
+    assert fill_of(np.kron(dm(ket2(a_ge=1, a_eg=1)), ground3)) == pytest.approx(0.0, abs=1e-12)
 
 
 def _permuted(rho, perm):
@@ -386,9 +386,9 @@ def test_fill_is_permutation_invariant():
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi /= np.linalg.norm(psi)
         rho = np.outer(psi, psi.conj())
-        assert_refused(concurrence_fill, rho)
+        assert_refused(fill_of, rho)
         graded = random_graded_density(rng, 3)
-        for measure, state in ((purity_fill, rho), (concurrence_fill, graded)):
+        for measure, state in ((purity_fill, rho), (fill_of, graded)):
             base = measure(state)
             for perm in ((2, 1, 3), (3, 2, 1), (2, 3, 1)):
                 assert measure(_permuted(state, perm)) == pytest.approx(base, abs=1e-12)
@@ -399,8 +399,8 @@ def test_fill_stays_in_unit_interval():
     for _ in range(50):
         rho = random_density(rng, 8)
         assert 0.0 <= purity_fill(rho) <= 1.0 + 1e-12
-        assert_refused(concurrence_fill, rho)
-        assert 0.0 <= concurrence_fill(random_graded_density(rng, 3)) <= 1.0
+        assert_refused(fill_of, rho)
+        assert 0.0 <= fill_of(random_graded_density(rng, 3)) <= 1.0
 
 
 def test_fill_clamps_mixed_state_triangle_violations_to_zero():
@@ -414,5 +414,5 @@ def test_fill_clamps_mixed_state_triangle_violations_to_zero():
     rho = np.kron(mix, np.diag([1.0, 0.0])).astype(complex)
     sides = [one_to_other_c2(rho, i) for i in (1, 2, 3)]
     assert sides[0] > sides[1] + sides[2]  # genuinely violated
-    assert concurrence_fill(rho) == 0.0
+    assert fill_of(rho) == 0.0
     assert purity_fill(rho) == 0.0

@@ -12,10 +12,10 @@ from oracles import (
     level_by_level_integrate,
     random_chain,
 )
-from wgqed import hierarchy, integrator
+from wgqed import hierarchy, integrator, liouvillian
 from wgqed.hierarchy import HierarchyPropagator, block_order
 from wgqed.integrator import IntegratorConfig, integrate
-from wgqed.liouvillian import ChainConfig, EmitterParams, apply_total
+from wgqed.liouvillian import ChainConfig, EmitterParams, apply_total, coupling_matrix
 from wgqed.pulse import GaussianPulse
 
 PULSE = GaussianPulse(mu=1.46, t_bar=5.0)
@@ -125,6 +125,25 @@ def test_blocks_below_the_diagonal_are_adjoints():
             )
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_entry_and_diagonal_read_the_block_without_building_it(n):
+    """entry(y, m, n, a, b) is block(y, m, n)[..., a, b] bit for bit, for
+    every block, m > n and entries outside the sector included, and
+    diagonal(y, n) is the real diagonal of block (n, n)."""
+    prop = HierarchyPropagator(random_chain(np.random.default_rng(30 + n), n), 2)
+    y = np.random.default_rng(31).normal(size=(3, prop.size))
+    for m, k in block_order(2):
+        blk = prop.block(y, m, k)
+        for a in range(prop.dim):
+            for b in range(prop.dim):
+                got = prop.entry(y, m, k, a, b)
+                assert got.shape == (3,) and np.array_equal(got, blk[:, a, b]), (m, k, a, b)
+        if m == k:
+            diag = prop.diagonal(y, m)
+            assert diag.dtype == np.float64
+            assert np.array_equal(diag, np.diagonal(blk, axis1=-2, axis2=-1).real)
+
+
 # ------------------------------------------- literal ten-block transcription
 
 
@@ -219,6 +238,24 @@ def test_compile_applies_the_dissipator_once(monkeypatch):
     cfg = random_chain(np.random.default_rng(7), 3)
     HierarchyPropagator(cfg, 3)
     assert calls == [(20, 8, 8), (30, 8, 8), (12, 8, 8), (2, 8, 8)]
+
+
+def test_compile_builds_the_chain_operators_once(monkeypatch):
+    """apply_total builds H and the jump feeds from the coupling matrix once
+    per chain, not once per call: the four per-sector calls of a compile
+    read D once, and a second compile of the same chain not at all."""
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return coupling_matrix(cfg)
+
+    monkeypatch.setattr(liouvillian, "coupling_matrix", counted)
+    cfg = random_chain(np.random.default_rng(7), 3)
+    first = HierarchyPropagator(cfg, 3)
+    again = HierarchyPropagator(cfg, 3)
+    assert calls == [cfg]
+    assert np.array_equal(first._a, again._a) and np.array_equal(first._b, again._b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -115,6 +115,20 @@ def test_emitter_index_has_one_spelling():
         assert "one of 1, 2" in str(excinfo.value)
 
 
+def test_comma_lists_refuse_an_empty_item():
+    """An empty item in a comma list is a typo, not a shorter list: "1,,2"
+    must not load as two ratios, nor "eg+ge,,ee" as two labels."""
+    base = {"n_emitters": "2"}
+    assert build_scenario({**base, "sweep.ratios": " 1 , 2 "}).sweep_ratios == (1.0, 2.0)
+    assert build_scenario({**base, "output.populations": "eg+ge, ee"}).populations == ("eg+ge", "ee")
+    for key, value in (("sweep.ratios", "1,,2"), ("sweep.ratios", "1,2,"), ("sweep.ratios", ",1"),
+                       ("sweep.ratios", "1, ,2"), ("output.populations", "eg+ge,,ee"),
+                       ("output.populations", "ee,")):
+        with pytest.raises(ScenarioError, match="empty item") as excinfo:
+            build_scenario({**base, key: value})
+        assert excinfo.value.key == key, value
+
+
 def test_drive_phase_key_is_only_accepted_at_the_derived_value():
     """The drive phase follows from chain.d_ratio; a k0d key may restate it
     bit for bit, as resolved() writes it, and is refused otherwise under

@@ -14,7 +14,8 @@ import pytest
 
 from wgqed import cli
 from wgqed.cli import main, simulate_scenario
-from wgqed.integrator import IntegrationBlowUpError, StateTrajectory
+from wgqed.hierarchy import HierarchyPropagator
+from wgqed.integrator import IntegrationBlowUpError
 from wgqed.scenario import ScenarioError, load_scenario
 from test_scenario_cli import SRC_DIR, TINY, write
 
@@ -46,6 +47,11 @@ def in_workers(replacement, original):
             return original(*args, **kwargs)
         return replacement(original, *args, **kwargs)
     return call
+
+
+def everywhere(replacement, original):
+    """replacement(original, ...) in every process."""
+    return lambda *args, **kwargs: replacement(original, *args, **kwargs)
 
 
 def cli_subprocess(cwd: Path, args: list, pin_cpu: bool = False):
@@ -141,19 +147,31 @@ def test_blow_up_reports_the_first_failing_ratio(tmp_path, capsys, two_shares, r
     assert_no_child_left()
 
 
-def non_positive_physical(original, self):
-    """The recorded physical blocks with record 3 made indefinite (min eig -0.2)."""
-    phys = original(self).copy()
-    phys[3] = np.diag([1.2, -0.2, 0.0, 0.0])
-    return phys
+def non_positive_diagonal(original, self, y, n):
+    """The recorded populations with record 3 made [1.2, -0.2, 0, 0]."""
+    populations = original(self, y, n).copy()
+    populations[3] = [1.2, -0.2, 0.0, 0.0]
+    return populations
+
+
+def zero_entry(original, self, y, *where):
+    """A recorded entry with record 3 made 0."""
+    entry = original(self, y, *where).copy()
+    entry[3] = 0.0
+    return entry
+
+
+def inject_non_positive_record(monkeypatch, patch):
+    """Through the readers the measures take their arguments from, make
+    record 3 indefinite: min eig -0.2, the ge population."""
+    for name, bad in (("diagonal", non_positive_diagonal), ("entry", zero_entry)):
+        monkeypatch.setattr(HierarchyPropagator, name, patch(bad, getattr(HierarchyPropagator, name)))
 
 
 def test_failed_physical_block_check_exits_3_with_the_time(tmp_path, capsys, monkeypatch):
     """A physical block that fails the positivity check of the concurrence
     ends a run with exit code 3 and the time of the bad record."""
-    original = StateTrajectory.physical
-    monkeypatch.setattr(StateTrajectory, "physical",
-                        lambda self: non_positive_physical(original, self))
+    inject_non_positive_record(monkeypatch, everywhere)
     cfg = write(tmp_path, TINY, "pair.cfg")
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 3
     assert capsys.readouterr().err == (
@@ -165,9 +183,7 @@ def test_failed_physical_block_check_exits_3_with_the_time(tmp_path, capsys, mon
 
 def test_failed_physical_block_check_in_a_worker_exits_3(tmp_path, capsys, monkeypatch,
                                                          two_shares):
-    original = StateTrajectory.physical
-    monkeypatch.setattr(StateTrajectory, "physical",
-                        in_workers(non_positive_physical, original))
+    inject_non_positive_record(monkeypatch, in_workers)
     cfg = write(tmp_path, TINY + "sweep.ratios = 1, 2\n", "pair.cfg")
     out = tmp_path / "out"
     assert main(["sweep", str(cfg), "--out-dir", str(out), "--quiet"]) == 3
