@@ -11,9 +11,9 @@ additionally writes an aggregate CSV of per-ratio peak values.  The ratios
 run in parallel, in forked workers, on every CPU the process may use;
 `taskset -c 0 wgqed sweep ...` runs them one after another.
 
-Exit codes: 0 success; 2 scenario parse/validation failure (the message
-names the offending key); 3 integration blow-up (message reports the
-time).
+Exit codes: 0 success; 2 scenario file unreadable (the message names the
+path) or invalid (the message names the offending key); 3 integration
+blow-up (message reports the time).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .integrator import IntegrationBlowUpError, integrate
 from .observables import Trajectory, build_trajectory, peak
-from .scenario import Scenario, ScenarioError, load_scenario, ratio_tag
+from .scenario import Scenario, ScenarioError, ScenarioFileError, load_scenario, ratio_tag
 
 __all__ = ["simulate_scenario", "run", "sweep", "main"]
 
@@ -261,11 +261,8 @@ def main(argv=None) -> int:
     command = run if args.command == "run" else sweep
     try:
         command(args.scenario, out_dir=args.out_dir, dt=args.dt, quiet=args.quiet)
-    except ScenarioError as exc:
+    except (ScenarioError, ScenarioFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: scenario file not found: {exc.filename}", file=sys.stderr)
         return 2
     except IntegrationBlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)

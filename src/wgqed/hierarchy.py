@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .liouvillian import ChainConfig, apply_total
-from .qubit_algebra import commutator, excitation_count, lowering_op
+from .qubit_algebra import commutator, excitation_count
 
 __all__ = ["block_order", "Level", "HierarchyPropagator"]
 
@@ -64,8 +64,8 @@ def block_order(n_ph: int):
 class Level(NamedTuple):
     """One rung of the cascade y_l' = a y_l + g(t) b y_{l-1}."""
 
-    rows: np.ndarray  # indices of the level's coordinates in the state vector
-    a: np.ndarray     # A restricted to the level, (n_l, n_l)
+    rows: slice       # the level's coordinates in the state vector
+    a: np.ndarray     # A on the level, (n_l, n_l)
     b: np.ndarray     # B from level l - 1 into level l, (n_l, n_{l-1}); n_{-1} = 0
 
 
@@ -73,22 +73,23 @@ class HierarchyPropagator:
     """Compiled right-hand side y' = A y + g(t) B y over the real state
     vector y.
 
-    y holds, block by block in block_order, the coordinates of each carried
-    rho_{m,n} (m <= n); slots[(m, n)] = (rows, re, im) says where: y[rows]
-    is the real parts of the block's row-major entries re, then the
-    imaginary parts of its entries im.  For m < n both are the block's
-    excitation sector; for the Hermitian rho_{n,n}, re is the sector's
-    entries on and above the diagonal and im those above it.  `block` reads
-    a block back.
+    y holds the coordinates of each carried rho_{m,n} (m <= n) level by
+    level, l = m + n, and in block_order within a level; slots[(m, n)] =
+    (rows, re, im) says where: y[rows] is the real parts of the block's
+    row-major entries re, then the imaginary parts of its entries im.  For
+    m < n both are the block's excitation sector; for the Hermitian
+    rho_{n,n}, re is the sector's entries on and above the diagonal and im
+    those above it.  `block` reads a block back.
 
-    A (dissipator) and B (drive couplings) are real matrices.  Column j is
-    the derivative, read back into coordinates, of the blocks coordinate j
-    stands for (through `block`, so rho_{n,n-1} is the adjoint of
-    rho_{n-1,n}).  apply_total and the two drive commutators, the single
-    definition of the physics, map those operators themselves, and the
-    target block's re and im read each image back, the inverse of `block`.
-    Blocks of one sector n - m share their coordinates, so each map runs
-    once per sector, on the stack of that sector's operators.
+    A (dissipator) and B (drive couplings) are real and held only as the
+    cascade `levels`, levels[l] = Level(rows, a, b) with y[rows] level l.
+    Column j is the derivative, read back into coordinates, of the blocks
+    coordinate j stands for (through `block`, so rho_{n,n-1} is the adjoint
+    of rho_{n-1,n}).  apply_total and the two drive commutators with L_in,
+    the single definition of the physics, map those operators themselves,
+    and the target block's re and im read each image back, the inverse of
+    `block`.  Blocks of one sector n - m share their coordinates, so each
+    map runs once per sector, on the stack of that sector's operators.
     """
 
     def __init__(self, cfg: ChainConfig, n_ph: int):
@@ -100,10 +101,10 @@ class HierarchyPropagator:
         exc = excitation_count(reg)
         grading = np.subtract.outer(exc, exc).ravel()  # exc(a) - exc(b) of |a><b|
         slots = {}  # (m, n) -> (slice of y, re, im), as in the class docstring
+        starts = [0] * (2 * n_ph + 2)  # level l is y[starts[l]:starts[l + 1]]
         size = 0
-        for m, n in block_order(n_ph):
-            if m > n:  # rho_{n,m} is the adjoint of rho_{m,n}
-                continue
+        # the carried m <= n (rho_{n,m} is the adjoint of rho_{m,n}) by level m + n, then by m
+        for m, n in sorted(((m, n) for m, n in block_order(n_ph) if m <= n), key=sum):
             idx = np.flatnonzero(grading == m - n)
             re = im = idx
             if m == n:  # Hermitian: the diagonal is real, the lower triangle the adjoint
@@ -111,38 +112,36 @@ class HierarchyPropagator:
                 re, im = idx[row <= col], idx[row < col]
             slots[(m, n)] = (slice(size, size + re.size + im.size), re, im)
             size += re.size + im.size
-        self.n_ph = n_ph
-        self.register = reg
-        self.dim = dim
-        self.size = size
-        self.slots = slots
+            starts[m + n + 1] = size
+        self.n_ph, self.register, self.dim, self.size, self.slots = n_ph, reg, dim, size, slots
+        self.levels = [
+            Level(slice(lo, hi), np.zeros((hi - lo, hi - lo)), np.zeros((hi - lo, lo - below)))
+            for below, lo, hi in zip([0] + starts[:-2], starts[:-1], starts[1:])
+        ]
 
-        l_in = sum(  # the input operator L_in
-            math.sqrt(em.gamma_r) * np.exp(-1j * k0d) * lowering_op(reg, j)
-            for j, (em, k0d) in enumerate(zip(cfg.emitters, cfg.k0d), start=1)
-        )
+        def within(rows, l):  # rows of y as rows of level l
+            return slice(rows.start - starts[l], rows.stop - starts[l])
+
+        l_in = cfg.input_operator
         liou = partial(apply_total, cfg)  # each map takes a (..., dim, dim) stack
         up = partial(commutator, b=l_in.conj().T)  # times sqrt(m) g(t)
         dn = partial(commutator, l_in)  # times sqrt(n) g*(t)
         images = {}  # (map, sector m - n of the source) -> image of each source coordinate
-
-        a_mat = np.zeros((size, size))
-        b_mat = np.zeros((size, size))
         for (m, n), (rows, re, im) in slots.items():
-            terms = [(a_mat, 1.0, liou, m, n)]
+            level = self.levels[m + n]
+            terms = [(level.a, 1.0, liou, m, n)]
             if m >= 1:
-                terms.append((b_mat, math.sqrt(m), up, m - 1, n))
+                terms.append((level.b, math.sqrt(m), up, m - 1, n))
             if n >= 1:  # for m = n, rho_{n,n-1} is read as the adjoint of rho_{n-1,n}
-                terms.append((b_mat, math.sqrt(n), dn, m, n - 1))
+                terms.append((level.b, math.sqrt(n), dn, m, n - 1))
             for mat, scale, op, p, q in terms:
                 cols = slots[(min(p, q), max(p, q))][0]
                 if (op, p - q) not in images:  # every block of one sector has the same coordinates
                     unit = np.eye(cols.stop - cols.start, size, cols.start)
                     images[(op, p - q)] = op(self.block(unit, p, q)).reshape(-1, dim * dim)
                 image = images[(op, p - q)]  # read back with the target's re and im
-                mat[rows, cols] += scale * np.concatenate([image[:, re].real, image[:, im].imag], 1).T
-        self._a = a_mat
-        self._b = b_mat
+                mat[within(rows, m + n), within(cols, p + q)] += (
+                    scale * np.concatenate([image[:, re].real, image[:, im].imag], 1).T)
 
     def ground(self) -> np.ndarray:
         """State vector of the all-ground start: every diagonal block is the
@@ -191,26 +190,9 @@ class HierarchyPropagator:
         rows, re, _ = self.slots[(n, n)]
         return y[..., rows.start + np.searchsorted(re, np.arange(self.dim) * (self.dim + 1))]
 
-    def levels(self) -> list:
-        """The cascade as one Level per l = m + n, 0 <= l <= 2 n_ph.
-
-        Raises RuntimeError if A couples two levels or B couples anything
-        but level l - 1 to level l, since the cascade would then drop terms.
-        """
-        level = np.empty(self.size, dtype=int)
-        for (m, n), (rows, _, _) in self.slots.items():
-            level[rows] = m + n
-        step = np.subtract.outer(level, level)  # level of the row minus level of the column
-        if np.any(self._a[step != 0]) or np.any(self._b[step != 1]):
-            raise RuntimeError("hierarchy operator couples levels outside the cascade")
-        out = []
-        below = np.empty(0, dtype=int)
-        for l in range(2 * self.n_ph + 1):
-            rows = np.flatnonzero(level == l)
-            out.append(Level(rows, self._a[np.ix_(rows, rows)], self._b[np.ix_(rows, below)]))
-            below = rows
-        return out
-
     def derivative(self, g: float, y: np.ndarray) -> np.ndarray:
-        """d/dt of the state vector y (size,) given the real drive amplitude g."""
-        return self._a @ y + g * (self._b @ y)
+        """d/dt of the state vector y (size,) given the real drive amplitude g,
+        level by level."""
+        below = [slice(0, 0)] + [level.rows for level in self.levels]
+        return np.concatenate([level.a @ y[level.rows] + g * (level.b @ y[rows])
+                               for level, rows in zip(self.levels, below)])

@@ -2,8 +2,9 @@
 
 The hierarchy state is a single real vector (the real coordinates of the
 excitation-sector entries of every carried block rho_{m,n}, m <= n, laid
-out by HierarchyPropagator).  Its equation y' = A y + g(t) B y splits into
-levels l = m + n (HierarchyPropagator.levels): level l obeys
+out by HierarchyPropagator level by level).  Its equation y' = A y + g(t) B y
+is compiled as its levels l = m + n (HierarchyPropagator.levels), each a
+contiguous slice y_l of the vector: level l obeys
 y_l' = A_l y_l + f_l(t), forced by f_l = g B_l y_{l-1} from the level
 below, in float64 throughout.  Over one step h,
 
@@ -80,8 +81,8 @@ class IntegratorConfig:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not 0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
-        if self.record_stride < 1:
-            raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
+        if not isinstance(self.record_stride, (int, np.integer)) or self.record_stride < 1:
+            raise ValueError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
         if not self.t_end / self.dt <= MAX_STEPS:
             raise ValueError(
                 f"t_end / dt = {self.t_end / self.dt:.6g} steps exceeds the limit of {MAX_STEPS}"
@@ -131,7 +132,7 @@ class _StackedStep:
     u is spent, and is copied back into the columns of y_l."""
 
     def __init__(self, levels: list, h: float, c: int):
-        n, p = len(levels) - 1, max(len(level.rows) for level in levels)
+        n, p = len(levels) - 1, max(len(level.a) for level in levels)
         a, b, eye = np.zeros((3, n + 1, p, p))
         for l, level in enumerate(levels):
             k, j = level.b.shape
@@ -262,7 +263,7 @@ def integrate(
     """
     prop = HierarchyPropagator(chain, n_ph)
     h = icfg.dt
-    levels = prop.levels()
+    levels = prop.levels
     ground = prop.ground()
     if np.any(levels[0].a @ ground[levels[0].rows]):
         raise RuntimeError("level 0 moves off the all-ground state, so it cannot be held")
@@ -277,7 +278,7 @@ def integrate(
     snaps = np.tile(ground, (len(recorded), 1))  # level 0 is held at the start
     w = np.zeros((len(levels), 2 * stepper.p, c + 1))  # [y_l; f_l] on level l's last chunk
     for level, wl in zip(levels, w):
-        wl[:len(level.rows)] = ground[level.rows, None]
+        wl[:len(level.a)] = ground[level.rows, None]
 
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.arange(n_chunks * c + 1) * h
@@ -289,7 +290,7 @@ def integrate(
             stepper.run(w, lo, hi, g[chunks], dg[chunks])
             for l, j in zip(range(lo, hi + 1), chunks):
                 rec = slice(bounds[j], bounds[j + 1])
-                snaps[rec, levels[l].rows] = w[l, :len(levels[l].rows), recorded[rec] - j * c]
+                snaps[rec, levels[l].rows] = w[l, :len(levels[l].a), recorded[rec] - j * c]
             if hi == top:  # chunk i + 1 - top is now done on every level
                 rec = slice(bounds[i + 1 - top], bounds[i + 2 - top])
                 finite = np.isfinite(snaps[rec]).all(axis=1)

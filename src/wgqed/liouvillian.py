@@ -105,15 +105,22 @@ class ChainConfig:
 
     @cached_property
     def _operators(self) -> tuple:
-        """(H, H^dag, the jump feeds sum_j J_ij s_j, the raising operators sd_i)
-        of apply_total, built on first use and kept with the chain."""
+        """(H, H^dag, the jump feeds sum_j J_ij s_j, the raising operators sd_i,
+        L_in) of the chain, built on first use and kept with it."""
         s = np.stack([lowering_op(self.register, j) for j in range(1, self.n_emitters + 1)])
         sd = s.conj().swapaxes(-1, -2)
         d = coupling_matrix(self)
         local = np.diag([em.delta - 0.5j * em.gamma_spont for em in self.emitters])
         h = np.einsum("ij,iab,jbc->ac", local - 1j * d, sd, s)
         feed = np.tensordot(d + d.conj().T, s, axes=1)  # one per i
-        return h, h.conj().T, feed, sd
+        l_in = sum(math.sqrt(em.gamma_r) * np.exp(-1j * k0d) * s_j
+                   for em, k0d, s_j in zip(self.emitters, self.k0d, s))
+        return h, h.conj().T, feed, sd, l_in
+
+    @property
+    def input_operator(self) -> np.ndarray:
+        """L_in = sum_j sqrt(Gamma_jr) e^{-i k0d_j} s_j, the right-moving input's coupling."""
+        return self._operators[-1]
 
 
 def coupling_matrix(cfg: ChainConfig) -> np.ndarray:
@@ -132,6 +139,6 @@ def apply_total(cfg: ChainConfig, rho: np.ndarray) -> np.ndarray:
     reg = cfg.register
     if rho.shape[-2:] != (reg.dim, reg.dim):
         raise ValueError(f"operator has shape {rho.shape}, chain dimension is {reg.dim}")
-    h, h_adj, feed, sd = cfg._operators
+    h, h_adj, feed, sd, _ = cfg._operators
     jumps = np.sum(feed @ rho[..., None, :, :] @ sd, axis=-3)
     return -1j * (h @ rho - rho @ h_adj) + jumps

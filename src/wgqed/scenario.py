@@ -25,8 +25,8 @@ from .observables import population_indices
 from .pulse import GaussianPulse
 from .qubit_algebra import EmitterRegister
 
-__all__ = ["ScenarioError", "Scenario", "ratio_tag", "parse_scenario_text", "build_scenario",
-           "load_scenario"]
+__all__ = ["ScenarioError", "ScenarioFileError", "Scenario", "ratio_tag", "parse_scenario_text",
+           "build_scenario", "load_scenario"]
 
 _EMITTER_FIELDS = ("gamma_r", "gamma_l", "gamma_spont", "delta", "k0d")
 
@@ -53,6 +53,10 @@ class ScenarioError(ValueError):
 
     def __reduce__(self):  # rebuild from the arguments, not from the formatted message
         return type(self), (self.key, self.message)
+
+
+class ScenarioFileError(Exception):
+    """The scenario file cannot be read as UTF-8 text; the message names it."""
 
 
 def parse_scenario_text(text: str) -> dict:
@@ -299,9 +303,17 @@ def build_scenario(kv: dict) -> Scenario:
 
 
 def load_scenario(path, dt_override: float = None) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        kv = parse_scenario_text(fh.read())
-    sc = build_scenario(kv)
+    """The scenario in the file at `path`; ScenarioFileError if the file
+    cannot be read as UTF-8 text, ScenarioError if it is not a valid scenario."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise ScenarioFileError(f"cannot read scenario file {path}: not found") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+        reason = getattr(exc, "strerror", None) or exc
+        raise ScenarioFileError(f"cannot read scenario file {path}: {reason}") from None
+    sc = build_scenario(parse_scenario_text(text))
     if dt_override is not None:
         sc = sc.with_dt(dt_override)
     return sc

@@ -10,7 +10,8 @@ caller does: through the checked reader read_state, then the closed form.
 
 The sector helpers build dicts of dense blocks rho_{m,k}, as the longhand
 oracle in oracles.py takes them, and gather them into the compiled
-propagator's real state vector.
+propagator's real state vector.  dense_operators assembles the compiled
+A and B of y' = A y + g(t) B y from the propagator's levels.
 """
 
 from __future__ import annotations
@@ -99,6 +100,19 @@ def gather(prop: HierarchyPropagator, blocks: dict) -> np.ndarray:
         x[rows] = np.concatenate([flat[re].real, flat[im].imag])
         assert np.array_equal(prop.block(x, *mn).ravel(), flat), f"block {mn} does not round-trip"
     return x
+
+
+def dense_operators(prop: HierarchyPropagator) -> tuple:
+    """The (size, size) real A and B of y' = A y + g(t) B y: each level's a
+    on its own rows and columns, its b on its rows and the columns of the
+    level below, zero everywhere else."""
+    a, b = np.zeros((2, prop.size, prop.size))
+    below = slice(0, 0)
+    for level in prop.levels:
+        a[level.rows, level.rows] = level.a
+        b[level.rows, below] = level.b
+        below = level.rows
+    return a, b
 
 
 def oracle_deviation(cfg, n_ph: int, blocks: dict, t: float, pulse) -> float:

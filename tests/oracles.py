@@ -201,7 +201,7 @@ def level_by_level_integrate(cfg: ChainConfig, pulse: GaussianPulse, n_ph: int,
     series per level.  Records as integrate does."""
     prop = HierarchyPropagator(cfg, n_ph)
     h = icfg.dt
-    levels = prop.levels()
+    levels = prop.levels
     steppers = [_OneLevelStep(level.a, h) for level in levels]
     n_steps = icfg.n_steps
     recorded = np.append(np.arange(0, n_steps, icfg.record_stride), n_steps)  # step numbers

@@ -4,7 +4,7 @@ the compiled propagator checked against the longhand transcription."""
 import numpy as np
 import pytest
 
-from conftest import gather, oracle_deviation, random_sector_state, sector_mask
+from conftest import dense_operators, gather, oracle_deviation, random_sector_state, sector_mask
 from oracles import (
     column_by_column_operators,
     full_slots,
@@ -87,6 +87,8 @@ def test_sector_sizes(n, n_ph, size):
 
 
 def test_flatten_order_matches_block_order():
+    """The carried blocks are laid out level by level, m + n, and within a
+    level in block_order."""
     rng = np.random.default_rng(5)
     cfg = random_chain(rng, 2)
     prop = HierarchyPropagator(cfg, 2)
@@ -94,7 +96,7 @@ def test_flatten_order_matches_block_order():
     flat = gather(prop, blocks)
     assert flat.dtype == np.float64
     start = 0
-    for m, n in block_order(2):
+    for m, n in sorted(block_order(2), key=sum):
         assert np.array_equal(prop.block(flat, m, n), blocks[(m, n)])
         if m > n:
             assert (m, n) not in prop.slots  # read off as the adjoint of (n, m)
@@ -196,7 +198,8 @@ def test_compiled_operators_equal_column_by_column_reference(n, n_ph):
     P reads back the real parts of the re entries and the imaginary parts
     of the im entries of each carried block.  Every entry of the reference
     product Re(P A S) is a sum of at most two nonzero terms, so the order
-    of summation cannot change it."""
+    of summation cannot change it.  A and B are assembled from the levels,
+    so a coupling the cascade would drop shows as a mismatch."""
     cfg = random_chain(np.random.default_rng(500 + 10 * n + n_ph), n)
     prop = HierarchyPropagator(cfg, n_ph)
     slots, a_ref, b_ref = column_by_column_operators(cfg, n_ph)
@@ -214,8 +217,9 @@ def test_compiled_operators_equal_column_by_column_reference(n, n_ph):
                                         part[np.searchsorted(idx, im)].imag])
         return out
 
-    assert np.array_equal(prop._a, read_back(a_ref @ s_map))
-    assert np.array_equal(prop._b, read_back(b_ref @ s_map))
+    a, b = dense_operators(prop)
+    assert np.array_equal(a, read_back(a_ref @ s_map))
+    assert np.array_equal(b, read_back(b_ref @ s_map))
 
     x = np.random.default_rng(n).normal(size=prop.size)
     full = s_map @ x
@@ -255,7 +259,8 @@ def test_compile_builds_the_chain_operators_once(monkeypatch):
     first = HierarchyPropagator(cfg, 3)
     again = HierarchyPropagator(cfg, 3)
     assert calls == [cfg]
-    assert np.array_equal(first._a, again._a) and np.array_equal(first._b, again._b)
+    for x, y in zip(dense_operators(first), dense_operators(again)):
+        assert np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -268,10 +273,11 @@ def test_blocks_of_one_sector_share_their_coordinates_and_operators(n, n_ph):
     adjoint of rho_{n-1,n}, a sector of its own."""
     cfg = random_chain(np.random.default_rng(600 + 10 * n + n_ph), n)
     prop = HierarchyPropagator(cfg, n_ph)
+    a, b = dense_operators(prop)
     first = {}  # sector -> (re, im, A-block) of its first block
     drives = {}  # (term, source sector) -> the B-block over its scale, first seen
     for (m, k), (rows, re, im) in prop.slots.items():
-        a_block = prop._a[rows, rows]
+        a_block = a[rows, rows]
         sector_re, sector_im, sector_a = first.setdefault(k - m, (re, im, a_block))
         assert np.array_equal(re, sector_re) and np.array_equal(im, sector_im)
         assert np.array_equal(a_block, sector_a), (m, k)
@@ -281,7 +287,7 @@ def test_blocks_of_one_sector_share_their_coordinates_and_operators(n, n_ph):
         if k >= 1:
             sources.append(("dn", np.sqrt(k), m, k - 1))
         for term, scale, p, q in sources:
-            b_block = prop._b[rows, prop.slots[(min(p, q), max(p, q))][0]]
+            b_block = b[rows, prop.slots[(min(p, q), max(p, q))][0]]
             assert b_block.size == 0 or np.any(b_block), (m, k, term)
             base = drives.setdefault((term, p - q), b_block / scale)
             np.testing.assert_allclose(b_block, scale * base, rtol=1e-15, atol=0)
@@ -292,46 +298,45 @@ def test_blocks_of_one_sector_share_their_coordinates_and_operators(n, n_ph):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("n_ph", [1, 2, 3])
+def test_levels_tile_the_state_vector_in_block_order(n, n_ph):
+    """The levels' rows are contiguous slices that tile [0, size) in order,
+    and level l holds the carried blocks with m + k = l one after another,
+    in block_order; its a and b span its own rows and the level below's."""
+    prop = HierarchyPropagator(random_chain(np.random.default_rng(450 + 10 * n + n_ph), n), n_ph)
+    assert len(prop.levels) == 2 * n_ph + 1
+    start = below = 0
+    for l, level in enumerate(prop.levels):
+        rows = level.rows
+        assert isinstance(rows, slice) and rows.step is None and rows.start == start, l
+        for m, k in [(m, k) for m, k in block_order(n_ph) if m <= k and m + k == l]:
+            assert prop.slots[(m, k)][0].start == start, (m, k)
+            start = prop.slots[(m, k)][0].stop
+        assert rows.stop == start, l
+        width = rows.stop - rows.start
+        assert level.a.shape == (width, width) and level.b.shape == (width, below), l
+        below = width
+    assert start == prop.size
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_ph", [1, 2, 3])
 def test_operators_form_a_level_cascade(n, n_ph):
     """A keeps the level l = m + n of every entry, and B only raises it by
-    one.  Checked on the compiled matrices, with levels labelled from slots;
-    then the levels() split must put every entry back where it came from."""
+    one.  Checked on the operators assembled from the levels, with each
+    coordinate's level labelled from slots, so a block compiled into the
+    wrong level would show.  Every level has a nonzero a, and every level
+    above the vacuum a nonzero drive b from the level below."""
     cfg = random_chain(np.random.default_rng(400 + 10 * n + n_ph), n)
     prop = HierarchyPropagator(cfg, n_ph)
-    a, b = prop._a, prop._b
+    a, b = dense_operators(prop)
     level = np.empty(prop.size, dtype=int)
     for (m, k), (rows, _, _) in prop.slots.items():
         level[rows] = m + k
     rise = level[:, None] - level[None, :]
-    assert np.any(a) and np.any(b)
     assert not np.any(a[rise != 0])
     assert not np.any(b[rise != 1])
-
-    levels = prop.levels()
-    assert len(levels) == 2 * n_ph + 1
-    a_back, b_back = np.zeros_like(a), np.zeros_like(b)
-    below = np.empty(0, dtype=int)
-    for l, lv in enumerate(levels):
-        assert np.array_equal(lv.rows, np.flatnonzero(level == l))
-        a_back[np.ix_(lv.rows, lv.rows)] = lv.a
-        b_back[np.ix_(lv.rows, below)] = lv.b
-        below = lv.rows
-    assert np.array_equal(a_back, a)
-    assert np.array_equal(b_back, b)
-
-
-
-def test_levels_refuse_couplings_outside_the_cascade():
-    """levels() is the integrator's only view of A and B, so an entry it
-    would drop must stop it: one coupling inside level 1 planted in B, and
-    one from level 1 into level 0 planted in A."""
-    cfg = ChainConfig((EmitterParams(), EmitterParams()))
-    first = HierarchyPropagator(cfg, 1).levels()[1]
-    for name, row, col in (("_b", first.rows[0], first.rows[1]), ("_a", 0, first.rows[0])):
-        prop = HierarchyPropagator(cfg, 1)
-        getattr(prop, name)[row, col] = 1.0
-        with pytest.raises(RuntimeError, match="outside the cascade"):
-            prop.levels()
+    for l, lv in enumerate(prop.levels):
+        assert np.any(lv.a) and (l == 0 or np.any(lv.b)), l
 
 
 def test_vacuum_block_never_moves():
@@ -362,7 +367,7 @@ def test_vacuum_level_is_at_rest_on_random_chains(n):
             assert em.delta != 0 and em.gamma_spont > 0 and em.gamma_r != em.gamma_l
         for n_ph in (1, 2, 3):
             prop = HierarchyPropagator(cfg, n_ph)
-            vacuum = prop.levels()[0]
+            vacuum = prop.levels[0]
             assert not np.any(vacuum.a @ prop.ground()[vacuum.rows])
 
 
@@ -373,8 +378,7 @@ def test_integrate_refuses_a_vacuum_level_that_moves(monkeypatch):
     class Planted(HierarchyPropagator):
         def __init__(self, cfg, n_ph):
             super().__init__(cfg, n_ph)
-            rows = self.slots[(0, 0)][0]
-            self._a[rows.start + 1, rows.start] = 1.0
+            self.levels[0].a[1, 0] = 1.0
 
     monkeypatch.setattr(integrator, "HierarchyPropagator", Planted)
     cfg = ChainConfig((EmitterParams(), EmitterParams()))

@@ -55,6 +55,16 @@ def test_config_validation():
     assert IntegratorConfig(dt=1e-3, t_end=1e-3 * MAX_STEPS).n_steps == MAX_STEPS
 
 
+def test_config_refuses_a_record_stride_that_is_not_an_integer():
+    """A fractional stride would reach integrate as a float index; it is
+    refused under its own name, as is an integral float.  A numpy integer
+    is an integer."""
+    for bad in (2.5, 10.0, "10"):
+        with pytest.raises(ValueError, match="^record_stride"):
+            IntegratorConfig(record_stride=bad)
+    assert IntegratorConfig(record_stride=np.int64(10)).record_stride == 10
+
+
 def test_exponential_decay_is_reproduced():
     f = lambda t, y: -y
     y0 = np.array([1.0 + 0.0j])
@@ -142,7 +152,7 @@ def test_cascade_runs_in_float64():
     in would double the work, and with real arrays a dropped imaginary part
     raises ComplexWarning, an error in this suite."""
     cfg = random_chain(np.random.default_rng(9), 3)  # complex couplings, detuning, loss
-    for level in HierarchyPropagator(cfg, 3).levels():
+    for level in HierarchyPropagator(cfg, 3).levels:
         assert level.a.dtype == np.float64 and level.b.dtype == np.float64
     pulse = GaussianPulse(mu=1.46, t_bar=1.0)
     states = integrate(cfg, pulse, 3, IntegratorConfig(dt=1e-2, t_end=2.0, record_stride=10))
@@ -308,10 +318,10 @@ def test_stacked_operators_vanish_outside_each_level(n, n_ph):
     """Every stacked step operator is exactly zero on the padded rows and
     columns of its level, and a step keeps the padded coordinates of w
     exactly 0, so no level leaks into the padding or reads from it."""
-    levels = HierarchyPropagator(random_chain(np.random.default_rng(700 + n), n), n_ph).levels()
+    levels = HierarchyPropagator(random_chain(np.random.default_rng(700 + n), n), n_ph).levels
     c = 2 * integrator._BLOCK
     step = integrator._StackedStep(levels, 1e-2, c)
-    p, size = step.p, [len(level.rows) for level in levels]
+    p, size = step.p, [len(level.a) for level in levels]
 
     def inside(k):  # mask of the first k coordinates of each p-wide group
         return np.arange(p) < k
@@ -351,21 +361,21 @@ def test_one_call_forces_each_level_with_the_level_below_before_the_call(n, n_ph
     of 1, 3 and 5 blocks run the block-start scan with no doubling step and
     with block counts that are not powers of two."""
     rng = np.random.default_rng(900 + 10 * n + n_ph)
-    levels = HierarchyPropagator(random_chain(rng, n), n_ph).levels()
-    h, p, top = 1e-2, max(len(level.rows) for level in levels), len(levels) - 1
+    levels = HierarchyPropagator(random_chain(rng, n), n_ph).levels
+    h, p, top = 1e-2, max(len(level.a) for level in levels), len(levels) - 1
     for blocks in (1, 3, 5):
         c = blocks * integrator._BLOCK
         step = integrator._StackedStep(levels, h, c)
         w = np.zeros((top + 1, 2 * p, c + 1))
         for l, level in enumerate(levels):
-            k = len(level.rows)
+            k = len(level.a)
             w[l, :k], w[l, p:p + k] = rng.normal(size=(2, k, c + 1))
         g, dg = rng.normal(size=(2, top, c + 1, 1))
         before = w.copy()
         step.run(w, 1, top, g[..., 0], dg[..., 0])
         for l in range(1, top + 1):
             below, level = levels[l - 1], levels[l]
-            j, k = len(below.rows), len(level.rows)
+            j, k = len(below.a), len(level.a)
             y, f_below = before[l - 1, :j].T, before[l - 1, p:p + j].T
             drive = y @ level.b.T
             f = g[l - 1] * drive
@@ -386,7 +396,7 @@ def test_stepper_work_buffers_stay_within_the_row_layout_footprint():
     c, b = integrator._CHUNK, integrator._BLOCK
     operators = {"from_start", "from_end", "b", "e_fill", "scan"}
     for n in (1, 2, 3):
-        levels = HierarchyPropagator(random_chain(np.random.default_rng(40 + n), n), 3).levels()
+        levels = HierarchyPropagator(random_chain(np.random.default_rng(40 + n), n), 3).levels
         step = integrator._StackedStep(levels, 1e-2, c)
         p, top = step.p, len(levels) - 1
         buffers = [a for name, a in vars(step).items()

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wgqed import cli
+from wgqed import cli, scenario
 from wgqed.cli import main
 from wgqed.scenario import (
     Scenario,
@@ -315,6 +315,30 @@ def test_cli_missing_file_and_bad_scenario_exit_2(tmp_path, capsys):
     bad = write(tmp_path, "n_emitters = 1\nbogus = 1\n", name="bad.cfg")
     assert main(["run", str(bad), "--quiet"]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_cli_scenario_that_cannot_be_read_as_text_exits_2(tmp_path, monkeypatch, capsys):
+    """A directory, a file that is not UTF-8 and a file that may not be read
+    exit 2 with one error line naming the path, no traceback, no output."""
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"n_emitters = 1\n\xff\n")
+    out = tmp_path / "out"
+    for path, reason in ((tmp_path, "Is a directory"), (binary, "can't decode byte 0xff")):
+        assert main(["run", str(path), "--out-dir", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read scenario file {path}: ")
+        assert reason in err and err.count("\n") == 1
+
+    locked = write(tmp_path, TINY, name="locked.cfg")
+
+    def refused(path, *args, **kwargs):  # file modes do not stop every user
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(scenario, "open", refused, raising=False)
+    assert main(["sweep", str(locked), "--out-dir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read scenario file {locked}: Permission denied\n"
+    assert not out.exists()
 
 
 def test_cli_non_finite_number_exits_2(tmp_path, capsys):
