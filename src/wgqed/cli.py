@@ -11,15 +11,18 @@ additionally writes an aggregate CSV of per-ratio peak values.  The ratios
 run in parallel, in forked workers, on every CPU the process may use;
 `taskset -c 0 wgqed sweep ...` runs them one after another.
 
+Each run's columns and peaks come from one ordered map {column name:
+series}, build_trajectory's, and the recorded times.
+
 Exit codes: 0 success; 2 scenario file unreadable (the message names the
-path) or invalid (the message names the offending key); 3 integration
-blow-up (message reports the time).
+path) or invalid (the message names the offending key), or an output
+directory that cannot be created (the message names it; a sweep stops
+before it forks); 3 integration blow-up (message reports the time).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import pickle
@@ -30,23 +33,33 @@ from typing import NoReturn
 import numpy as np
 
 from .integrator import IntegrationBlowUpError, integrate
-from .observables import Trajectory, build_trajectory, peak
+from .observables import build_trajectory, peak
 from .scenario import Scenario, ScenarioError, ScenarioFileError, load_scenario, ratio_tag
 
-__all__ = ["simulate_scenario", "run", "sweep", "main"]
+__all__ = ["OutputDirError", "simulate_scenario", "run", "sweep", "main"]
+
+
+class OutputDirError(Exception):
+    """The output directory cannot be created; the message names it."""
 
 
 def simulate_scenario(sc: Scenario):
-    """Integrate a scenario; returns (named-series trajectory, raw state trajectory)."""
+    """Integrate a scenario; returns ({column name: series}, raw state trajectory)."""
     states = integrate(sc.chain, sc.pulse, sc.n_photons, sc.integrator)
-    traj = build_trajectory(
-        states,
-        sc.populations,
-        want_concurrence=sc.want_concurrence,
-        want_fill=sc.want_fill,
-        pulse=sc.pulse if sc.want_pulse else None,
-    )
-    return traj, states
+    series = build_trajectory(states, sc.populations, want_concurrence=sc.want_concurrence,
+                              want_fill=sc.want_fill, pulse=sc.pulse if sc.want_pulse else None)
+    return series, states
+
+
+def _make_out_dir(out_dir) -> Path:
+    """The output directory, created with its parents if it is missing."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, a path under a file, no permission
+        reason = exc.strerror or exc
+        raise OutputDirError(f"cannot create output directory {out}: {reason}") from None
+    return out
 
 
 def _write_csv(path: Path, header: list, columns: list) -> None:
@@ -66,20 +79,19 @@ def _emit(quiet: bool, text: str) -> None:
         print(text)
 
 
-def _write_run(out: Path, tag: str, sc: Scenario, traj: Trajectory):
+def _write_run(out: Path, tag: str, sc: Scenario, series: dict, times: np.ndarray):
     """Write one run's <tag>.csv and <tag>_summary.json; returns (paths, peaks)."""
-    series = traj.series_map()
-    peaks = {name: dataclasses.asdict(peak(traj, name)) for name in series}
+    peaks = {name: peak(times, values) for name, values in series.items()}
     csv_path = out / f"{tag}.csv"
     json_path = out / f"{tag}_summary.json"
-    _write_csv(csv_path, ["t", *series], [traj.times, *series.values()])
+    _write_csv(csv_path, ["t", *series], [times, *series.values()])
     _write_json(
         json_path,
         {
             "scenario": sc.resolved(),
             "peaks": peaks,
             "series": list(series),
-            "n_time_points": int(len(traj.times)),
+            "n_time_points": int(len(times)),
         },
     )
     return [csv_path, json_path], peaks
@@ -88,11 +100,9 @@ def _write_run(out: Path, tag: str, sc: Scenario, traj: Trajectory):
 def run(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
     """Single run; returns the written file paths."""
     sc = load_scenario(scenario_path, dt_override=dt)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    traj, _states = simulate_scenario(sc)
-    written, peaks = _write_run(out, Path(scenario_path).stem, sc, traj)
+    out = _make_out_dir(out_dir)
+    series, states = simulate_scenario(sc)
+    written, peaks = _write_run(out, Path(scenario_path).stem, sc, series, states.times)
     for name, entry in peaks.items():
         _emit(quiet, f"{name}: max {entry['value']:.6g} at t = {entry['time']:g}")
     for path in written:
@@ -115,11 +125,11 @@ def _run_share(sc: Scenario, out: Path, stem: str, ratios: list, send) -> None:
     for ratio in ratios:
         sc_ratio = sc.with_ratio(ratio)
         try:
-            traj, _states = simulate_scenario(sc_ratio)
+            series, states = simulate_scenario(sc_ratio)
         except IntegrationBlowUpError as exc:
             send(exc)
             return
-        send(_write_run(out, f"{stem}_ratio{ratio_tag(ratio)}", sc_ratio, traj))
+        send(_write_run(out, f"{stem}_ratio{ratio_tag(ratio)}", sc_ratio, series, states.times))
 
 
 def _serve_share(fd: int, sc: Scenario, out: Path, stem: str, ratios: list) -> NoReturn:
@@ -161,8 +171,7 @@ def sweep(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
     sc = load_scenario(scenario_path, dt_override=dt)
     if not sc.sweep_ratios:
         raise ScenarioError("sweep.ratios", "required for the sweep command")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(out_dir)
     stem = Path(scenario_path).stem
 
     ratios = list(sc.sweep_ratios)
@@ -261,7 +270,7 @@ def main(argv=None) -> int:
     command = run if args.command == "run" else sweep
     try:
         command(args.scenario, out_dir=args.out_dir, dt=args.dt, quiet=args.quiet)
-    except (ScenarioError, ScenarioFileError) as exc:
+    except (ScenarioError, ScenarioFileError, OutputDirError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrationBlowUpError as exc:

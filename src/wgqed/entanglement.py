@@ -21,7 +21,11 @@ returns the normalized Heron area
 
     F = [ (16/3) Q (Q - a)(Q - b)(Q - c) ]^(1/4),   Q = (a + b + c)/2,
 
-which is 8/9 on the W state and 0 on product states.
+which is 8/9 on the W state and 0 on product states.  It evaluates the
+product in Kahan's ordering, (a + (b + c)) (c - (a - b)) (c + (a - b))
+(a + (b - c)) / 3 with a >= b >= c, which stays within a few ulps on a
+nearly flat triangle, where Q - a cancels (W. Kahan, "Miscalculating Area
+and Angles of a Needle-like Triangle").
 
 So each measure takes what it measures, not a density matrix: the
 concurrence the pair's four populations and rho_{eg,ge}, the fill the
@@ -133,14 +137,14 @@ def concurrence_fill(populations: np.ndarray):
     The triangle inequality among the squared one-to-other concurrences is
     guaranteed for pure states only; a sufficiently mixed state can push one
     side past the sum of the other two (strongly chirally damped chains do
-    this at late times).  The Heron factors are clamped at zero, so such
+    this at late times).  The factor c - (a - b) is clamped at zero, so such
     states — like exactly degenerate triangles — report zero fill.
     """
     tr = _trace(populations, 8)
     p = np.stack([populations[..., idx].sum(axis=-1) / tr for idx in _EXCITED], axis=-1)
     sides = np.clip(4.0 * p * (1.0 - p), 0.0, 1.0)
-    q = 0.5 * sides.sum(axis=-1)
-    factors = np.clip(q[..., None] - sides, 0.0, None)
-    area4 = (16.0 / 3.0) * q * np.prod(factors, axis=-1)
+    c, b, a = np.moveaxis(np.sort(sides, axis=-1), -1, 0)  # a >= b >= c
+    # Kahan's ordering: no factor cancels beyond its last bit, however flat the triangle
+    area4 = (a + (b + c)) * np.maximum(0.0, c - (a - b)) * (c + (a - b)) * (a + (b - c)) / 3.0
     # two correctly rounded square roots, not pow: the same bits alone or in a stack
-    return np.sqrt(np.sqrt(np.maximum(0.0, area4)))
+    return np.sqrt(np.sqrt(area4))

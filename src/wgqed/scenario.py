@@ -271,7 +271,8 @@ def build_scenario(kv: dict) -> Scenario:
         items = _as_list("sweep.ratios", ratios_raw)
         if not items:
             raise ScenarioError("sweep.ratios", "ratio list is empty")
-        sweep_ratios = tuple(_as_float("sweep.ratios", item) for item in items)
+        # + 0.0 turns -0 into 0, so that "0, -0" share the tag "0" and are refused below
+        sweep_ratios = tuple(_as_float("sweep.ratios", item) + 0.0 for item in items)
         if any(r < 0 for r in sweep_ratios):
             raise ScenarioError("sweep.ratios", "ratios must be >= 0")
         tags = [ratio_tag(r) for r in sweep_ratios]

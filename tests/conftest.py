@@ -59,7 +59,7 @@ def _cached_run(stem: str, ratio):
 
 @pytest.fixture(scope="session")
 def scenario_run():
-    """scenario_run(stem, ratio=None) -> (Trajectory, StateTrajectory)."""
+    """scenario_run(stem, ratio=None) -> ({column name: series}, StateTrajectory)."""
     return _cached_run
 
 

@@ -24,8 +24,9 @@ from oracles import (
     structured_pair_state,
 )
 from wgqed.cli import simulate_scenario
+from wgqed.entanglement import concurrence_fill
 from wgqed.integrator import IntegratorConfig
-from wgqed.qubit_algebra import EmitterRegister, basis_index
+from wgqed.qubit_algebra import EmitterRegister, basis_index, excited
 from wgqed.scenario import load_scenario
 
 from conftest import concurrence_of, fill_of, scenario_path
@@ -310,12 +311,12 @@ def test_shipped_concurrence_matches_long_double_closed_form(n_ph, stride, ratio
     sc = dataclasses.replace(
         sc, n_photons=n_ph, integrator=IntegratorConfig(dt=1e-3, t_end=12.0, record_stride=stride)
     )
-    traj, states = simulate_scenario(sc)
-    phys = states.physical()
-    assert np.abs(traj.concurrence - _closed_form_in_long_double(phys)).max() <= 1e-15
-    assert np.abs(traj.concurrence - spin_flip_concurrence(phys)).max() <= np.sqrt(np.finfo(float).eps)
+    series, states = simulate_scenario(sc)
+    concurrence, phys = series["concurrence"], states.physical()
+    assert np.abs(concurrence - _closed_form_in_long_double(phys)).max() <= 1e-15
+    assert np.abs(concurrence - spin_flip_concurrence(phys)).max() <= np.sqrt(np.finfo(float).eps)
     if ratio > 1.0:  # the symmetric pair stays below 3e-8 (gate 3)
-        assert traj.concurrence.max() > 0.1
+        assert concurrence.max() > 0.1
 
 
 @pytest.mark.parametrize("stem", ["three_emitter_chirality_sweep", "three_emitter_lossy_sweep"])
@@ -323,8 +324,37 @@ def test_shipped_fill_matches_partial_trace_fill(scenario_run, stem):
     """The closed-form fill of the shipped 3-emitter runs (the lossy one with
     a trace below one) equals the partial-trace oracle to roundoff."""
     for ratio in (1.0, 5.0):
-        traj, states = scenario_run(stem, ratio)
-        assert np.abs(traj.fill - purity_fill(states.physical())).max() <= 1e-13
+        series, states = scenario_run(stem, ratio)
+        assert np.abs(series["fill"] - purity_fill(states.physical())).max() <= 1e-13
+
+
+@pytest.mark.parametrize("stem", ["three_emitter_chirality_sweep", "three_emitter_detuned_sweep",
+                                  "three_emitter_lossy_sweep"])
+def test_fill_is_within_two_ulps_of_its_long_double_value(scenario_run, stem):
+    """The fill of the shipped 3-emitter populations at ratios 1-5 is within
+    2 ulps of Heron's product evaluated in long double (Kahan's ordering)
+    from the same float64 sides.  Near-flat triangles of the sides occur on
+    these runs, where the plain (16/3) Q (Q - a)(Q - b)(Q - c) loses up to
+    thousands of ulps.
+
+    The populations are rounded to multiples of 2^-40, with the ground
+    population making the trace exactly 1: every sum of them is then exact
+    in any order, so the sides below are bit for bit the ones production
+    forms."""
+    reg = EmitterRegister(3)
+    for ratio in (1.0, 2.0, 3.0, 4.0, 5.0):
+        _, states = scenario_run(stem, ratio)
+        populations = np.round(states.propagator.diagonal(states.blocks, states.n_ph) * 2.0**40)
+        populations /= 2.0**40
+        populations[:, 0] = 1.0 - populations[:, 1:].sum(axis=-1)
+        p = populations @ excited(reg)
+        sides = np.clip(4.0 * p * (1.0 - p), 0.0, 1.0).astype(np.longdouble)
+        c, b, a = np.moveaxis(np.sort(sides, axis=-1), -1, 0)
+        area4 = (a + (b + c)) * np.maximum(0.0, c - (a - b)) * (c + (a - b)) * (a + (b - c)) / 3
+        expected = np.sqrt(np.sqrt(area4))
+        fill = concurrence_fill(populations)
+        ulps = np.abs(fill - expected) / np.spacing(expected.astype(float))
+        assert np.all((ulps <= 2.0) | (fill == expected)), (ratio, float(ulps.max()))
 
 
 # --------------------------------------------------------- one-to-other c^2

@@ -11,14 +11,7 @@ import pytest
 from oracles import random_chain
 from wgqed.entanglement import concurrence_fill, read_state, wootters_concurrence
 from wgqed.integrator import IntegrationBlowUpError, IntegratorConfig, StateTrajectory, integrate
-from wgqed.observables import (
-    PeakSummary,
-    Trajectory,
-    build_trajectory,
-    peak,
-    population,
-    population_indices,
-)
+from wgqed.observables import build_trajectory, peak, population, population_indices
 from wgqed.pulse import GaussianPulse, amplitude
 from wgqed.qubit_algebra import EmitterRegister, basis_index
 
@@ -57,46 +50,39 @@ def test_population_refuses_a_label_that_repeats_a_state():
 
 
 def test_peak_reports_first_global_maximum():
-    traj = Trajectory(
-        times=np.array([0.0, 1.0, 2.0, 3.0]),
-        populations={"e": np.array([0.1, 0.7, 0.7, 0.2])},
-    )
-    p = peak(traj, "P_e")
-    assert p == PeakSummary(0.7, 1.0)
+    p = peak(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.1, 0.7, 0.7, 0.2]))
+    assert p == {"value": 0.7, "time": 1.0}
 
 
-def test_peak_unknown_and_empty_series():
-    traj = Trajectory(times=np.array([]), populations={"e": np.array([])})
-    with pytest.raises(KeyError):
-        peak(traj, "nonsense")
+def test_peak_of_an_empty_series():
     with pytest.raises(ValueError):
-        peak(traj, "P_e")
+        peak(np.array([]), np.array([]))
 
 
-def test_series_map_names_and_order():
-    traj = Trajectory(
-        times=np.arange(3.0),
-        populations={"eg+ge": np.zeros(3), "ee": np.ones(3)},
-        concurrence=np.zeros(3),
-        pulse_intensity=np.ones(3),
-    )
-    assert list(traj.series_map()) == ["P_eg+ge", "P_ee", "concurrence", "pulse_intensity"]
+def test_series_names_and_order_on_a_two_emitter_run(scenario_run):
+    """The map's keys are the output columns, in order: the populations in
+    label order, then concurrence, fill and pulse_intensity as requested."""
+    _, states = scenario_run("two_emitter_chirality_sweep", 5.0)
+    pulse = GaussianPulse(mu=1.46, t_bar=5.0)
+    series = build_trajectory(states, ("ee", "eg+ge"), want_concurrence=True, pulse=pulse)
+    assert list(series) == ["P_ee", "P_eg+ge", "concurrence", "pulse_intensity"]
+    assert all(len(values) == len(states.times) for values in series.values())
 
 
 def test_build_trajectory_matches_direct_computation(scenario_run):
-    traj, states = scenario_run("two_emitter_chirality_sweep", 5.0)
+    series, states = scenario_run("two_emitter_chirality_sweep", 5.0)
     reg = states.register
     phys = states.physical()
 
     for label in ("eg+ge", "ee"):
         direct = np.array([population(read_state(rho, reg)[0], reg, label) for rho in phys])
-        assert np.allclose(traj.populations[label], direct, atol=1e-14)
+        assert np.allclose(series[f"P_{label}"], direct, atol=1e-14)
 
     direct_c = np.array([concurrence_of(rho) for rho in phys])
-    assert np.allclose(traj.concurrence, direct_c, atol=1e-12)
+    assert np.allclose(series["concurrence"], direct_c, atol=1e-12)
 
     pulse = GaussianPulse(mu=1.46, t_bar=5.0)
-    assert np.allclose(traj.pulse_intensity, amplitude(pulse, states.times) ** 2, atol=1e-14)
+    assert np.allclose(series["pulse_intensity"], amplitude(pulse, states.times) ** 2, atol=1e-14)
 
 
 def test_entanglement_series_match_per_record_loop(scenario_run):
@@ -120,11 +106,8 @@ def test_entanglement_series_match_per_record_loop(scenario_run):
 
 def test_build_trajectory_without_optional_series(scenario_run):
     _, states = scenario_run("one_emitter_chirality_sweep", 1.0)
-    traj = build_trajectory(states, population_labels=("e",))
-    assert traj.concurrence is None
-    assert traj.fill is None
-    assert traj.pulse_intensity is None
-    assert set(traj.series_map()) == {"P_e"}
+    series = build_trajectory(states, population_labels=("e",))
+    assert set(series) == {"P_e"}
 
 
 def every_label(n: int) -> tuple:
@@ -134,29 +117,30 @@ def every_label(n: int) -> tuple:
     return tuple(states + classes)
 
 
-def assert_matches_the_matrix_path(states: StateTrajectory) -> Trajectory:
+def assert_matches_the_matrix_path(states: StateTrajectory) -> dict:
     """build_trajectory, which reads the coordinates, against read_state on
     the scattered physical blocks and the same closed forms."""
     reg = states.register
     labels = every_label(reg.n_emitters)
     pair, triple = reg.n_emitters == 2, reg.n_emitters == 3
-    traj = build_trajectory(states, labels, want_concurrence=pair, want_fill=triple)
+    series = build_trajectory(states, labels, want_concurrence=pair, want_fill=triple)
     populations, coherence = read_state(states.physical(), reg)
     for label in labels:
-        assert np.array_equal(traj.populations[label], population(populations, reg, label)), label
+        assert np.array_equal(series[f"P_{label}"], population(populations, reg, label)), label
     if pair:
-        assert np.abs(traj.concurrence - wootters_concurrence(populations, coherence)).max() <= 1e-15
+        expected = wootters_concurrence(populations, coherence)
+        assert np.abs(series["concurrence"] - expected).max() <= 1e-15
     if triple:
-        assert np.abs(traj.fill - concurrence_fill(populations)).max() <= 1e-15
-    return traj
+        assert np.abs(series["fill"] - concurrence_fill(populations)).max() <= 1e-15
+    return series
 
 
 @pytest.mark.parametrize("stem", ["two_emitter_chirality_sweep", "three_emitter_chirality_sweep",
                                   "three_emitter_detuned_sweep", "three_emitter_lossy_sweep"])
 def test_series_from_coordinates_equal_the_matrix_path_on_shipped_runs(scenario_run, stem):
     for ratio in (1.0, 5.0):
-        traj = assert_matches_the_matrix_path(scenario_run(stem, ratio)[1])
-    entanglement = traj.fill if traj.concurrence is None else traj.concurrence
+        series = assert_matches_the_matrix_path(scenario_run(stem, ratio)[1])
+    entanglement = series.get("concurrence", series.get("fill"))
     assert entanglement.max() > 0.1  # ratio 5: not a series of zeros
 
 

@@ -85,6 +85,7 @@ def test_value_range_checks():
         ({"n_emitters": "1", "sweep.ratios": " , "}, "sweep.ratios"),
         ({"n_emitters": "1", "sweep.ratios": "1, -2"}, "sweep.ratios"),
         ({"n_emitters": "1", "sweep.ratios": "1, 2, 1.0000001"}, "sweep.ratios"),
+        ({"n_emitters": "1", "sweep.ratios": "0, -0"}, "sweep.ratios"),
         ({"n_emitters": "1", "output.populations": "ee"}, "output.populations"),
         ({"n_emitters": "1", "output.concurrence": "true"}, "output.concurrence"),
         ({"n_emitters": "2", "output.fill": "true"}, "output.fill"),
@@ -341,6 +342,23 @@ def test_cli_scenario_that_cannot_be_read_as_text_exits_2(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_out_dir_that_cannot_be_created_exits_2(tmp_path, monkeypatch, capsys):
+    """An --out-dir that names an existing file, or a path under one, exits 2
+    with one error line naming the path, for run and for sweep; the sweep
+    stops before it forks a worker."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("the sweep forked"))
+    blocker = write(tmp_path, "not a directory\n", name="blocker")
+    cfg = write(tmp_path, TINY + "sweep.ratios = 1, 2\n")
+    for command, out, reason in (("run", blocker, "File exists"),
+                                 ("sweep", blocker, "File exists"),
+                                 ("run", blocker / "out", "Not a directory"),
+                                 ("sweep", blocker / "out", "Not a directory")):
+        assert main([command, str(cfg), "--out-dir", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: cannot create output directory {out}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "case.cfg"]
+
+
 def test_cli_non_finite_number_exits_2(tmp_path, capsys):
     path = write(tmp_path, "n_emitters = 1\nintegrator.t_end = inf\n", name="endless.cfg")
     assert main(["run", str(path), "--out-dir", str(tmp_path), "--quiet"]) == 2
@@ -464,6 +482,17 @@ def test_cli_sweep_writes_per_ratio_and_aggregate(tmp_path):
 
     sweep_summary = json.loads((out / "pair_sweep_summary.json").read_text())
     assert set(sweep_summary["peaks_by_ratio"]) == {"1", "2"}
+
+
+def test_negative_zero_ratio_is_ratio_zero(tmp_path):
+    """"-0" is the ratio 0: it gets the tag "0", so "0, -0" is refused as
+    one ratio under two names (test_value_range_checks), and "-0" alone
+    writes the _ratio0 files."""
+    cfg = write(tmp_path, TINY + "sweep.ratios = -0\n", name="pair.cfg")
+    assert str(load_scenario(cfg).sweep_ratios) == "(0.0,)"
+    assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "pair_ratio0.csv", "pair_ratio0_summary.json", "pair_sweep.csv", "pair_sweep_summary.json"]
 
 
 def test_cli_single_ratio_sweep_equals_plain_run(tmp_path):
