@@ -15,14 +15,17 @@ Each run's columns and peaks come from one ordered map {column name:
 series}, build_trajectory's, and the recorded times.
 
 Exit codes: 0 success; 2 scenario file unreadable (the message names the
-path) or invalid (the message names the offending key), or an output
+path) or invalid (the message names the offending key), an output
 directory that cannot be created (the message names it; a sweep stops
-before it forks); 3 integration blow-up (message reports the time).
+before it forks) or an output file that cannot be written (the message
+names it; a sweep reports it as it reports a blow-up, in ratio order);
+3 integration blow-up (message reports the time).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import pickle
@@ -36,11 +39,12 @@ from .integrator import IntegrationBlowUpError, integrate
 from .observables import build_trajectory, peak
 from .scenario import Scenario, ScenarioError, ScenarioFileError, load_scenario, ratio_tag
 
-__all__ = ["OutputDirError", "simulate_scenario", "run", "sweep", "main"]
+__all__ = ["OutputError", "simulate_scenario", "run", "sweep", "main"]
 
 
-class OutputDirError(Exception):
-    """The output directory cannot be created; the message names it."""
+class OutputError(Exception):
+    """The output directory cannot be created, or an output file cannot be
+    written; the message names it."""
 
 
 def simulate_scenario(sc: Scenario):
@@ -58,20 +62,28 @@ def _make_out_dir(out_dir) -> Path:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # an existing file, a path under a file, no permission
         reason = exc.strerror or exc
-        raise OutputDirError(f"cannot create output directory {out}: {reason}") from None
+        raise OutputError(f"cannot create output directory {out}: {reason}") from None
     return out
+
+
+def _write_text(path: Path, lines) -> None:
+    """Write the lines to path; OutputError names it if it cannot be written."""
+    try:
+        with path.open("w", encoding="utf-8") as out:
+            out.writelines(lines)
+    except OSError as exc:  # a directory in the way, no permission, a full disk
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_csv(path: Path, header: list, columns: list) -> None:
     """Write the columns as rows of 12-significant-digit values, one row at a time."""
     row = ",".join(["%.12g"] * len(columns)) + "\n"
-    with path.open("w", encoding="utf-8") as out:
-        out.write(",".join(header) + "\n")
-        out.writelines(row % v for v in zip(*(np.asarray(c).tolist() for c in columns)))
+    rows = (row % v for v in zip(*(np.asarray(c).tolist() for c in columns)))
+    _write_text(path, itertools.chain([",".join(header) + "\n"], rows))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _emit(quiet: bool, text: str) -> None:
@@ -121,15 +133,17 @@ def _usable_cpus() -> int:
 
 def _run_share(sc: Scenario, out: Path, stem: str, ratios: list, send) -> None:
     """Run and write each ratio in turn, passing `send` its (paths, peaks); a
-    blow-up is passed as its IntegrationBlowUpError and ends the share."""
+    blow-up or an unwritable output is passed as its exception and ends the share."""
     for ratio in ratios:
         sc_ratio = sc.with_ratio(ratio)
         try:
             series, states = simulate_scenario(sc_ratio)
-        except IntegrationBlowUpError as exc:
+            outcome = _write_run(out, f"{stem}_ratio{ratio_tag(ratio)}", sc_ratio, series,
+                                 states.times)
+        except (IntegrationBlowUpError, OutputError) as exc:
             send(exc)
             return
-        send(_write_run(out, f"{stem}_ratio{ratio_tag(ratio)}", sc_ratio, series, states.times))
+        send(outcome)
 
 
 def _serve_share(fd: int, sc: Scenario, out: Path, stem: str, ratios: list) -> NoReturn:
@@ -167,7 +181,8 @@ def sweep(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
 
     The ratios are dealt round-robin into one share per usable CPU.  This
     process runs the first share and a forked worker each other one; the
-    progress lines, the aggregates and a blow-up follow ratio order."""
+    progress lines, the aggregates and a blow-up or an unwritable output
+    follow ratio order."""
     sc = load_scenario(scenario_path, dt_override=dt)
     if not sc.sweep_ratios:
         raise ScenarioError("sweep.ratios", "required for the sweep command")
@@ -215,7 +230,7 @@ def sweep(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
         if i // k >= len(share):
             raise RuntimeError(f"the sweep worker running ratio {tag} exited without its result")
         outcome = share[i // k]
-        if isinstance(outcome, IntegrationBlowUpError):
+        if isinstance(outcome, Exception):  # a blow-up or an unwritable output
             raise outcome
         paths, peaks = outcome
         written += paths
@@ -270,7 +285,7 @@ def main(argv=None) -> int:
     command = run if args.command == "run" else sweep
     try:
         command(args.scenario, out_dir=args.out_dir, dt=args.dt, quiet=args.quiet)
-    except (ScenarioError, ScenarioFileError, OutputDirError) as exc:
+    except (ScenarioError, ScenarioFileError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrationBlowUpError as exc:

@@ -5,7 +5,10 @@ All photons of the input occupy one and the same real-valued mode
     g(t) = sqrt(mu) (2 pi)^(-1/4) exp(-mu^2 (t - t_bar)^2 / 4),
 
 normalized so that the integral of |g(t)|^2 over the real line is 1.
-Times are in units of 1/Gamma, mu in units of Gamma.
+Times are in units of 1/Gamma, mu in units of Gamma.  The defaults,
+mu = 1.46 and t_bar = 5.0, are the scenario keys' `pulse.mu` and
+`pulse.t_bar`; a refused value raises ValueError whose message starts
+with the field's name.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ __all__ = ["GaussianPulse", "amplitude", "amplitude_rate"]
 
 @dataclass(frozen=True)
 class GaussianPulse:
-    mu: float
-    t_bar: float
+    mu: float = 1.46
+    t_bar: float = 5.0
 
     def __post_init__(self):
         if not 0 < self.mu < math.inf:
-            raise ValueError(f"pulse width mu must be finite and > 0, got {self.mu}")
+            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
         if not math.isfinite(self.t_bar):
-            raise ValueError(f"pulse center t_bar must be finite, got {self.t_bar}")
+            raise ValueError(f"t_bar must be finite, got {self.t_bar}")
 
 
 def amplitude(pulse: GaussianPulse, t):

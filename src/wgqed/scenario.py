@@ -10,13 +10,15 @@ lines ignored.  Dotted keys group sections, e.g.
     output.populations = eg+ge, ee
     sweep.ratios = 1, 2, 3, 4, 5
 
-All rates are in units of Gamma (== Gamma_l), times in 1/Gamma.
+A section's keys and defaults are its config dataclass's fields: pulse.*
+GaussianPulse, chain.* ChainConfig, emitter.* EmitterParams, integrator.*
+IntegratorConfig.  All rates are in units of Gamma (== Gamma_l), times in 1/Gamma.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .hierarchy import MAX_PHOTONS
 from .liouvillian import ChainConfig, EmitterParams
@@ -28,19 +30,20 @@ from .qubit_algebra import EmitterRegister
 __all__ = ["ScenarioError", "ScenarioFileError", "Scenario", "ratio_tag", "parse_scenario_text",
            "build_scenario", "load_scenario"]
 
-_EMITTER_FIELDS = ("gamma_r", "gamma_l", "gamma_spont", "delta", "k0d")
-
-# IntegratorConfig field -> the scenario key that sets it
+# Each config dataclass is its section's schema: field -> the scenario key that
+# sets it.  A key is parsed as its field's default is typed; unset, it keeps it.
+_PULSE_KEYS = {"mu": "pulse.mu", "t_bar": "pulse.t_bar"}
+_CHAIN_KEYS = {"d_ratio": "chain.d_ratio"}
 _INTEGRATOR_KEYS = {"dt": "integrator.dt", "t_end": "integrator.t_end",
                     "record_stride": "integrator.stride"}
+# emitter.<field> or emitter.<j>.<field>; k0d, a float drive phase, is the chain's
+_EMITTER_FIELDS = tuple(f.name for f in fields(EmitterParams)) + ("k0d",)
 
 _DEFAULT_POPULATIONS = {
     1: ("e",),
     2: ("eg+ge", "ee"),
     3: ("egg+geg+gge", "eeg+ege+gee", "eee"),
 }
-
-_EMITTER_DEFAULTS = {"gamma_r": 1.0, "gamma_l": 1.0, "gamma_spont": 0.0, "delta": 0.0}
 
 
 class ScenarioError(ValueError):
@@ -115,6 +118,20 @@ def _as_list(key, value):
     return items
 
 
+def _read(kv: dict, cls, keys: dict) -> dict:
+    """Pop the keys of `keys` that kv sets: {field: value parsed as its default is typed}."""
+    parse = {name: _as_int if type(getattr(cls, name, None)) is int else _as_float for name in keys}
+    return {name: parse[name](key, kv.pop(key)) for name, key in keys.items() if key in kv}
+
+
+def _build(cls, keys: dict, values: dict):
+    """cls(**values); a refusal is reported under the key of the field its message starts with."""
+    try:
+        return cls(**values)
+    except ValueError as exc:  # every config's message starts with the field it refuses
+        raise ScenarioError(keys[str(exc).split()[0]], str(exc)) from None
+
+
 def ratio_tag(ratio: float) -> str:
     """Name of a sweep ratio in per-ratio file names and summary keys."""
     return f"{ratio:g}"
@@ -149,26 +166,19 @@ class Scenario:
 
     def resolved(self) -> dict:
         """Full effective configuration as a flat scenario-compatible map."""
-        out = {
-            "n_emitters": str(self.n_emitters),
-            "n_photons": str(self.n_photons),
-            "pulse.mu": repr(self.pulse.mu),
-            "pulse.t_bar": repr(self.pulse.t_bar),
-            "chain.d_ratio": repr(self.chain.d_ratio),
-            "integrator.dt": repr(self.integrator.dt),
-            "integrator.t_end": repr(self.integrator.t_end),
-            "integrator.stride": str(self.integrator.record_stride),
+        out = {"n_emitters": str(self.n_emitters), "n_photons": str(self.n_photons)}
+        for section, keys in ((self.pulse, _PULSE_KEYS), (self.chain, _CHAIN_KEYS),
+                              (self.integrator, _INTEGRATOR_KEYS)):
+            out.update({key: str(getattr(section, name)) for name, key in keys.items()})
+        out.update({
             "output.populations": ", ".join(self.populations),
             "output.concurrence": "true" if self.want_concurrence else "false",
             "output.fill": "true" if self.want_fill else "false",
             "output.pulse": "true" if self.want_pulse else "false",
-        }
+        })
         for j, (em, phase) in enumerate(zip(self.chain.emitters, self.chain.k0d), start=1):
-            out[f"emitter.{j}.gamma_r"] = repr(em.gamma_r)
-            out[f"emitter.{j}.gamma_l"] = repr(em.gamma_l)
-            out[f"emitter.{j}.gamma_spont"] = repr(em.gamma_spont)
-            out[f"emitter.{j}.delta"] = repr(em.delta)
-            out[f"emitter.{j}.k0d"] = repr(phase)
+            out.update({f"emitter.{j}.{name}": str(getattr(em, name, phase))  # phase for k0d
+                        for name in _EMITTER_FIELDS})
         if self.sweep_ratios is not None:
             out["sweep.ratios"] = ", ".join(repr(r) for r in self.sweep_ratios)
         return out
@@ -192,53 +202,36 @@ def build_scenario(kv: dict) -> Scenario:
     if not 1 <= n_photons <= MAX_PHOTONS:
         raise ScenarioError("n_photons", f"must be 1..{MAX_PHOTONS}, got {n_photons}")
 
-    mu = _as_float("pulse.mu", take("pulse.mu", "1.46"))
-    t_bar = _as_float("pulse.t_bar", take("pulse.t_bar", "5.0"))
-    try:
-        pulse = GaussianPulse(mu=mu, t_bar=t_bar)
-    except ValueError as exc:  # mu not > 0; t_bar parsed finite, which is all it needs
-        raise ScenarioError("pulse.mu", str(exc)) from None
+    pulse = _build(GaussianPulse, _PULSE_KEYS, _read(kv, GaussianPulse, _PULSE_KEYS))
+    chain_values = _read(kv, ChainConfig, _CHAIN_KEYS)
 
-    d_ratio = _as_float("chain.d_ratio", take("chain.d_ratio", "0.0"))
-
-    # emitter values, each kept with the key that set it: chain-wide keys
+    # each emitter's values and the keys that set them: chain-wide keys
     # first, then per-emitter overrides
-    per = [{name: (f"emitter.{name}", v) for name, v in _EMITTER_DEFAULTS.items()}
-           for _ in range(n_emitters)]
+    keys = [{name: f"emitter.{name}" for name in _EMITTER_FIELDS} for _ in range(n_emitters)]
+    values = [{} for _ in range(n_emitters)]
     indices = [str(j) for j in range(1, n_emitters + 1)]
     for key in sorted((k for k in kv if k.startswith("emitter.")), key=lambda k: k.count(".")):
-        parts = key.split(".")
-        if len(parts) > 3 or parts[-1] not in _EMITTER_FIELDS:
+        _, *index, name = key.split(".")
+        if len(index) > 1 or name not in _EMITTER_FIELDS:
             continue  # left for the unknown-key check
-        targets = per
-        if len(parts) == 3:
-            if parts[1] not in indices:  # one spelling per emitter: no "01" or "+2" beside "1", "2"
+        targets = range(n_emitters)
+        if index:
+            if index[0] not in indices:  # one spelling per emitter: no "01" or "+2" beside "1", "2"
                 raise ScenarioError(key, f"emitter index must be one of {', '.join(indices)}")
-            targets = [per[indices.index(parts[1])]]
-        value = _as_float(key, kv.pop(key))
-        for p in targets:
-            p[parts[-1]] = (key, value)
-    written_phases = [p.pop("k0d", None) for p in per]
-    emitters = []
-    for p in per:
-        try:
-            emitters.append(EmitterParams(**{name: v for name, (_, v) in p.items()}))
-        except ValueError as exc:  # the message starts with the field
-            raise ScenarioError(p[str(exc).split()[0]][0], str(exc)) from None
-    chain = ChainConfig(tuple(emitters), d_ratio=d_ratio)
+            targets = [indices.index(index[0])]
+        value = _read(kv, EmitterParams, {name: key})[name]
+        for j in targets:
+            keys[j][name], values[j][name] = key, value
+    written_phases = [v.pop("k0d", None) for v in values]
+    emitters = tuple(_build(EmitterParams, k, v) for k, v in zip(keys, values))
+    chain = ChainConfig(emitters, **chain_values)
     # A k0d key is only accepted at the phase the spacing already fixes.
-    for j, (written, phase) in enumerate(zip(written_phases, chain.k0d), start=1):
-        if written is not None and written[1] != phase:
-            raise ScenarioError(written[0], f"the drive phase of emitter {j} follows from "
-                                f"chain.d_ratio: 2 pi d_ratio (j - 1) = {phase!r}, got {written[1]!r}")
+    for j, (k, written, phase) in enumerate(zip(keys, written_phases, chain.k0d), start=1):
+        if written is not None and written != phase:
+            raise ScenarioError(k["k0d"], f"the drive phase of emitter {j} follows from "
+                                f"chain.d_ratio: 2 pi d_ratio (j - 1) = {phase!r}, got {written!r}")
 
-    dt = _as_float("integrator.dt", take("integrator.dt", "1e-3"))
-    t_end = _as_float("integrator.t_end", take("integrator.t_end", "12.0"))
-    stride = _as_int("integrator.stride", take("integrator.stride", "10"))
-    try:
-        icfg = IntegratorConfig(dt=dt, t_end=t_end, record_stride=stride)
-    except ValueError as exc:  # the message starts with the field; the step limit names t_end
-        raise ScenarioError(_INTEGRATOR_KEYS[str(exc).split()[0]], str(exc)) from None
+    icfg = _build(IntegratorConfig, _INTEGRATOR_KEYS, _read(kv, IntegratorConfig, _INTEGRATOR_KEYS))
 
     pops_raw = take("output.populations")
     if pops_raw is None:
@@ -304,10 +297,10 @@ def build_scenario(kv: dict) -> Scenario:
 
 
 def load_scenario(path, dt_override: float = None) -> Scenario:
-    """The scenario in the file at `path`; ScenarioFileError if the file
-    cannot be read as UTF-8 text, ScenarioError if it is not a valid scenario."""
+    """The scenario in the file at `path`, UTF-8 with or without a byte-order mark;
+    ScenarioFileError if it cannot be read so, ScenarioError if it is not valid."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise ScenarioFileError(f"cannot read scenario file {path}: not found") from None

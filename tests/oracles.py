@@ -135,6 +135,37 @@ def full_hierarchy_run(cfg: ChainConfig, pulse: GaussianPulse, n_ph: int,
     return times, blocks
 
 
+def coherent_drive_run(cfg: ChainConfig, pulse: GaussianPulse, alphas, icfg: IntegratorConfig):
+    """RK4 run of the emitters alone under coherent pulses alpha g(t), one per
+    alpha, from the all-ground state; returns (times, snapshots (n_rec,
+    len(alphas), dim, dim)).
+
+    A coherent pulse is the classical drive beta(t) = alpha g(t):
+
+        rho' = L[rho] + beta [rho, L_in^dag] + beta* [L_in, rho].
+
+    No photon block enters; L_in is built here from the lowering operators.
+    """
+    dim = cfg.register.dim
+    # the right-moving pulse reaches emitter j + 1 with the phase 2 pi d_ratio j
+    l_in = sum(
+        math.sqrt(em.gamma_r) * np.exp(-2j * math.pi * cfg.d_ratio * j) * lowering_op(cfg.register, j + 1)
+        for j, em in enumerate(cfg.emitters)
+    )
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1, 1, 1)
+
+    def f(t, y):
+        rho = y.reshape(-1, dim, dim)
+        beta = alphas * amplitude(pulse, t)
+        drive = beta * commutator(rho, l_in.conj().T) + beta.conj() * commutator(l_in, rho)
+        return (apply_total(cfg, rho) + drive).ravel()
+
+    y0 = np.zeros((len(alphas), dim, dim), dtype=complex)
+    y0[:, 0, 0] = 1.0  # basis state 0 is all ground
+    times, snaps = rk4_solve(f, y0.ravel(), icfg)
+    return times, snaps.reshape(len(times), len(alphas), dim, dim)
+
+
 _TAYLOR_TERMS = 20
 _CHUNK = 256
 _BLOCK = 16

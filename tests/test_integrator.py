@@ -3,6 +3,7 @@ reference: accuracy, order, recording grid, the stacked wavefront, limits
 and failure modes.  The RK4 oracle's own tests come first."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from conftest import SCENARIO_DIR, gather, scenario_path
 from oracles import (
     _OneLevelStep,
+    coherent_drive_run,
     full_hierarchy_run,
     level_by_level_integrate,
     random_chain,
@@ -236,6 +238,52 @@ def test_cascade_matches_full_hierarchy_oracle_on_shipped_scenarios(stem, ratio)
     rk4_dev = max(np.abs(coarse[mn] - fine[mn]).max() for mn in fine)
     assert rk4_dev > 1e-10  # the comparison is about truncation, not roundoff
     assert cascade_dev <= rk4_dev, (cascade_dev, rk4_dev)
+
+
+def coherent_tail(alpha: complex, n_ph: int, n: int, terms: int = 60) -> float:
+    """T(alpha) = e^{-|alpha|^2} sum |alpha|^(m+n) / sqrt(m! n!) over the blocks
+    rho_{m,n} an n_ph-photon hierarchy of n emitters leaves out and that can
+    be nonzero: max(m, n) > n_ph and |m - n| <= n."""
+    a = abs(alpha)
+    return math.exp(-a * a) * sum(
+        a ** (m + k) / math.sqrt(math.factorial(m) * math.factorial(k))
+        for m in range(terms) for k in range(terms) if max(m, k) > n_ph and abs(m - k) <= n
+    )
+
+
+def test_carried_blocks_sum_to_the_coherent_drive_solution():
+    """A coherent pulse alpha g(t) drives the emitters as the classical field
+    alpha g(t) (oracles.coherent_drive_run), and its state is
+    e^{-|alpha|^2} sum_{m,n} alpha^m conj(alpha)^n / sqrt(m! n!) rho_{m,n}.
+    The sum is formed here from every carried block, the blocks below the
+    diagonal as adjoints of the carried ones.  Blocks with |m - n| > N vanish
+    (the excitation grading) and every ||rho_{m,n}||_1 <= 1, so the blocks
+    past n_ph move an entry by at most coherent_tail.  The bound adds the
+    oracle's step error, the change of its run from 2 dt to dt (RK4's error at
+    dt is about a fifteenth of that).  Complex alphas weigh the blocks off the
+    diagonal with phases.  At |alpha| = 0.4 the first blocks weigh most; at
+    0.02 the tail is 60 times below the weight of rho_{2,2}."""
+    n, n_ph = 3, 3
+    cfg = ChainConfig((EmitterParams(gamma_r=5.0, gamma_l=1.0, delta=0.5),) * n, d_ratio=0.1)
+    pulse = GaussianPulse()
+    icfg = IntegratorConfig(dt=1e-3, t_end=12.0, record_stride=10)
+    alphas = [0.4 * np.exp(1j * np.pi / 3), 0.02 * np.exp(-1j * np.pi / 4)]
+    states = integrate(cfg, pulse, n_ph, icfg)
+    times, oracle = coherent_drive_run(cfg, pulse, alphas, icfg)
+    _, coarse = coherent_drive_run(cfg, pulse, alphas,
+                                   dataclasses.replace(icfg, dt=2 * icfg.dt, record_stride=5))
+    assert np.array_equal(states.times, times)
+    for i, alpha in enumerate(alphas):
+        c = [np.exp(-abs(alpha) ** 2 / 2) * alpha ** m / math.sqrt(math.factorial(m))
+             for m in range(n_ph + 1)]
+        rho = sum(abs(c[m]) ** 2 * states.block(m, m) for m in range(n_ph + 1))
+        for m in range(n_ph + 1):
+            for k in range(m + 1, n_ph + 1):
+                term = c[m] * np.conj(c[k]) * states.block(m, k)
+                rho = rho + term + term.conj().swapaxes(-1, -2)
+        deviation = np.abs(rho - oracle[:, i]).max()
+        step_error = np.abs(oracle[:, i] - coarse[:, i]).max()
+        assert deviation <= coherent_tail(alpha, n_ph, n) + step_error, (alpha, deviation)
 
 
 def test_cascade_is_fourth_order():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,9 @@ import pytest
 
 from wgqed import cli, scenario
 from wgqed.cli import main
+from wgqed.integrator import IntegratorConfig
+from wgqed.liouvillian import EmitterParams
+from wgqed.pulse import GaussianPulse
 from wgqed.scenario import (
     Scenario,
     ScenarioError,
@@ -167,6 +171,23 @@ def test_defaults_per_register_size():
     assert three.integrator.dt == 1e-3 and three.integrator.t_end == 12.0
 
 
+def test_unset_sections_are_their_config_defaults():
+    """Each section's defaults are its config dataclass's own, resolved()
+    writes one key per field, and a refusal is reported under the key of
+    the field its message starts with."""
+    sc = build_scenario({"n_emitters": "1"})
+    assert sc.pulse == GaussianPulse() == GaussianPulse(mu=1.46, t_bar=5.0)
+    assert sc.integrator == IntegratorConfig()
+    assert sc.chain.emitters == (EmitterParams(),)
+    resolved = sc.resolved()
+    for prefix, cls, extra in (("pulse.", GaussianPulse, 0), ("integrator.", IntegratorConfig, 0),
+                               ("emitter.1.", EmitterParams, 1)):  # plus emitter.1.k0d
+        assert sum(key.startswith(prefix) for key in resolved) == len(fields(cls)) + extra
+    with pytest.raises(ScenarioError) as excinfo:
+        build_scenario({"n_emitters": "1", "pulse.mu": "-1"})
+    assert str(excinfo.value) == "scenario key 'pulse.mu': mu must be finite and > 0, got -1.0"
+
+
 def test_per_emitter_overrides():
     sc = build_scenario(
         {
@@ -231,6 +252,16 @@ def test_checked_in_scenarios_parse():
         assert sc.integrator.dt == 1e-3
         for em in sc.chain.emitters:
             assert em.gamma_l == 1.0  # rates are in units of gamma_l
+
+
+def test_scenario_file_with_a_byte_order_mark_loads(tmp_path):
+    """A scenario saved with a UTF-8 byte-order mark, as some editors write
+    it, builds the same Scenario and runs."""
+    shipped = scenario_path("one_emitter_chirality_sweep")
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + shipped.read_bytes())
+    assert load_scenario(marked) == load_scenario(shipped)
+    assert main(["run", str(marked), "--out-dir", str(tmp_path), "--dt", "0.01", "--quiet"]) == 0
 
 
 def test_load_scenario_dt_override(tmp_path):

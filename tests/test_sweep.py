@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from wgqed import cli
-from wgqed.cli import main, simulate_scenario
+from wgqed.cli import OutputError, main, simulate_scenario
 from wgqed.hierarchy import HierarchyPropagator
 from wgqed.integrator import IntegrationBlowUpError
 from wgqed.scenario import ScenarioError, load_scenario
@@ -205,6 +205,31 @@ def test_worker_that_dies_without_a_result_is_reported(tmp_path, monkeypatch, ca
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("blocked, reported, missing", [
+    (["pair.csv"], "pair.csv", ["pair_summary.json"]),  # a plain run
+    (["pair_ratio1.csv"], "pair_ratio1.csv", ["pair_ratio3.csv"]),  # this process's share
+    (["pair_ratio2.csv"], "pair_ratio2.csv", ["pair_ratio4.csv"]),  # the worker's share
+    (["pair_ratio3.csv", "pair_ratio2.csv"], "pair_ratio2.csv", []),  # the first in ratio order
+    (["pair_sweep.csv"], "pair_sweep.csv", ["pair_sweep_summary.json"]),
+], ids=["run", "this-share", "worker-share", "first-in-ratio-order", "aggregate"])
+def test_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, two_shares,
+                                                    blocked, reported, missing):
+    """A directory named like an output file, which blocks root as well,
+    exits 2 with one error line naming the file.  A share stops at its
+    failed ratio (ratios 1 and 3 run here, 2 and 4 in the worker), and a
+    failed sweep writes no aggregate."""
+    cfg = write(tmp_path, TINY + "sweep.ratios = 1, 2, 3, 4\n", "pair.cfg")
+    out = tmp_path / "out"
+    for name in blocked:
+        (out / name).mkdir(parents=True)
+    command = "run" if reported == "pair.csv" else "sweep"
+    assert main([command, str(cfg), "--out-dir", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out / reported}: Is a directory\n"
+    for name in missing + ["pair_sweep.csv"] * (command == "sweep"):
+        assert not (out / name).is_file(), name
+    assert_no_child_left()
+
+
 def test_error_in_this_process_kills_the_workers(tmp_path, monkeypatch, two_shares):
     """An exception out of this process's share kills the forked worker at
     once rather than waiting for it (its ratio would take a minute)."""
@@ -229,20 +254,24 @@ def test_error_in_this_process_kills_the_workers(tmp_path, monkeypatch, two_shar
 def test_errors_survive_a_pickle_round_trip():
     for exc, attr in ((IntegrationBlowUpError(1.5, "x"), "time"),
                       (IntegrationBlowUpError(0.25), "time"),
-                      (ScenarioError("k", "m"), "key")):
+                      (ScenarioError("k", "m"), "key"),
+                      (OutputError("cannot write x: Is a directory"), "args")):
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is type(exc)
         assert str(back) == str(exc)
         assert getattr(back, attr) == getattr(exc, attr)
 
 
-def test_importing_the_cli_loads_no_process_pool():
+def test_importing_the_cli_loads_neither_a_process_pool_nor_scipy():
     """A forked worker needs neither multiprocessing nor concurrent.futures;
-    either would add tens of milliseconds to every run's start."""
+    either would add tens of milliseconds to every run's start.  numpy is
+    the only runtime dependency, so no module of the package imports scipy,
+    even where it is installed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     code = ("import sys, wgqed.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))")
+            "if m.split('.')[0] in ('multiprocessing', 'scipy') "
+            "or m.startswith('concurrent.futures')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
