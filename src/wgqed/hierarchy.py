@@ -19,11 +19,13 @@ with the m=0 (resp. n=0) term absent.  Only right-moving photons drive the
 couplings (the left input is vacuum), hence the lone sqrt(Gamma_ir).
 
 L keeps exc(a) - exc(b) of a basis operator |a><b| (exc counts excited
-emitters), and each drive term shifts it by one along with m - n.  Starting
-from the all-ground state, the entries of rho_{m,n} with
-exc(a) - exc(b) != m - n therefore stay zero (Baragiola et al., PRA 86,
-013811, 2012).  The integrated state vector keeps only the remaining
-entries of each carried block, its excitation sector.
+emitters), and each drive term shifts it by one along with m - n.  L's
+jumps lower exc(a), its no-jump part keeps it, and the one drive term that
+raises it, [rho_{m-1,n}, L_in^dag], also raises m.  Starting from the
+all-ground state, the entries of rho_{m,n} with exc(a) - exc(b) != m - n
+(the grading) or exc(a) > m (the budget) therefore stay zero (Baragiola et
+al., PRA 86, 013811, 2012).  The integrated state vector keeps only the
+remaining entries of each carried block.
 
 L acts within each block, and each drive term raises m + n by one.  Grouped
 by level l = m + n, the system is therefore a cascade: level l obeys a
@@ -77,19 +79,18 @@ class HierarchyPropagator:
     level, l = m + n, and in block_order within a level; slots[(m, n)] =
     (rows, re, im) says where: y[rows] is the real parts of the block's
     row-major entries re, then the imaginary parts of its entries im.  For
-    m < n both are the block's excitation sector; for the Hermitian
-    rho_{n,n}, re is the sector's entries on and above the diagonal and im
-    those above it.  `block` reads a block back.
+    m < n both are the block's entries in its grading and budget; for the
+    Hermitian rho_{n,n}, re is those on and above the diagonal and im those
+    above it.  `block` reads a block back, `entry` some of its entries.
 
     A (dissipator) and B (drive couplings) are real and held only as the
     cascade `levels`, levels[l] = Level(rows, a, b) with y[rows] level l.
     Column j is the derivative, read back into coordinates, of the blocks
     coordinate j stands for (through `block`, so rho_{n,n-1} is the adjoint
     of rho_{n-1,n}).  apply_total and the two drive commutators with L_in,
-    the single definition of the physics, map those operators themselves,
-    and the target block's re and im read each image back, the inverse of
-    `block`.  Blocks of one sector n - m share their coordinates, so each
-    map runs once per sector, on the stack of that sector's operators.
+    the single definition of the physics, map the stack of a source block's
+    operators, and the target block's re and im read each image back, the
+    inverse of `block`.
     """
 
     def __init__(self, cfg: ChainConfig, n_ph: int):
@@ -100,12 +101,13 @@ class HierarchyPropagator:
 
         exc = excitation_count(reg)
         grading = np.subtract.outer(exc, exc).ravel()  # exc(a) - exc(b) of |a><b|
+        ket = np.repeat(exc, dim)  # exc(a) of |a><b|
         slots = {}  # (m, n) -> (slice of y, re, im), as in the class docstring
         starts = [0] * (2 * n_ph + 2)  # level l is y[starts[l]:starts[l + 1]]
         size = 0
         # the carried m <= n (rho_{n,m} is the adjoint of rho_{m,n}) by level m + n, then by m
         for m, n in sorted(((m, n) for m, n in block_order(n_ph) if m <= n), key=sum):
-            idx = np.flatnonzero(grading == m - n)
+            idx = np.flatnonzero((grading == m - n) & (ket <= m))
             re = im = idx
             if m == n:  # Hermitian: the diagonal is real, the lower triangle the adjoint
                 row, col = np.divmod(idx, dim)
@@ -126,7 +128,6 @@ class HierarchyPropagator:
         liou = partial(apply_total, cfg)  # each map takes a (..., dim, dim) stack
         up = partial(commutator, b=l_in.conj().T)  # times sqrt(m) g(t)
         dn = partial(commutator, l_in)  # times sqrt(n) g*(t)
-        images = {}  # (map, sector m - n of the source) -> image of each source coordinate
         for (m, n), (rows, re, im) in slots.items():
             level = self.levels[m + n]
             terms = [(level.a, 1.0, liou, m, n)]
@@ -136,10 +137,8 @@ class HierarchyPropagator:
                 terms.append((level.b, math.sqrt(n), dn, m, n - 1))
             for mat, scale, op, p, q in terms:
                 cols = slots[(min(p, q), max(p, q))][0]
-                if (op, p - q) not in images:  # every block of one sector has the same coordinates
-                    unit = np.eye(cols.stop - cols.start, size, cols.start)
-                    images[(op, p - q)] = op(self.block(unit, p, q)).reshape(-1, dim * dim)
-                image = images[(op, p - q)]  # read back with the target's re and im
+                unit = np.eye(cols.stop - cols.start, size, cols.start)
+                image = op(self.block(unit, p, q)).reshape(-1, dim * dim)  # read back with re, im
                 mat[within(rows, m + n), within(cols, p + q)] += (
                     scale * np.concatenate([image[:, re].real, image[:, im].imag], 1).T)
 
@@ -167,28 +166,25 @@ class HierarchyPropagator:
             out[..., col * self.dim + row] = out[..., im].conj()
         return out.reshape(lead + (self.dim, self.dim))
 
-    def entry(self, y: np.ndarray, m: int, n: int, a: int, b: int) -> np.ndarray:
-        """Entry <a|rho_{m,n}|b> of a state vector y (..., size), complex
-        (...): block(y, m, n)[..., a, b], read from at most two coordinates
-        without building the block."""
-        if m > n or (m == n and a > b):  # stored as the adjoint's entry
+    def entry(self, y: np.ndarray, m: int, n: int, a, b) -> np.ndarray:
+        """Entries <a|rho_{m,n}|b> of a state vector y (..., size) at the
+        integers or integer arrays a and b, complex (..., *their broadcast
+        shape): block(y, m, n)[..., a, b], gathered without building the
+        block.  An entry that is not carried reads exactly 0; an a or b
+        outside [0, dim) raises IndexError."""
+        if np.any((a < 0) | (a >= self.dim) | (b < 0) | (b >= self.dim)):
+            raise IndexError(f"basis index outside 0..{self.dim - 1}: a = {a}, b = {b}")
+        if m > n:  # stored as the adjoint's entry
             return self.entry(y, n, m, b, a).conj()
         rows, re, im = self.slots[(m, n)]
-        flat = a * self.dim + b
-        out = np.zeros(y.shape[:-1], dtype=complex)
-        i, j = np.searchsorted(re, flat), np.searchsorted(im, flat)
-        if i < re.size and re[i] == flat:
-            out.real = y[..., rows.start + i]
-        if j < im.size and im[j] == flat:
-            out.imag = y[..., rows.start + re.size + j]
-        return out
-
-    def diagonal(self, y: np.ndarray, n: int) -> np.ndarray:
-        """Real diagonal of the Hermitian block rho_{n,n} of a state vector y
-        (..., size), as (..., dim): its re coordinates at the flat indices
-        k (dim + 1), gathered without building the block."""
-        rows, re, _ = self.slots[(n, n)]
-        return y[..., rows.start + np.searchsorted(re, np.arange(self.dim) * (self.dim + 1))]
+        lower = (a > b) & (m == n)  # a diagonal block keeps the conjugate entry above
+        at = np.full((self.dim * self.dim, 2), -1)  # coordinates of the real, imaginary parts
+        at[re, 0] = rows.start + np.arange(re.size)
+        at[im, 1] = rows.start + re.size + np.arange(im.size)
+        at = at[np.where(lower, b * self.dim + a, a * self.dim + b)]
+        out = np.where(at >= 0, np.take(y, at, axis=-1), 0.0)  # -1: not carried
+        np.negative(out[..., 1], out=out[..., 1], where=lower)
+        return out.view(complex)[..., 0]
 
     def derivative(self, g: float, y: np.ndarray) -> np.ndarray:
         """d/dt of the state vector y (size,) given the real drive amplitude g,

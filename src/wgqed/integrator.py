@@ -1,7 +1,7 @@
 """Exact level-cascade integration of the hierarchy ODE system.
 
 The hierarchy state is a single real vector (the real coordinates of the
-excitation-sector entries of every carried block rho_{m,n}, m <= n, laid
+graded, in-budget entries of every carried block rho_{m,n}, m <= n, laid
 out by HierarchyPropagator level by level).  Its equation y' = A y + g(t) B y
 is compiled as its levels l = m + n (HierarchyPropagator.levels), each a
 contiguous slice y_l of the vector: level l obeys
@@ -20,9 +20,9 @@ step k's forcing is q_k = u_k M_s + u_{k+1} M_e, M_s = [B^T h P_0 + (B A)^T
 h^2 P_1 ; B^T h^2 P_1] from the weights P_0, P_1 of f, f' at the step's
 start (M_e from the end weights Q_0, Q_1), and f_l = (g y_{l-1}) B^T.
 
-Level 0, the vacuum block rho_{0,0}, is unforced and A_0 maps the
-all-ground start to zero, so it is held, never stepped, and forces level 1
-as a constant.  The other levels are zero-padded to the largest and
+Level 0, the vacuum block rho_{0,0}, is the one coordinate of |g><g|: it
+is unforced and A_0 is exactly 0, so it is held, never stepped, and forces
+level 1 as a constant.  The other levels are zero-padded to the largest and
 stacked; E and the quadrature weights come from one Taylor series over the
 stack, valid while ||h A_l||_1 <= MAX_STEP_NORM.  The grid is walked in
 chunks of _CHUNK steps as a wavefront: at iteration i level l steps chunk
@@ -81,7 +81,8 @@ class IntegratorConfig:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not 0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
-        if not isinstance(self.record_stride, (int, np.integer)) or self.record_stride < 1:
+        stride = self.record_stride  # a bool is an int, but not a stride
+        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
             raise ValueError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
         if not self.t_end / self.dt <= MAX_STEPS:
             raise ValueError(
@@ -220,7 +221,7 @@ class StateTrajectory:
     """Recorded hierarchy snapshots.
 
     blocks[i] is the real state vector at times[i], shape (n_rec,
-    propagator.size), float64: the coordinates of the excitation-sector
+    propagator.size), float64: the coordinates of the graded, in-budget
     entries of every carried block rho_{m,n}, m <= n, laid out by the
     propagator that produced them.  block(m, n) rebuilds one complex block,
     for m > n as the adjoint of block (n, m); a diagonal block comes out
@@ -258,15 +259,12 @@ def integrate(
     grid k * dt, recording step 0, every record_stride-th step and the last.
 
     Raises IntegrationBlowUpError at t = 0 when dt is outside the range of
-    the level steps, and at the first record whose state is not finite;
-    RuntimeError if A_0 would move the held vacuum level off the start.
+    the level steps, and at the first record whose state is not finite.
     """
     prop = HierarchyPropagator(chain, n_ph)
     h = icfg.dt
     levels = prop.levels
     ground = prop.ground()
-    if np.any(levels[0].a @ ground[levels[0].rows]):
-        raise RuntimeError("level 0 moves off the all-ground state, so it cannot be held")
 
     n_steps, top = icfg.n_steps, 2 * n_ph
     c = min(_CHUNK, -(-n_steps // _BLOCK) * _BLOCK)  # the last chunk runs past t_end

@@ -55,7 +55,7 @@ def build_trajectory(states: StateTrajectory, population_labels=(), want_concurr
     coordinates.  A state check of a measure that fails is reported as an
     IntegrationBlowUpError at the time of the first bad record."""
     prop, y, n = states.propagator, states.blocks, states.n_ph
-    populations = prop.diagonal(y, n)
+    populations = prop.entry(y, n, n, *np.diag_indices(prop.dim)).real
     series = {f"P_{lb}": population(populations, states.register, lb) for lb in population_labels}
     try:
         if want_concurrence:

@@ -10,8 +10,10 @@ caller does: through the checked reader read_state, then the closed form.
 
 The sector helpers build dicts of dense blocks rho_{m,k}, as the longhand
 oracle in oracles.py takes them, and gather them into the compiled
-propagator's real state vector.  dense_operators assembles the compiled
-A and B of y' = A y + g(t) B y from the propagator's levels.
+propagator's real state vector, which carries of each block only the
+entries in its grading (sector_mask) and budget (budget_mask).
+dense_operators assembles the compiled A and B of y' = A y + g(t) B y from
+the propagator's levels.
 """
 
 from __future__ import annotations
@@ -63,24 +65,35 @@ def scenario_run():
     return _cached_run
 
 
-def sector_mask(n: int, grade: int) -> np.ndarray:
-    """Entries (a, b) of an n-emitter block with exc(a) - exc(b) = grade,
-    counting excitations from the basis labels."""
+def excitations(n: int) -> np.ndarray:
+    """exc(a) of each basis state a of n emitters, counted from the basis labels."""
     reg = EmitterRegister(n)
     exc = np.zeros(reg.dim, dtype=int)
     for label in itertools.product("ge", repeat=n):
         exc[basis_index(reg, "".join(label))] = label.count("e")
+    return exc
+
+
+def sector_mask(n: int, grade: int) -> np.ndarray:
+    """Entries (a, b) of an n-emitter block with exc(a) - exc(b) = grade."""
+    exc = excitations(n)
     return np.subtract.outer(exc, exc) == grade
 
 
-def random_sector_state(rng, n: int) -> dict:
+def budget_mask(n: int, m: int, k: int) -> np.ndarray:
+    """Entries (a, b) of an n-emitter block rho_{m,k} that the photons can
+    reach: in its sector, exc(a) - exc(b) = m - k, with exc(a) <= m."""
+    return sector_mask(n, m - k) & (excitations(n) <= m)[:, None]
+
+
+def random_sector_state(rng, n: int, budget: bool = True) -> dict:
     """Random three-photon hierarchy {(m, k): block} projected onto the
-    excitation sectors, with hermitian diagonal blocks and
-    rho_{k,m} = rho_{m,k}^dag."""
+    excitation sectors and, unless budget is False, onto each block's
+    budget, with hermitian diagonal blocks and rho_{k,m} = rho_{m,k}^dag."""
     triangle = [(m, k) for m in range(4) for k in range(m, 4)]
     blocks = {}
     for (m, k), blk in random_blocks(rng, n, triangle).items():
-        blk = np.where(sector_mask(n, m - k), blk, 0.0)
+        blk = np.where(budget_mask(n, m, k) if budget else sector_mask(n, m - k), blk, 0.0)
         if m == k:
             blk = 0.5 * (blk + blk.conj().T)
         blocks[(m, k)], blocks[(k, m)] = blk, blk.conj().T
@@ -91,9 +104,9 @@ def gather(prop: HierarchyPropagator, blocks: dict) -> np.ndarray:
     """Real state vector of the dense blocks rho_{m,k}, m, k <= prop.n_ph,
     laid out by prop.slots: per carried block, the real parts of its entries
     re, then the imaginary parts of its entries im.  Fails if a block does
-    not come back whole from the vector (an entry outside its sector, or a
-    diagonal block that is not Hermitian), which the vector would silently
-    drop."""
+    not come back whole from the vector (an entry outside its sector or its
+    budget, or a diagonal block that is not Hermitian), which the vector
+    would silently drop."""
     x = np.zeros(prop.size)
     for mn, (rows, re, im) in prop.slots.items():
         flat = np.asarray(blocks[mn], dtype=complex).ravel()

@@ -4,7 +4,15 @@ the compiled propagator checked against the longhand transcription."""
 import numpy as np
 import pytest
 
-from conftest import dense_operators, gather, oracle_deviation, random_sector_state, sector_mask
+from conftest import (
+    budget_mask,
+    dense_operators,
+    gather,
+    oracle_deviation,
+    random_sector_state,
+    scenario_path,
+    sector_mask,
+)
 from oracles import (
     column_by_column_operators,
     full_slots,
@@ -12,11 +20,12 @@ from oracles import (
     level_by_level_integrate,
     random_chain,
 )
-from wgqed import hierarchy, integrator, liouvillian
+from wgqed import hierarchy, liouvillian
 from wgqed.hierarchy import HierarchyPropagator, block_order
 from wgqed.integrator import IntegratorConfig, integrate
 from wgqed.liouvillian import ChainConfig, EmitterParams, apply_total, coupling_matrix
 from wgqed.pulse import GaussianPulse
+from wgqed.scenario import load_scenario
 
 PULSE = GaussianPulse(mu=1.46, t_bar=5.0)
 
@@ -56,34 +65,43 @@ def test_initial_state_rejects_unsupported_photon_numbers():
     "n,n_ph,carried", [(1, 3, 11), (2, 3, 38), (3, 3, 138), (2, 1, 16), (3, 1, 55)]
 )
 def test_carried_sector_sizes(n, n_ph, carried):
-    """The carried blocks m <= n hold `carried` complex sector entries.  Each
-    takes two real coordinates in an off-diagonal block; in a Hermitian
-    diagonal block each entry takes one (its real diagonal, or the real or
-    the imaginary part of an entry above the diagonal)."""
+    """The carried blocks m <= n hold `carried` complex entries in their
+    excitation sectors, of which each keeps those in its budget (exc(a) <= m,
+    counted here from the basis labels).  Each takes two real coordinates in
+    an off-diagonal block; in a Hermitian diagonal block each entry takes one
+    (its real diagonal, or the real or the imaginary part of an entry above
+    the diagonal)."""
     cfg = ChainConfig((EmitterParams(),) * n)
     prop = HierarchyPropagator(cfg, n_ph)
     sector = {mn: idx.size for mn, (_, idx) in full_slots(cfg, n_ph).items()}
+    budget = {(m, k): budget_mask(n, m, k).sum() for m, k in block_order(n_ph)}
     assert sorted(prop.slots) == [(m, k) for m, k in block_order(n_ph) if m <= k]
     assert sum(sector[mn] for mn in prop.slots) == carried
     for (m, k), (rows, _, _) in prop.slots.items():
-        assert rows.stop - rows.start == (1 if m == k else 2) * sector[(m, k)]
-    diagonal = sum(sector[(m, m)] for m in range(n_ph + 1))
-    assert prop.size == 2 * carried - diagonal
+        assert rows.stop - rows.start == (1 if m == k else 2) * budget[(m, k)]
+    diagonal = sum(budget[(m, m)] for m in range(n_ph + 1))
+    assert prop.size == 2 * sum(budget[mn] for mn in prop.slots) - diagonal
+
+
+BUDGET_SIZES = {(1, 3): 13, (2, 3): 42, (3, 3): 130, (2, 1): 10, (3, 1): 17}
 
 
 @pytest.mark.parametrize(
     "n,n_ph,size", [(1, 3, 14), (2, 3, 52), (3, 3, 196), (2, 1, 20), (3, 1, 70)]
 )
 def test_sector_sizes(n, n_ph, size):
-    """The full reference layout spans all (n_ph+1)^2 blocks.  The real
-    coordinates of the carried blocks are exactly as many: every block
-    rho_{m,n} with m < n stands for itself and its adjoint rho_{n,m}, and
-    a Hermitian diagonal block has as many real degrees of freedom as
-    complex entries."""
+    """The full reference layout spans the excitation sectors of all
+    (n_ph+1)^2 blocks, `size` complex entries.  The carried blocks' real
+    coordinates are as many as that layout's entries in budget: every block
+    rho_{m,n} with m < n stands for itself and its adjoint rho_{n,m}, and a
+    Hermitian diagonal block has as many real degrees of freedom as complex
+    entries.  The budget drops each entry whose ket has more than m
+    excitations, down to BUDGET_SIZES."""
     cfg = ChainConfig((EmitterParams(),) * n)
     slots = full_slots(cfg, n_ph)
     assert sum(idx.size for _, idx in slots.values()) == size
-    assert HierarchyPropagator(cfg, n_ph).size == size
+    in_budget = sum(budget_mask(n, *mn).ravel()[idx].sum() for mn, (_, idx) in slots.items())
+    assert HierarchyPropagator(cfg, n_ph).size == in_budget == BUDGET_SIZES[(n, n_ph)]
 
 
 def test_flatten_order_matches_block_order():
@@ -101,10 +119,10 @@ def test_flatten_order_matches_block_order():
         if m > n:
             assert (m, n) not in prop.slots  # read off as the adjoint of (n, m)
             continue
-        # row-major: the real parts, then the imaginary parts, of the sector
-        # entries; of a diagonal block only those on and above the diagonal,
+        # row-major: the real parts, then the imaginary parts, of the entries
+        # in sector and budget; of a diagonal block only those on and above the diagonal,
         # and only the imaginary parts above it
-        re = im = sector_mask(2, m - n)
+        re = im = budget_mask(2, m, n)
         if m == n:
             re, im = np.triu(re), np.triu(im, 1)
         coords = np.concatenate([blocks[(m, n)][re].real, blocks[(m, n)][im].imag])
@@ -130,20 +148,36 @@ def test_blocks_below_the_diagonal_are_adjoints():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_entry_and_diagonal_read_the_block_without_building_it(n):
     """entry(y, m, n, a, b) is block(y, m, n)[..., a, b] bit for bit, for
-    every block, m > n and entries outside the sector included, and
-    diagonal(y, n) is the real diagonal of block (n, n)."""
+    every block, m > n and entries that are not carried included (at
+    N = 3 > n_ph = 2 some diagonal entries too), one entry at a time and
+    all of them, or the whole diagonal, in one gather."""
     prop = HierarchyPropagator(random_chain(np.random.default_rng(30 + n), n), 2)
     y = np.random.default_rng(31).normal(size=(3, prop.size))
+    a, b = np.divmod(np.arange(prop.dim**2).reshape(prop.dim, prop.dim), prop.dim)
     for m, k in block_order(2):
         blk = prop.block(y, m, k)
-        for a in range(prop.dim):
-            for b in range(prop.dim):
-                got = prop.entry(y, m, k, a, b)
-                assert got.shape == (3,) and np.array_equal(got, blk[:, a, b]), (m, k, a, b)
-        if m == k:
-            diag = prop.diagonal(y, m)
-            assert diag.dtype == np.float64
-            assert np.array_equal(diag, np.diagonal(blk, axis1=-2, axis2=-1).real)
+        for i in range(prop.dim):
+            for j in range(prop.dim):
+                got = prop.entry(y, m, k, i, j)
+                assert got.shape == (3,) and np.array_equal(got, blk[:, i, j]), (m, k, i, j)
+        assert np.array_equal(prop.entry(y, m, k, a, b), blk)
+        diagonal = prop.entry(y, m, k, *np.diag_indices(prop.dim))
+        assert np.array_equal(diagonal, np.diagonal(blk, axis1=-2, axis2=-1))
+    assert n < 3 or not np.all(budget_mask(n, 2, 2).diagonal())
+
+
+def test_entry_refuses_an_index_outside_the_register():
+    """A basis index outside [0, dim) is a caller's slip, not an entry that
+    is not carried: on the shipped 2-emitter chain it raises IndexError for
+    a scalar or an array index, on either side and for m > n."""
+    sc = load_scenario(scenario_path("two_emitter_chirality_sweep"))
+    prop = HierarchyPropagator(sc.chain, sc.n_photons)
+    y = prop.ground()
+    for m, k, a, b in ((3, 3, 9, 0), (3, 3, -1, 0), (3, 3, 0, 4), (1, 2, 2, -1), (3, 0, 4, 0),
+                       (3, 3, np.arange(5), np.arange(5))):
+        with pytest.raises(IndexError, match="outside 0..3"):
+            prop.entry(y, m, k, a, b)
+    assert prop.entry(y, 3, 3, 3, 0) == 0 and prop.entry(y, 3, 3, 0, 0) == 1
 
 
 # ------------------------------------------- literal ten-block transcription
@@ -167,9 +201,22 @@ def test_oracle_keeps_sector_projected_hierarchies_in_their_sector(n):
     outside every block's sector."""
     rng = np.random.default_rng(300 + n)
     cfg = random_chain(rng, n)
-    out = handwritten_three_photon_rhs(cfg, random_sector_state(rng, n), 4.3, PULSE)
+    out = handwritten_three_photon_rhs(cfg, random_sector_state(rng, n, budget=False), 4.3, PULSE)
     for (m, k), blk in out.items():
         assert not np.any(blk[~sector_mask(n, m - k)]), (m, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oracle_keeps_in_budget_hierarchies_in_their_budget(n):
+    """Independent check of the budget the layout relies on: the longhand
+    equations map a hierarchy inside every block's budget (exc(a) <= m in
+    rho_{m,k}) to exactly zero outside it, and not to zero inside it."""
+    rng = np.random.default_rng(350 + n)
+    cfg = random_chain(rng, n)
+    out = handwritten_three_photon_rhs(cfg, random_sector_state(rng, n), 4.3, PULSE)
+    for (m, k), blk in out.items():
+        assert not np.any(blk[~budget_mask(n, m, k)]), (m, k)
+    assert np.any(out[(3, 3)])
 
 
 # ------------------------------------------------------ compiled propagator
@@ -228,10 +275,10 @@ def test_compiled_operators_equal_column_by_column_reference(n, n_ph):
 
 
 def test_compile_applies_the_dissipator_once(monkeypatch):
-    """apply_total runs once per excitation sector n - m = 0..n_ph, on the
-    stack of the operators that sector's coordinates stand for: 20 + 30 +
-    12 + 2 = 64 = dim^2 operators in all at 3 emitters, not one call per
-    block or per operator."""
+    """apply_total runs once per carried block, in layout order, on the
+    stack of the operators that block's coordinates stand for: 130
+    operators in all at 3 emitters and three photons, once each, not one
+    call per operator."""
     calls = []
 
     def counted(cfg, rho):
@@ -240,8 +287,9 @@ def test_compile_applies_the_dissipator_once(monkeypatch):
 
     monkeypatch.setattr(hierarchy, "apply_total", counted)
     cfg = random_chain(np.random.default_rng(7), 3)
-    HierarchyPropagator(cfg, 3)
-    assert calls == [(20, 8, 8), (30, 8, 8), (12, 8, 8), (2, 8, 8)]
+    prop = HierarchyPropagator(cfg, 3)
+    assert calls == [(rows.stop - rows.start, 8, 8) for rows, _, _ in prop.slots.values()]
+    assert sum(k for k, _, _ in calls) == prop.size == 130
 
 
 def test_compile_builds_the_chain_operators_once(monkeypatch):
@@ -263,34 +311,45 @@ def test_compile_builds_the_chain_operators_once(monkeypatch):
         assert np.array_equal(x, y)
 
 
+def _within(prop, small, big):
+    """Positions of the coordinates of the carried block small among those
+    of big, after checking that small's entries re and im lie inside big's."""
+    _, re, im = prop.slots[small]
+    _, big_re, big_im = prop.slots[big]
+    assert np.isin(re, big_re).all() and np.isin(im, big_im).all(), (small, big)
+    return np.concatenate([np.searchsorted(big_re, re), big_re.size + np.searchsorted(big_im, im)])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("n_ph", [1, 2, 3])
-def test_blocks_of_one_sector_share_their_coordinates_and_operators(n, n_ph):
-    """Every carried block rho_{m,n} of one sector n - m has the same re and
-    im and, bit for bit, the same A-block.  Each B-block is sqrt(m) (from
-    rho_{m-1,n}) or sqrt(n) (from rho_{m,n-1}) times one block per pair of
-    source and target sectors; for m = n the source rho_{n,n-1} is the
-    adjoint of rho_{n-1,n}, a sector of its own."""
+def test_blocks_of_one_sector_nest_and_restrict_its_operators(n, n_ph):
+    """Along a sector n - m the carried entries nest: those of rho_{m,n} lie
+    inside those of rho_{m+1,n+1}.  Each block's A-block is, bit for bit,
+    the restriction of the A-block of its sector's top block
+    rho_{n_ph-(n-m),n_ph} to its coordinates.  Each B-block that is not
+    empty is nonzero, and sqrt(m) (from rho_{m-1,n}) or sqrt(n) (from
+    rho_{m,n-1}) times the restriction of the top block's B-block over its
+    own scale; for m = n the source rho_{n,n-1} is the adjoint of
+    rho_{n-1,n}."""
     cfg = random_chain(np.random.default_rng(600 + 10 * n + n_ph), n)
     prop = HierarchyPropagator(cfg, n_ph)
     a, b = dense_operators(prop)
-    first = {}  # sector -> (re, im, A-block) of its first block
-    drives = {}  # (term, source sector) -> the B-block over its scale, first seen
-    for (m, k), (rows, re, im) in prop.slots.items():
-        a_block = a[rows, rows]
-        sector_re, sector_im, sector_a = first.setdefault(k - m, (re, im, a_block))
-        assert np.array_equal(re, sector_re) and np.array_equal(im, sector_im)
-        assert np.array_equal(a_block, sector_a), (m, k)
-        sources = []
+
+    def sources(m, k):  # drive term -> (scale, carried source block)
+        return {"up": (np.sqrt(m), (m - 1, k)), "dn": (np.sqrt(k), (min(m, k - 1), max(m, k - 1)))}
+
+    for (m, k), (rows, _, _) in prop.slots.items():
         if m >= 1:
-            sources.append(("up", np.sqrt(m), m - 1, k))
-        if k >= 1:
-            sources.append(("dn", np.sqrt(k), m, k - 1))
-        for term, scale, p, q in sources:
-            b_block = b[rows, prop.slots[(min(p, q), max(p, q))][0]]
-            assert b_block.size == 0 or np.any(b_block), (m, k, term)
-            base = drives.setdefault((term, p - q), b_block / scale)
-            np.testing.assert_allclose(b_block, scale * base, rtol=1e-15, atol=0)
+            _within(prop, (m - 1, k - 1), (m, k))
+        top = (n_ph - (k - m), n_ph)
+        top_rows, pos = prop.slots[top][0], _within(prop, (m, k), top)
+        assert np.array_equal(a[rows, rows], a[top_rows, top_rows][np.ix_(pos, pos)]), (m, k)
+        for term in ["up"] * (m >= 1) + ["dn"] * (k >= 1):
+            (scale, src), (top_scale, top_src) = sources(m, k)[term], sources(*top)[term]
+            b_block = b[rows, prop.slots[src][0]]
+            assert b_block.size == 0 or np.any(b_block), (m, k, src)
+            top_block = b[top_rows, prop.slots[top_src][0]][np.ix_(pos, _within(prop, src, top_src))]
+            np.testing.assert_allclose(b_block, scale / top_scale * top_block, rtol=1e-15, atol=0)
 
 
 # ----------------------------------------------------- structural invariants
@@ -324,8 +383,9 @@ def test_operators_form_a_level_cascade(n, n_ph):
     """A keeps the level l = m + n of every entry, and B only raises it by
     one.  Checked on the operators assembled from the levels, with each
     coordinate's level labelled from slots, so a block compiled into the
-    wrong level would show.  Every level has a nonzero a, and every level
-    above the vacuum a nonzero drive b from the level below."""
+    wrong level would show.  Every level above the vacuum has a nonzero a
+    and a nonzero drive b from the level below; the vacuum level is the one
+    coordinate of |g><g|, and its a is exactly 0."""
     cfg = random_chain(np.random.default_rng(400 + 10 * n + n_ph), n)
     prop = HierarchyPropagator(cfg, n_ph)
     a, b = dense_operators(prop)
@@ -335,8 +395,9 @@ def test_operators_form_a_level_cascade(n, n_ph):
     rise = level[:, None] - level[None, :]
     assert not np.any(a[rise != 0])
     assert not np.any(b[rise != 1])
-    for l, lv in enumerate(prop.levels):
-        assert np.any(lv.a) and (l == 0 or np.any(lv.b)), l
+    assert prop.levels[0].a.shape == (1, 1) and not np.any(prop.levels[0].a)
+    for l, lv in enumerate(prop.levels[1:], 1):
+        assert np.any(lv.a) and np.any(lv.b), l
 
 
 def test_vacuum_block_never_moves():
@@ -357,8 +418,9 @@ def test_vacuum_block_never_moves():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_vacuum_level_is_at_rest_on_random_chains(n):
     """integrate holds level 0 instead of stepping it, which is exact only
-    while A_0 maps the all-ground coordinates to exactly zero.  Checked bit
-    for bit on detuned, lossy, chiral chains with d_ratio != 0."""
+    while A_0 maps the all-ground coordinates to exactly zero.  Level 0 is
+    that one coordinate, and A_0 is exactly 0.  Checked bit for bit on
+    detuned, lossy, chiral chains with d_ratio != 0."""
     rng = np.random.default_rng(800 + n)
     for _ in range(4):
         cfg = random_chain(rng, n)
@@ -368,19 +430,6 @@ def test_vacuum_level_is_at_rest_on_random_chains(n):
         for n_ph in (1, 2, 3):
             prop = HierarchyPropagator(cfg, n_ph)
             vacuum = prop.levels[0]
-            assert not np.any(vacuum.a @ prop.ground()[vacuum.rows])
+            assert vacuum.a.shape == (1, 1) and prop.ground()[vacuum.rows] == 1.0
+            assert not np.any(vacuum.a)
 
-
-def test_integrate_refuses_a_vacuum_level_that_moves(monkeypatch):
-    """Holding level 0 would silently drop its motion, so one entry of A_0
-    planted on the ground coordinate must stop integrate."""
-
-    class Planted(HierarchyPropagator):
-        def __init__(self, cfg, n_ph):
-            super().__init__(cfg, n_ph)
-            self.levels[0].a[1, 0] = 1.0
-
-    monkeypatch.setattr(integrator, "HierarchyPropagator", Planted)
-    cfg = ChainConfig((EmitterParams(), EmitterParams()))
-    with pytest.raises(RuntimeError, match="cannot be held"):
-        integrate(cfg, PULSE, 1, IntegratorConfig(dt=1e-2, t_end=1.0))

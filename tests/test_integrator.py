@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import SCENARIO_DIR, gather, scenario_path
+from conftest import SCENARIO_DIR, budget_mask, gather, scenario_path
 from oracles import (
     _OneLevelStep,
     coherent_drive_run,
@@ -59,9 +59,10 @@ def test_config_validation():
 
 def test_config_refuses_a_record_stride_that_is_not_an_integer():
     """A fractional stride would reach integrate as a float index; it is
-    refused under its own name, as is an integral float.  A numpy integer
-    is an integer."""
-    for bad in (2.5, 10.0, "10"):
+    refused under its own name, as is an integral float and a bool, which
+    resolved() would write as a stride the scenario parser refuses.  A
+    numpy integer is an integer."""
+    for bad in (2.5, 10.0, "10", True):
         with pytest.raises(ValueError, match="^record_stride"):
             IntegratorConfig(record_stride=bad)
     assert IntegratorConfig(record_stride=np.int64(10)).record_stride == 10
@@ -137,10 +138,11 @@ def test_integrate_returns_consistent_trajectory():
     assert isinstance(states, StateTrajectory)
     assert states.n_ph == 2
     assert states.register == EmitterRegister(1)
-    # one real state vector per record: 2 real diagonal entries in each of the
-    # 3 diagonal blocks, the real and imaginary part of the 1 entry in each of
-    # the 2 carried blocks with n - m = 1, none where n - m = 2
-    assert states.blocks.shape == (len(states.times), 10)
+    # one real state vector per record: the real diagonal |g><g| of rho_{0,0}
+    # (|e><e| is outside its budget), 2 real diagonal entries in each of the 2
+    # other diagonal blocks, the real and imaginary part of the 1 entry in each
+    # of the 2 carried blocks with n - m = 1, none where n - m = 2
+    assert states.blocks.shape == (len(states.times), 9)
     # block() scatters each block back out; physical() is the top diagonal block
     assert states.block(1, 2).shape == (len(states.times), 2, 2)
     assert np.array_equal(states.physical(), states.block(2, 2))
@@ -173,12 +175,13 @@ def test_diagonal_blocks_are_exactly_hermitian(scenario_run):
 
 def test_free_decay_of_excited_emitter_matches_exponential():
     """With no drive overlap (pulse centered far away) an initially excited
-    emitter just decays at gamma_r + gamma_l."""
+    emitter just decays at gamma_r + gamma_l.  The excited projector is put
+    in the physical block rho_{1,1} alone: rho_{0,0} holds no excitation."""
     cfg = ChainConfig((EmitterParams(gamma_r=1.0, gamma_l=1.0),))
     pulse = GaussianPulse(mu=1.46, t_bar=1e6)
     prop = HierarchyPropagator(cfg, 1)
-    excited = np.diag([0.0, 1.0])  # excited projector in both diagonal blocks
-    y0 = gather(prop, {(m, n): excited if m == n else 0 * excited for m, n in block_order(1)})
+    excited = np.diag([0.0, 1.0])
+    y0 = gather(prop, {(m, n): excited if m == n == 1 else 0 * excited for m, n in block_order(1)})
     icfg = IntegratorConfig(dt=1e-3, t_end=1.0, record_stride=100)
     times, snaps = rk4_solve(lambda t, y: prop.derivative(amplitude(pulse, t), y), y0, icfg)
     states = StateTrajectory(times, snaps, prop)
@@ -238,6 +241,34 @@ def test_cascade_matches_full_hierarchy_oracle_on_shipped_scenarios(stem, ratio)
     rk4_dev = max(np.abs(coarse[mn] - fine[mn]).max() for mn in fine)
     assert rk4_dev > 1e-10  # the comparison is about truncation, not roundoff
     assert cascade_dev <= rk4_dev, (cascade_dev, rk4_dev)
+
+
+BUDGET_CASES = [(stem, ratio) for stem in SHIPPED for ratio in (1.0, 5.0)] + [
+    (seed, n, n_ph) for seed in (0, 1) for n, n_ph in ((2, 1), (3, 1), (3, 2))]
+
+
+@pytest.mark.parametrize("case", BUDGET_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_full_graded_run_leaves_every_dropped_entry_at_zero(case):
+    """The budget, checked on the full graded hierarchy of the reference
+    build in oracles.py (every block, every entry of its excitation sector):
+    run by RK4 from the all-ground start, every entry <a|rho_{m,n}|b> with
+    exc(a) > m stays exactly 0 at every record, on the shipped chains and on
+    random chiral, detuned, lossy, spaced chains with N > n_ph, while the
+    physical block moves."""
+    if len(case) == 2:
+        sc = load_scenario(scenario_path(case[0])).with_ratio(case[1])
+        cfg, pulse, n_ph = sc.chain, sc.pulse, sc.n_photons
+    else:
+        seed, n, n_ph = case
+        cfg, pulse = random_chain(np.random.default_rng(900 + seed), n), GaussianPulse()
+        assert cfg.d_ratio > 0 and n > n_ph
+        for em in cfg.emitters:
+            assert em.delta != 0 and em.gamma_spont > 0 and em.gamma_r != em.gamma_l
+    icfg = IntegratorConfig(dt=0.01, t_end=8.0, record_stride=10)
+    _, blocks = full_hierarchy_run(cfg, pulse, n_ph, icfg)
+    for (m, k), series in blocks.items():
+        assert not np.any(series[:, ~budget_mask(cfg.n_emitters, m, k)]), (m, k)
+    assert np.abs(blocks[(n_ph, n_ph)][:, 0, 0] - 1.0).max() > 0.1
 
 
 def coherent_tail(alpha: complex, n_ph: int, n: int, terms: int = 60) -> float:

@@ -614,8 +614,8 @@ def test_traced_benchmark_pass_finds_every_wrapped_name(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     for stem, state_len, span in (
-        ("three_emitter_chirality_sweep", 196, "entanglement.fill"),
-        ("two_emitter_chirality_sweep", 52, "entanglement.concurrence"),
+        ("three_emitter_chirality_sweep", 130, "entanglement.fill"),
+        ("two_emitter_chirality_sweep", 42, "entanglement.concurrence"),
     ):
         text = scenario_path(stem).read_text(encoding="utf-8")
         path = write(tmp_path, text.replace("integrator.t_end = 12.0", "integrator.t_end = 1e-3"))

@@ -147,25 +147,19 @@ def test_blow_up_reports_the_first_failing_ratio(tmp_path, capsys, two_shares, r
     assert_no_child_left()
 
 
-def non_positive_diagonal(original, self, y, n):
-    """The recorded populations with record 3 made [1.2, -0.2, 0, 0]."""
-    populations = original(self, y, n).copy()
-    populations[3] = [1.2, -0.2, 0.0, 0.0]
-    return populations
-
-
-def zero_entry(original, self, y, *where):
-    """A recorded entry with record 3 made 0."""
-    entry = original(self, y, *where).copy()
-    entry[3] = 0.0
-    return entry
+def non_positive_entries(original, self, y, m, n, a, b):
+    """The recorded entries with record 3 made indefinite: the populations
+    (a, b the diagonal) [1.2, -0.2, 0, 0], a single entry 0."""
+    entries = original(self, y, m, n, a, b).copy()
+    entries[3] = [1.2, -0.2, 0.0, 0.0] if np.ndim(a) else 0.0
+    return entries
 
 
 def inject_non_positive_record(monkeypatch, patch):
-    """Through the readers the measures take their arguments from, make
+    """Through the reader the measures take their arguments from, make
     record 3 indefinite: min eig -0.2, the ge population."""
-    for name, bad in (("diagonal", non_positive_diagonal), ("entry", zero_entry)):
-        monkeypatch.setattr(HierarchyPropagator, name, patch(bad, getattr(HierarchyPropagator, name)))
+    monkeypatch.setattr(HierarchyPropagator, "entry",
+                        patch(non_positive_entries, HierarchyPropagator.entry))
 
 
 def test_failed_physical_block_check_exits_3_with_the_time(tmp_path, capsys, monkeypatch):
