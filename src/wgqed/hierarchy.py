@@ -38,8 +38,10 @@ real, so the equations are real-linear, not complex-linear, in the carried
 blocks.  They are therefore compiled and integrated in real coordinates:
 the real and imaginary parts of every carried entry, where a diagonal block
 rho_{n,n}, being Hermitian, keeps only its real diagonal and its entries
-above the diagonal.  A diagonal block read back is Hermitian by
-construction, and its trace exactly real.
+above the diagonal.  One complex table per carried block says which entries
+each coordinate stands for; reading a diagonal block through it puts the
+conjugate of each entry above the diagonal at its mirror below, so the
+block is Hermitian by construction, and its trace exactly real.
 """
 
 from __future__ import annotations
@@ -76,21 +78,23 @@ class HierarchyPropagator:
     vector y.
 
     y holds the coordinates of each carried rho_{m,n} (m <= n) level by
-    level, l = m + n, and in block_order within a level; slots[(m, n)] =
-    (rows, re, im) says where: y[rows] is the real parts of the block's
-    row-major entries re, then the imaginary parts of its entries im.  For
-    m < n both are the block's entries in its grading and budget; for the
-    Hermitian rho_{n,n}, re is those on and above the diagonal and im those
-    above it.  `block` reads a block back, `entry` some of its entries.
+    level, l = m + n, and in block_order within a level: the real parts of
+    the block's row-major entries in its grading and budget, then their
+    imaginary parts, where the Hermitian rho_{n,n} keeps the real parts of
+    those on and above the diagonal and the imaginary parts of those above
+    it.  slots[(m, n)] = (rows, table) is the one record of that layout:
+    y[rows] are the block's k coordinates, and column j of the complex
+    (dim^2, k) table holds the entries coordinate j stands for, 1 or 1j at
+    its entry and, in rho_{n,n}, the conjugate at the mirrored entry below
+    the diagonal.  `entry` and `block` read through it.
 
     A (dissipator) and B (drive couplings) are real and held only as the
     cascade `levels`, levels[l] = Level(rows, a, b) with y[rows] level l.
-    Column j is the derivative, read back into coordinates, of the blocks
-    coordinate j stands for (through `block`, so rho_{n,n-1} is the adjoint
-    of rho_{n-1,n}).  apply_total and the two drive commutators with L_in,
-    the single definition of the physics, map the stack of a source block's
-    operators, and the target block's re and im read each image back, the
-    inverse of `block`.
+    Column j is the derivative of the blocks coordinate j stands for:
+    apply_total and the two drive commutators with L_in, the single
+    definition of the physics, map a source block's table as a stack of
+    operators (its adjoint for rho_{n,n-1}), and each image is read back
+    through the target's table, at the entries on or above the diagonal.
     """
 
     def __init__(self, cfg: ChainConfig, n_ph: int):
@@ -102,18 +106,22 @@ class HierarchyPropagator:
         exc = excitation_count(reg)
         grading = np.subtract.outer(exc, exc).ravel()  # exc(a) - exc(b) of |a><b|
         ket = np.repeat(exc, dim)  # exc(a) of |a><b|
-        slots = {}  # (m, n) -> (slice of y, re, im), as in the class docstring
+        mirror = np.arange(dim * dim).reshape(dim, dim).T.ravel()  # |b><a| of |a><b|
+        lower = mirror < np.arange(dim * dim)
+        slots = {}  # (m, n) -> (slice of y, table), as in the class docstring
         starts = [0] * (2 * n_ph + 2)  # level l is y[starts[l]:starts[l + 1]]
         size = 0
         # the carried m <= n (rho_{n,m} is the adjoint of rho_{m,n}) by level m + n, then by m
         for m, n in sorted(((m, n) for m, n in block_order(n_ph) if m <= n), key=sum):
-            idx = np.flatnonzero((grading == m - n) & (ket <= m))
-            re = im = idx
-            if m == n:  # Hermitian: the diagonal is real, the lower triangle the adjoint
-                row, col = np.divmod(idx, dim)
-                re, im = idx[row <= col], idx[row < col]
-            slots[(m, n)] = (slice(size, size + re.size + im.size), re, im)
-            size += re.size + im.size
+            below = lower & (m == n)  # Hermitian: the lower triangle is the adjoint
+            re = np.flatnonzero((grading == m - n) & (ket <= m) & ~below)
+            im = re[(m < n) | (re != mirror[re])]  # and the diagonal is real
+            k = re.size + im.size
+            table = np.zeros((dim * dim, k), dtype=complex)
+            table[np.r_[re, im], np.arange(k)] = np.repeat([1, 1j], [re.size, im.size])
+            table[below] = table[mirror[below]].conj()
+            slots[(m, n)] = (slice(size, size + k), table)
+            size += k
             starts[m + n + 1] = size
         self.n_ph, self.register, self.dim, self.size, self.slots = n_ph, reg, dim, size, slots
         self.levels = [
@@ -128,19 +136,19 @@ class HierarchyPropagator:
         liou = partial(apply_total, cfg)  # each map takes a (..., dim, dim) stack
         up = partial(commutator, b=l_in.conj().T)  # times sqrt(m) g(t)
         dn = partial(commutator, l_in)  # times sqrt(n) g*(t)
-        for (m, n), (rows, re, im) in slots.items():
+        for (m, n), (rows, table) in slots.items():
             level = self.levels[m + n]
+            at = (table != 0).argmax(0)  # each coordinate's entry on or above the diagonal
             terms = [(level.a, 1.0, liou, m, n)]
             if m >= 1:
                 terms.append((level.b, math.sqrt(m), up, m - 1, n))
             if n >= 1:  # for m = n, rho_{n,n-1} is read as the adjoint of rho_{n-1,n}
                 terms.append((level.b, math.sqrt(n), dn, m, n - 1))
             for mat, scale, op, p, q in terms:
-                cols = slots[(min(p, q), max(p, q))][0]
-                unit = np.eye(cols.stop - cols.start, size, cols.start)
-                image = op(self.block(unit, p, q)).reshape(-1, dim * dim)  # read back with re, im
-                mat[within(rows, m + n), within(cols, p + q)] += (
-                    scale * np.concatenate([image[:, re].real, image[:, im].imag], 1).T)
+                cols, source = slots[(min(p, q), max(p, q))]
+                stack = (source if p <= q else source[mirror].conj()).T.reshape(-1, dim, dim)
+                image = op(stack).reshape(-1, dim * dim)[:, at] * table[at, range(at.size)].conj()
+                mat[within(rows, m + n), within(cols, p + q)] += scale * image.real.T
 
     def ground(self) -> np.ndarray:
         """State vector of the all-ground start: every diagonal block is the
@@ -153,38 +161,22 @@ class HierarchyPropagator:
     def block(self, y: np.ndarray, m: int, n: int) -> np.ndarray:
         """Block rho_{m,n} of a state vector y (..., size), as complex
         (..., dim, dim); for m > n the adjoint of rho_{n,m}."""
-        if m > n:
-            return self.block(y, n, m).conj().swapaxes(-1, -2)
-        rows, re, im = self.slots[(m, n)]
-        part = y[..., rows]
-        lead = y.shape[:-1]
-        out = np.zeros(lead + (self.dim * self.dim,), dtype=complex)
-        out.real[..., re] = part[..., :re.size]
-        out.imag[..., im] = part[..., re.size:]
-        if m == n:  # below the diagonal: the conjugates of the entries above it
-            row, col = np.divmod(im, self.dim)
-            out[..., col * self.dim + row] = out[..., im].conj()
-        return out.reshape(lead + (self.dim, self.dim))
+        return self.entry(y, m, n, *np.indices((self.dim, self.dim)))
 
     def entry(self, y: np.ndarray, m: int, n: int, a, b) -> np.ndarray:
         """Entries <a|rho_{m,n}|b> of a state vector y (..., size) at the
-        integers or integer arrays a and b, complex (..., *their broadcast
-        shape): block(y, m, n)[..., a, b], gathered without building the
-        block.  An entry that is not carried reads exactly 0; an a or b
-        outside [0, dim) raises IndexError."""
+        integers or integer arrays or lists a and b, complex (..., *their
+        broadcast shape).  An entry that is not carried reads 0; an m or n
+        outside 0..n_ph, or an a or b outside [0, dim), raises IndexError."""
+        if not (0 <= m <= self.n_ph and 0 <= n <= self.n_ph):
+            raise IndexError(f"block index outside 0..{self.n_ph}: m = {m}, n = {n}")
+        a, b = np.asarray(a), np.asarray(b)
         if np.any((a < 0) | (a >= self.dim) | (b < 0) | (b >= self.dim)):
             raise IndexError(f"basis index outside 0..{self.dim - 1}: a = {a}, b = {b}")
         if m > n:  # stored as the adjoint's entry
             return self.entry(y, n, m, b, a).conj()
-        rows, re, im = self.slots[(m, n)]
-        lower = (a > b) & (m == n)  # a diagonal block keeps the conjugate entry above
-        at = np.full((self.dim * self.dim, 2), -1)  # coordinates of the real, imaginary parts
-        at[re, 0] = rows.start + np.arange(re.size)
-        at[im, 1] = rows.start + re.size + np.arange(im.size)
-        at = at[np.where(lower, b * self.dim + a, a * self.dim + b)]
-        out = np.where(at >= 0, np.take(y, at, axis=-1), 0.0)  # -1: not carried
-        np.negative(out[..., 1], out=out[..., 1], where=lower)
-        return out.view(complex)[..., 0]
+        rows, table = self.slots[(m, n)]
+        return np.tensordot(y[..., rows], table[a * self.dim + b], (-1, -1))
 
     def derivative(self, g: float, y: np.ndarray) -> np.ndarray:
         """d/dt of the state vector y (size,) given the real drive amplitude g,

@@ -83,9 +83,9 @@ class ChainConfig:
     d_ratio: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "emitters", tuple(self.emitters))
         if not self.emitters:
             raise ValueError("chain needs at least one emitter")
-        object.__setattr__(self, "emitters", tuple(self.emitters))
         if not math.isfinite(self.d_ratio):
             raise ValueError(f"d_ratio must be finite, got {self.d_ratio}")
 

@@ -11,7 +11,8 @@ caller does: through the checked reader read_state, then the closed form.
 The sector helpers build dicts of dense blocks rho_{m,k}, as the longhand
 oracle in oracles.py takes them, and gather them into the compiled
 propagator's real state vector, which carries of each block only the
-entries in its grading (sector_mask) and budget (budget_mask).
+entries in its grading (sector_mask) and budget (budget_mask), laid out as
+carried_entries says.
 dense_operators assembles the compiled A and B of y' = A y + g(t) B y from
 the propagator's levels.
 """
@@ -100,16 +101,29 @@ def random_sector_state(rng, n: int, budget: bool = True) -> dict:
     return blocks
 
 
+def carried_entries(n: int, m: int, k: int) -> tuple:
+    """Row-major indices (re, im) of the entries of an n-emitter block
+    rho_{m,k}, m <= k, whose real and whose imaginary parts the state vector
+    carries: those in its budget, of a Hermitian diagonal block only those on
+    and above the diagonal, and only those above it for the imaginary parts."""
+    re = im = budget_mask(n, m, k)
+    if m == k:
+        re, im = np.triu(re), np.triu(im, 1)
+    return np.flatnonzero(re), np.flatnonzero(im)
+
+
 def gather(prop: HierarchyPropagator, blocks: dict) -> np.ndarray:
     """Real state vector of the dense blocks rho_{m,k}, m, k <= prop.n_ph,
-    laid out by prop.slots: per carried block, the real parts of its entries
-    re, then the imaginary parts of its entries im.  Fails if a block does
-    not come back whole from the vector (an entry outside its sector or its
-    budget, or a diagonal block that is not Hermitian), which the vector
-    would silently drop."""
+    laid out by the rows of prop.slots: per carried block, the real parts of
+    its entries re, then the imaginary parts of its entries im, as
+    carried_entries gives them.  Fails if a block does not come back whole
+    from the vector (an entry outside its sector or its budget, or a
+    diagonal block that is not Hermitian), which the vector would silently
+    drop."""
     x = np.zeros(prop.size)
-    for mn, (rows, re, im) in prop.slots.items():
+    for mn, (rows, _) in prop.slots.items():
         flat = np.asarray(blocks[mn], dtype=complex).ravel()
+        re, im = carried_entries(prop.register.n_emitters, *mn)
         x[rows] = np.concatenate([flat[re].real, flat[im].imag])
         assert np.array_equal(prop.block(x, *mn).ravel(), flat), f"block {mn} does not round-trip"
     return x

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     budget_mask,
+    carried_entries,
     dense_operators,
     gather,
     oracle_deviation,
@@ -77,7 +78,7 @@ def test_carried_sector_sizes(n, n_ph, carried):
     budget = {(m, k): budget_mask(n, m, k).sum() for m, k in block_order(n_ph)}
     assert sorted(prop.slots) == [(m, k) for m, k in block_order(n_ph) if m <= k]
     assert sum(sector[mn] for mn in prop.slots) == carried
-    for (m, k), (rows, _, _) in prop.slots.items():
+    for (m, k), (rows, _) in prop.slots.items():
         assert rows.stop - rows.start == (1 if m == k else 2) * budget[(m, k)]
     diagonal = sum(budget[(m, m)] for m in range(n_ph + 1))
     assert prop.size == 2 * sum(budget[mn] for mn in prop.slots) - diagonal
@@ -147,15 +148,19 @@ def test_blocks_below_the_diagonal_are_adjoints():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_entry_and_diagonal_read_the_block_without_building_it(n):
-    """entry(y, m, n, a, b) is block(y, m, n)[..., a, b] bit for bit, for
-    every block, m > n and entries that are not carried included (at
-    N = 3 > n_ph = 2 some diagonal entries too), one entry at a time and
-    all of them, or the whole diagonal, in one gather."""
-    prop = HierarchyPropagator(random_chain(np.random.default_rng(30 + n), n), 2)
-    y = np.random.default_rng(31).normal(size=(3, prop.size))
+    """entry(y, m, n, a, b) and block(y, m, n) give back, bit for bit, the
+    dense blocks gather packed into y, for every block, m > n and entries
+    that are not carried included (at N = 3 > n_ph = 2 some diagonal
+    entries too), one entry at a time and all of them, or the whole
+    diagonal, in one gather."""
+    rng = np.random.default_rng(30 + n)
+    prop = HierarchyPropagator(random_chain(rng, n), 2)
+    states = [random_sector_state(rng, n) for _ in range(3)]
+    y = np.stack([gather(prop, blocks) for blocks in states])
     a, b = np.divmod(np.arange(prop.dim**2).reshape(prop.dim, prop.dim), prop.dim)
     for m, k in block_order(2):
-        blk = prop.block(y, m, k)
+        blk = np.stack([blocks[(m, k)] for blocks in states])
+        assert np.array_equal(prop.block(y, m, k), blk), (m, k)
         for i in range(prop.dim):
             for j in range(prop.dim):
                 got = prop.entry(y, m, k, i, j)
@@ -167,17 +172,22 @@ def test_entry_and_diagonal_read_the_block_without_building_it(n):
 
 
 def test_entry_refuses_an_index_outside_the_register():
-    """A basis index outside [0, dim) is a caller's slip, not an entry that
-    is not carried: on the shipped 2-emitter chain it raises IndexError for
-    a scalar or an array index, on either side and for m > n."""
+    """A basis index outside [0, dim), or a block index outside 0..n_ph, is
+    a caller's slip, not an entry that is not carried: on the shipped
+    2-emitter chain it raises IndexError for a scalar, an array, a list or
+    a tuple index, on either side and for m > n.  List and tuple indices in
+    range read like arrays."""
     sc = load_scenario(scenario_path("two_emitter_chirality_sweep"))
     prop = HierarchyPropagator(sc.chain, sc.n_photons)
     y = prop.ground()
     for m, k, a, b in ((3, 3, 9, 0), (3, 3, -1, 0), (3, 3, 0, 4), (1, 2, 2, -1), (3, 0, 4, 0),
-                       (3, 3, np.arange(5), np.arange(5))):
+                       (3, 3, np.arange(5), np.arange(5)), (3, 3, [0, 4], [0, 0]),
+                       (2, 3, (0, 1), (0, -1)), (4, 4, 0, 0), (0, 4, 0, 0), (4, 0, 0, 0),
+                       (-1, 3, 0, 0)):
         with pytest.raises(IndexError, match="outside 0..3"):
             prop.entry(y, m, k, a, b)
     assert prop.entry(y, 3, 3, 3, 0) == 0 and prop.entry(y, 3, 3, 0, 0) == 1
+    assert np.array_equal(prop.entry(y, 3, 3, [0, 3], (0, 3)), [1, 0])
 
 
 # ------------------------------------------- literal ten-block transcription
@@ -243,9 +253,9 @@ def test_compiled_operators_equal_column_by_column_reference(n, n_ph):
     so every block below the diagonal is the adjoint of its partner and
     the drive of rho_{n,n} from the uncarried rho_{n,n-1} is included);
     P reads back the real parts of the re entries and the imaginary parts
-    of the im entries of each carried block.  Every entry of the reference
-    product Re(P A S) is a sum of at most two nonzero terms, so the order
-    of summation cannot change it.  A and B are assembled from the levels,
+    of the im entries of each carried block (carried_entries).  Every entry
+    of the reference product Re(P A S) is a sum of at most two nonzero
+    terms, so the order of summation cannot change it.  A and B are assembled from the levels,
     so a coupling the cascade would drop shows as a mismatch."""
     cfg = random_chain(np.random.default_rng(500 + 10 * n + n_ph), n)
     prop = HierarchyPropagator(cfg, n_ph)
@@ -257,8 +267,9 @@ def test_compiled_operators_equal_column_by_column_reference(n, n_ph):
 
     def read_back(images):
         out = np.empty((prop.size,) + images.shape[1:])
-        for mn, (rows, re, im) in prop.slots.items():
+        for mn, (rows, _) in prop.slots.items():
             full_rows, idx = slots[mn]
+            re, im = carried_entries(n, *mn)
             part = images[full_rows]
             out[rows] = np.concatenate([part[np.searchsorted(idx, re)].real,
                                         part[np.searchsorted(idx, im)].imag])
@@ -288,7 +299,7 @@ def test_compile_applies_the_dissipator_once(monkeypatch):
     monkeypatch.setattr(hierarchy, "apply_total", counted)
     cfg = random_chain(np.random.default_rng(7), 3)
     prop = HierarchyPropagator(cfg, 3)
-    assert calls == [(rows.stop - rows.start, 8, 8) for rows, _, _ in prop.slots.values()]
+    assert calls == [(rows.stop - rows.start, 8, 8) for rows, _ in prop.slots.values()]
     assert sum(k for k, _, _ in calls) == prop.size == 130
 
 
@@ -314,8 +325,8 @@ def test_compile_builds_the_chain_operators_once(monkeypatch):
 def _within(prop, small, big):
     """Positions of the coordinates of the carried block small among those
     of big, after checking that small's entries re and im lie inside big's."""
-    _, re, im = prop.slots[small]
-    _, big_re, big_im = prop.slots[big]
+    re, im = carried_entries(prop.register.n_emitters, *small)
+    big_re, big_im = carried_entries(prop.register.n_emitters, *big)
     assert np.isin(re, big_re).all() and np.isin(im, big_im).all(), (small, big)
     return np.concatenate([np.searchsorted(big_re, re), big_re.size + np.searchsorted(big_im, im)])
 
@@ -338,7 +349,7 @@ def test_blocks_of_one_sector_nest_and_restrict_its_operators(n, n_ph):
     def sources(m, k):  # drive term -> (scale, carried source block)
         return {"up": (np.sqrt(m), (m - 1, k)), "dn": (np.sqrt(k), (min(m, k - 1), max(m, k - 1)))}
 
-    for (m, k), (rows, _, _) in prop.slots.items():
+    for (m, k), (rows, _) in prop.slots.items():
         if m >= 1:
             _within(prop, (m - 1, k - 1), (m, k))
         top = (n_ph - (k - m), n_ph)
@@ -390,7 +401,7 @@ def test_operators_form_a_level_cascade(n, n_ph):
     prop = HierarchyPropagator(cfg, n_ph)
     a, b = dense_operators(prop)
     level = np.empty(prop.size, dtype=int)
-    for (m, k), (rows, _, _) in prop.slots.items():
+    for (m, k), (rows, _) in prop.slots.items():
         level[rows] = m + k
     rise = level[:, None] - level[None, :]
     assert not np.any(a[rise != 0])

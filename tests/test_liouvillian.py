@@ -39,15 +39,17 @@ def test_emitter_params_reject_negative_rates():
 
 
 def test_chain_config_validation():
-    with pytest.raises(ValueError):
-        ChainConfig(())
+    for empty in ((), (e for e in []), iter(())):
+        with pytest.raises(ValueError, match="chain needs at least one emitter"):
+            ChainConfig(empty)
     with pytest.raises(ValueError):
         ChainConfig((EmitterParams(),), d_ratio=float("nan"))
     with pytest.raises(TypeError):  # the drive phase is not a setting
         ChainConfig((EmitterParams(),), k0d=(0.0,))
     cfg = ChainConfig((EmitterParams(),) * 3, d_ratio=0.3)
     assert cfg.k0d == (0.0, 2 * np.pi * 0.3, 4 * np.pi * 0.3)
-    cfg = ChainConfig((EmitterParams(), EmitterParams()))
+    cfg = ChainConfig(EmitterParams() for _ in range(2))
+    assert cfg.emitters == (EmitterParams(), EmitterParams())
     assert cfg.n_emitters == 2
     assert cfg.register.dim == 4
 
