@@ -13,10 +13,8 @@ Every block evolves under one generic rule,
     d/dt rho_{m,n} = L[rho_{m,n}] + sqrt(m) g(t) [rho_{m-1,n}, L_in^dag]
                                   + sqrt(n) g*(t) [L_in, rho_{m,n-1}],
 
-    L_in = sum_i sqrt(Gamma_ir) e^{-2 pi i d_ratio (i - 1)} s_i,
-
-with the m=0 (resp. n=0) term absent.  Only right-moving photons drive the
-couplings (the left input is vacuum), hence the lone sqrt(Gamma_ir).
+with the m=0 (resp. n=0) term absent.  L_in is the right-moving channel
+(`ChainConfig.input_operator`); the left-moving input is vacuum.
 
 L keeps exc(a) - exc(b) of a basis operator |a><b| (exc counts excited
 emitters), and each drive term shifts it by one along with m - n.  L's

@@ -25,7 +25,6 @@ from .liouvillian import ChainConfig, EmitterParams
 from .integrator import IntegratorConfig
 from .observables import population_indices
 from .pulse import GaussianPulse
-from .qubit_algebra import EmitterRegister
 
 __all__ = ["ScenarioError", "ScenarioFileError", "Scenario", "ratio_tag", "parse_scenario_text",
            "build_scenario", "load_scenario"]
@@ -139,7 +138,6 @@ def ratio_tag(ratio: float) -> str:
 
 @dataclass(frozen=True)
 class Scenario:
-    n_emitters: int
     n_photons: int
     pulse: GaussianPulse
     chain: ChainConfig
@@ -149,6 +147,10 @@ class Scenario:
     want_fill: bool
     want_pulse: bool
     sweep_ratios: tuple = None
+
+    @property
+    def n_emitters(self) -> int:
+        return self.chain.n_emitters
 
     def with_dt(self, dt: float) -> "Scenario":
         try:
@@ -196,7 +198,6 @@ def build_scenario(kv: dict) -> Scenario:
     n_emitters = _as_int("n_emitters", take("n_emitters"))
     if not 1 <= n_emitters <= 3:
         raise ScenarioError("n_emitters", f"must be 1..3, got {n_emitters}")
-    register = EmitterRegister(n_emitters)
 
     n_photons = _as_int("n_photons", take("n_photons", "3"))
     if not 1 <= n_photons <= MAX_PHOTONS:
@@ -242,7 +243,7 @@ def build_scenario(kv: dict) -> Scenario:
         raise ScenarioError("output.populations", f"labels repeat: {populations}")
     for label in populations:
         try:
-            population_indices(register, label)
+            population_indices(chain.register, label)
         except ValueError as exc:
             raise ScenarioError("output.populations", str(exc)) from None
 
@@ -277,7 +278,6 @@ def build_scenario(kv: dict) -> Scenario:
         raise ScenarioError(unknown, "unknown key")
 
     sc = Scenario(
-        n_emitters=n_emitters,
         n_photons=n_photons,
         pulse=pulse,
         chain=chain,

@@ -307,3 +307,54 @@ def test_fully_chiral_coupling_is_strictly_cascaded():
     # state, so no cooperative term is left
     expected = closed_reference(cfg, rho) + pure_decay_reference(cfg, rho)
     assert np.abs(apply_total(cfg, rho) - expected).max() < 1e-14
+
+
+# ------------------------------------------------------------ output channels
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_couplings_are_the_output_channels(n):
+    """Every coupling of a chiral, detuned, lossy, spaced chain follows from
+    its channels r_j = sqrt(Gamma_jr) e^{-i k0d_j} and l_j = sqrt(Gamma_jl)
+    e^{+i k0d_j}: D's strict triangles are their Gram matrices, J = D + D^dag
+    is the sum of both, L_in is the right-moving one, and the jumps of
+    apply_total are sum_c L_c X L_c^dag with L_c = sum_j c_j s_j."""
+    rng = np.random.default_rng(80 + n)
+    cfg = random_chain(rng, n)
+    k0d = 2 * np.pi * cfg.d_ratio * np.arange(n)
+    r = np.sqrt([em.gamma_r for em in cfg.emitters]) * np.exp(-1j * k0d)
+    l = np.sqrt([em.gamma_l for em in cfg.emitters]) * np.exp(1j * k0d)
+    assert cfg.channels.shape == (2, n)
+    assert np.allclose(cfg.channels, [r, l], rtol=0.0, atol=1e-15)
+
+    d = coupling_matrix(cfg)
+    gram = [np.outer(c.conj(), c) for c in cfg.channels]
+    assert np.allclose(np.tril(d, -1), np.tril(gram[0], -1), rtol=0.0, atol=1e-14)
+    assert np.allclose(np.triu(d, 1), np.triu(gram[1], 1), rtol=0.0, atol=1e-14)
+    assert np.abs(d + d.conj().T - sum(gram)).max() <= 1e-14
+
+    s = [lowering_op(cfg.register, j) for j in range(1, n + 1)]
+    l_r, l_l = (sum(c_j * s_j for c_j, s_j in zip(c, s)) for c in cfg.channels)
+    assert np.allclose(cfg.input_operator, l_r, rtol=0.0, atol=1e-15)
+
+    h = sum((em.delta - 0.5j * em.gamma_spont) * s_j.conj().T @ s_j
+            for em, s_j in zip(cfg.emitters, s))
+    h = h - 1j * sum(d[i, j] * s[i].conj().T @ s[j] for i in range(n) for j in range(n))
+    for _ in range(3):
+        x = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        expected = -1j * (h @ x - x @ h.conj().T) + sum(c @ x @ c.conj().T for c in (l_r, l_l))
+        assert np.abs(apply_total(cfg, x) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_cached_arrays_are_read_only():
+    """A frozen chain's physics cannot be changed through the arrays it caches:
+    each refuses a write, and the chain still builds what a fresh equal one does."""
+    cfg = random_chain(np.random.default_rng(9), 3)
+    for array in (cfg.channels, cfg.input_operator, *cfg._operators):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] *= 2
+    fresh = ChainConfig(cfg.emitters, cfg.d_ratio)
+    assert fresh == cfg
+    assert np.array_equal(fresh.input_operator, cfg.input_operator)
+    for mine, theirs in zip(cfg._operators, fresh._operators):
+        assert np.array_equal(mine, theirs)
