@@ -227,9 +227,11 @@ class _OneLevelStep:
 def level_by_level_integrate(cfg: ChainConfig, pulse: GaussianPulse, n_ph: int,
                              icfg: IntegratorConfig) -> StateTrajectory:
     """Reference cascade run: the same exact level steps as
-    integrator.integrate, but one level at a time, every level stepped
-    (the vacuum level included), chunk by chunk in order, with one Taylor
-    series per level.  Records as integrate does."""
+    integrator.integrate, chunk by chunk and level by level, with one Taylor
+    series per level.  It differs in how each step is taken: every level is
+    stepped, the vacuum level included; the block starts are carried one
+    after the other, with no scan; the forcing [f, f'] is formed unfolded;
+    and the chunks are 256 steps long.  Records as integrate does."""
     prop = HierarchyPropagator(cfg, n_ph)
     h = icfg.dt
     levels = prop.levels

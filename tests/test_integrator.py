@@ -1,6 +1,7 @@
 """Level-cascade integration against the RK4 oracle and the level-by-level
-reference: accuracy, order, recording grid, the stacked wavefront, limits
-and failure modes.  The RK4 oracle's own tests come first."""
+reference: accuracy, order, recording grid, the per-level steps and their
+chunk order, limits and failure modes.  The RK4 oracle's own tests come
+first."""
 
 import dataclasses
 import math
@@ -330,27 +331,47 @@ def test_cascade_is_fourth_order():
         assert 3.6 < p < 4.4, f"measured order {orders}"
 
 
-def test_records_do_not_depend_on_the_stride():
+def test_records_do_not_depend_on_the_stride(monkeypatch):
     """Chunks and blocks are cut independently of the record grid: every
     record of a strided run equals the same step of a run recording every
-    step, across several chunks and a final partial block."""
-    cfg = ChainConfig((EmitterParams(gamma_r=2.0, gamma_l=0.5),))
+    step, across several chunks and a final partial block.  Cut into chunks
+    of two blocks instead, the records agree to 1e-13, on one emitter and on
+    a lossy, detuned, spaced 3-emitter chain: each level's state is carried
+    across the chunk boundaries."""
     pulse = GaussianPulse(mu=1.46, t_bar=1.5)
-    every = integrate(cfg, pulse, 3, IntegratorConfig(dt=1e-3, t_end=3.001, record_stride=1))
-    strided = integrate(cfg, pulse, 3, IntegratorConfig(dt=1e-3, t_end=3.001, record_stride=7))
     steps = np.append(np.arange(0, 3001, 7), 3001)
-    assert len(every.times) == 3002
-    assert np.array_equal(strided.times, every.times[steps])
-    assert np.array_equal(strided.blocks, every.blocks[steps])
+    chains = [ChainConfig((EmitterParams(gamma_r=2.0, gamma_l=0.5),)),
+              random_chain(np.random.default_rng(11), 3)]
+    every = [integrate(cfg, pulse, 3, IntegratorConfig(dt=1e-3, t_end=3.001, record_stride=1))
+             for cfg in chains]
+    strided = integrate(chains[0], pulse, 3, IntegratorConfig(dt=1e-3, t_end=3.001, record_stride=7))
+    assert len(every[0].times) == 3002
+    assert np.array_equal(strided.times, every[0].times[steps])
+    assert np.array_equal(strided.blocks, every[0].blocks[steps])
+
+    monkeypatch.setattr(integrator, "_CHUNK", 2 * integrator._BLOCK)
+    for cfg, whole in zip(chains, every):
+        cut = integrate(cfg, pulse, 3, IntegratorConfig(dt=1e-3, t_end=3.001, record_stride=1))
+        assert np.array_equal(cut.times, whole.times)
+        assert np.abs(cut.blocks - whole.blocks).max() <= 1e-13, cfg.n_emitters
 
 
 def test_step_outside_range_is_refused_at_t0():
-    cfg = ChainConfig((EmitterParams(gamma_r=1e12),))
+    """Refused before any step, naming the first level over the limit: on one
+    emitter with gamma_r = 5 and gamma_l = 1 at three photons, ||A_l||_1 is 3
+    on levels 1, 3 and 5 and 12 on levels 2, 4 and 6, so dt = 0.1 is refused
+    on level 2."""
     pulse = GaussianPulse(mu=1.46, t_bar=5.0)
-    with pytest.raises(IntegrationBlowUpError) as excinfo:
-        integrate(cfg, pulse, 1, IntegratorConfig(dt=1.0, t_end=12.0, record_stride=1))
-    assert excinfo.value.time == 0.0
-    assert "outside the integrator's range" in str(excinfo.value)
+    for cfg, n_ph, dt, named in (
+        (ChainConfig((EmitterParams(gamma_r=1e12),)), 1, 1.0, "on level 1,"),
+        (ChainConfig((EmitterParams(gamma_r=5.0, gamma_l=1.0),)), 3, 0.1,
+         "||dt A|| = 1.2 on level 2, limit 1"),
+    ):
+        with pytest.raises(IntegrationBlowUpError) as excinfo:
+            integrate(cfg, pulse, n_ph, IntegratorConfig(dt=dt, t_end=12.0, record_stride=1))
+        assert excinfo.value.time == 0.0
+        assert "outside the integrator's range" in str(excinfo.value)
+        assert named in str(excinfo.value)
 
 
 def test_non_finite_record_is_reported_with_its_time():
@@ -365,23 +386,26 @@ def test_non_finite_record_is_reported_with_its_time():
     assert "non-finite" in str(excinfo.value)
 
 
-# ----------------------------------------------------------- stacked wavefront
+# ---------------------------------------------------------- per-level steps
+
+
+CHUNK = integrator._CHUNK
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("n_ph", [1, 3])
 @pytest.mark.parametrize("grid", [
-    {"dt": 1e-2, "t_end": 4.0, "record_stride": 16},   # two chunks, the second one partial
-    {"dt": 1e-2, "t_end": 0.5, "record_stride": 7},    # shorter than one chunk
-    {"dt": 1e-2, "t_end": 0.01, "record_stride": 1},   # a single step
-    {"dt": 1e-3, "t_end": 1.3, "record_stride": 37},   # 1300 steps; 37 does not divide a chunk
+    {"dt": 2.56 / CHUNK, "t_end": 4.0, "record_stride": 16},     # 1.56 chunks, the second partial
+    {"dt": 2.56 / CHUNK, "t_end": 0.5, "record_stride": 7},      # shorter than one chunk
+    {"dt": 2.56 / CHUNK, "t_end": 2.56 / CHUNK, "record_stride": 1},  # a single step
+    {"dt": 0.256 / CHUNK, "t_end": 1.3, "record_stride": 37},   # 5.08 chunks; 37 does not divide one
 ])
-def test_wavefront_matches_level_by_level_reference(n, n_ph, grid):
-    """The stacked wavefront against the level-by-level design kept in
-    oracles.py: every level stepped on its own, the vacuum level included,
-    chunk by chunk.  The arithmetic differs only in rounding (zero padding,
-    the forcing derivative's operator product), so every coordinate of
-    every record agrees to 1e-13."""
+def test_cascade_matches_level_by_level_reference(n, n_ph, grid):
+    """integrate against the level-by-level design kept in oracles.py, which
+    also steps the vacuum level, carries the block starts one by one, forms
+    [f, f'] unfolded and cuts the grid into chunks of 256 steps.  The
+    arithmetic differs only in rounding, so every coordinate of every record
+    agrees to 1e-13."""
     cfg = random_chain(np.random.default_rng(600 + 10 * n + n_ph), n)
     pulse = GaussianPulse(mu=1.46, t_bar=2.0)
     icfg = IntegratorConfig(**grid)
@@ -393,136 +417,101 @@ def test_wavefront_matches_level_by_level_reference(n, n_ph, grid):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("n_ph", [1, 2, 3])
-def test_stacked_operators_vanish_outside_each_level(n, n_ph):
-    """Every stacked step operator is exactly zero on the padded rows and
-    columns of its level, and a step keeps the padded coordinates of w
-    exactly 0, so no level leaks into the padding or reads from it."""
-    levels = HierarchyPropagator(random_chain(np.random.default_rng(700 + n), n), n_ph).levels
-    c = 2 * integrator._BLOCK
-    step = integrator._StackedStep(levels, 1e-2, c)
-    p, size = step.p, [len(level.a) for level in levels]
-
-    def inside(k):  # mask of the first k coordinates of each p-wide group
-        return np.arange(p) < k
-
-    for l in range(1, len(levels)):
-        own, below = inside(size[l]), inside(size[l - 1])
-        masks = {
-            "from_start": np.outer(np.tile(below, 2), own),  # [y, f] below -> own, on rows
-            "from_end": np.outer(np.tile(below, 2), own),
-            "b": np.outer(own, below),  # on the columns of [y; f] below
-            "e_fill": np.outer(own, np.tile(own, integrator._BLOCK)),
-        }
-        ops = [(name, getattr(step, name)[l - 1], mask) for name, mask in masks.items()]
-        ops += [("scan", power, np.outer(own, own)) for power in step.scan[:, l - 1]]
-        for name, op, mask in ops:
-            assert np.any(op[mask]), (name, l)
-            assert not np.any(op[~mask]), (name, l)
-
-    rng = np.random.default_rng(n)
-    w = np.zeros((len(levels), 2 * p, c + 1))
-    for l, k in enumerate(size):
-        w[l, :k], w[l, p:p + k] = rng.normal(size=(2, k, c + 1))
-    drive = rng.normal(size=(len(levels) - 1, c + 1))
-    step.run(w, 1, len(levels) - 1, drive, drive[::-1])
-    for l, k in enumerate(size):
-        assert not np.any(w[l, k:p]) and not np.any(w[l, p + k:]), l
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("n_ph", [1, 2, 3])
-def test_one_call_forces_each_level_with_the_level_below_before_the_call(n, n_ph):
-    """One run over every level against the unfolded step written out per
+@pytest.mark.parametrize("blocks", [1, 3, 5])
+def test_level_step_matches_the_unfolded_forcing_and_quadrature(n, n_ph, blocks):
+    """One run of each level's step against the unfolded step written out per
     level: the forcing f = g B_l y and its rate f' = g' B_l y + g B_l (A_{l-1} y
     + f_{l-1}) from the level below, then the Hermite quadrature on [f, f']
-    (oracles._OneLevelStep).  The same call overwrites level l - 1 while it
-    steps level l, so level l must see what w held before the call.  Chunks
-    of 1, 3 and 5 blocks run the block-start scan with no doubling step and
-    with block counts that are not powers of two."""
-    rng = np.random.default_rng(900 + 10 * n + n_ph)
+    (oracles._OneLevelStep).  The level below is left as it was, and of the
+    level's own chunk and the work memory only the start y_l = own[0, 0] is
+    read: the rest is NaN.  Chunks of 1, 3 and 5 blocks run the block-start
+    scan with no doubling step and with block counts that are not powers of
+    two."""
+    rng = np.random.default_rng(900 + 100 * blocks + 10 * n + n_ph)
     levels = HierarchyPropagator(random_chain(rng, n), n_ph).levels
-    h, p, top = 1e-2, max(len(level.a) for level in levels), len(levels) - 1
-    for blocks in (1, 3, 5):
-        c = blocks * integrator._BLOCK
-        step = integrator._StackedStep(levels, h, c)
-        w = np.zeros((top + 1, 2 * p, c + 1))
-        for l, level in enumerate(levels):
-            k = len(level.a)
-            w[l, :k], w[l, p:p + k] = rng.normal(size=(2, k, c + 1))
-        g, dg = rng.normal(size=(2, top, c + 1, 1))
-        before = w.copy()
-        step.run(w, 1, top, g[..., 0], dg[..., 0])
-        for l in range(1, top + 1):
-            below, level = levels[l - 1], levels[l]
-            j, k = len(below.a), len(level.a)
-            y, f_below = before[l - 1, :j].T, before[l - 1, p:p + j].T
-            drive = y @ level.b.T
-            f = g[l - 1] * drive
-            df = dg[l - 1] * drive + g[l - 1] * ((y @ below.a.T + f_below) @ level.b.T)
-            ref = _OneLevelStep(level.a, h).run(before[l, :k, -1], f, df)
-            assert np.abs(w[l, :k].T - ref).max() <= 1e-13 * np.abs(ref).max(), (blocks, l)
-            assert np.abs(w[l, p:p + k].T - f).max() <= 1e-13 * np.abs(f).max(), (blocks, l)
+    h, c = 1e-2, blocks * integrator._BLOCK
+    work = np.full((c + 1) * 2 * max(len(level.a) for level in levels), np.nan)
+    for l in range(1, len(levels)):
+        below = rng.normal(size=(2, c + 1, len(levels[l - 1].a)))
+        own = np.full((2, c + 1, len(levels[l].a)), np.nan)
+        own[0, 0] = start = rng.normal(size=len(levels[l].a))
+        g, dg = rng.normal(size=(2, c + 1, 1))
+        before = below.copy()
+        integrator._LevelStep(levels, l, h, c).run(below, own, g, dg, work)
+        assert np.array_equal(below, before), l
+        (y, f_below), a_below, b = below, levels[l - 1].a, levels[l].b
+        drive = y @ b.T
+        f = g * drive
+        df = dg * drive + g * ((y @ a_below.T + f_below) @ b.T)
+        ref = _OneLevelStep(levels[l].a, h).run(start, f, df)
+        assert np.abs(own[0] - ref).max() <= 1e-13 * np.abs(ref).max(), l
+        assert np.abs(own[1] - f).max() <= 1e-13 * np.abs(f).max(), l
 
 
-def test_stepper_work_buffers_stay_within_the_row_layout_footprint():
-    """The stepper's own buffers hold no more floats than those of the
-    row-layout stepper it replaced: n (c + 1) 2 p for u and n (c / B + 1) p
-    for the block starts, n levels of p padded coordinates.  The operators,
-    the scan's powers among them, are not counted.  At 3 emitters a run
-    also allocates less than one level's [y; f] chunk, numpy's fixed ufunc
-    buffer included: u, the forcing's row-layout copy and the fill product
-    share those buffers and the memory of w."""
-    c, b = integrator._CHUNK, integrator._BLOCK
-    operators = {"from_start", "from_end", "b", "e_fill", "scan"}
-    for n in (1, 2, 3):
-        levels = HierarchyPropagator(random_chain(np.random.default_rng(40 + n), n), 3).levels
-        step = integrator._StackedStep(levels, 1e-2, c)
-        p, top = step.p, len(levels) - 1
-        buffers = [a for name, a in vars(step).items()
-                   if isinstance(a, np.ndarray) and name not in operators]
-        assert sum(a.size for a in buffers) <= top * (c + 1) * 2 * p + top * (c // b + 1) * p, n
-
-    w = np.random.default_rng(n).normal(size=(top + 1, 2 * p, c + 1))  # the 3-emitter step
-    drive = np.ones((top, c + 1))
-    step.run(w, 1, top, drive, drive)  # warm: first-call allocations are not the run's
-    tracemalloc.start()
-    try:
-        step.run(w, 1, top, drive, drive)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < w[0].nbytes, peak
+def test_warm_level_step_allocates_less_than_two_chunks():
+    """A level's [y; f] chunk and u live in memory that integrate allocates
+    once.  So one warm run of each 3-emitter level's step allocates less than
+    two chunks of (c + 1) p floats, p the largest level's size, numpy's fixed
+    ufunc buffer and the block starts included: a step that allocated its own
+    y and f would take two such chunks on the largest level."""
+    c = integrator._CHUNK
+    levels = HierarchyPropagator(random_chain(np.random.default_rng(43), 3), 3).levels
+    p = max(len(level.a) for level in levels)
+    rng = np.random.default_rng(3)
+    work, drive = np.empty((c + 1) * 2 * p), np.ones((c + 1, 1))
+    for l in range(1, len(levels)):
+        step = integrator._LevelStep(levels, l, 1e-2, c)
+        below = rng.normal(size=(2, c + 1, len(levels[l - 1].a)))
+        own = rng.normal(size=(2, c + 1, len(levels[l].a)))
+        step.run(below, own, drive, drive, work)  # warm: first-call allocations are not the run's
+        tracemalloc.start()
+        try:
+            step.run(below, own, drive, drive, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (c + 1) * p * 8, (l, peak)
 
 
-def test_integrate_steps_all_levels_in_one_call_per_wavefront_iteration(monkeypatch):
-    """One stacked call per wavefront iteration, n_chunks + 2 n_ph - 1 in
-    all on the shipped 3-emitter grid, where one call per level and chunk
-    would take (2 n_ph + 1) n_chunks = 329.  Every level but the vacuum
-    level steps every chunk exactly once; level 0 never steps."""
-    calls = []
-    run = integrator._StackedStep.run
+def test_integrate_steps_every_level_once_per_chunk_in_level_order(monkeypatch):
+    """On the shipped 3-emitter grid, chunk by chunk, levels 1..2 n_ph each
+    step once, in level order, on that chunk's drive, each forced by the
+    chunk the level below has just written; level 1 by the held vacuum
+    level, which never steps."""
+    calls, owns = [], [None]
+    init, run = integrator._LevelStep.__init__, integrator._LevelStep.run
 
-    def counted(self, w, lo, hi, g, dg):
-        calls.append((lo, hi))
-        return run(self, w, lo, hi, g, dg)
+    def labelled(self, levels, l, h, c):
+        init(self, levels, l, h, c)
+        self.level = l
 
-    monkeypatch.setattr(integrator._StackedStep, "run", counted)
+    def counted(self, below, own, g, dg, work):
+        calls.append((self.level, below is owns[-1], g[:, 0].copy()))
+        owns.append(own)
+        return run(self, below, own, g, dg, work)
+
+    monkeypatch.setattr(integrator._LevelStep, "__init__", labelled)
+    monkeypatch.setattr(integrator._LevelStep, "run", counted)
     sc = load_scenario(scenario_path("three_emitter_chirality_sweep"))
     integrate(sc.chain, sc.pulse, sc.n_photons, sc.integrator)
-    n_chunks = -(-sc.integrator.n_steps // integrator._CHUNK)
-    assert len(calls) <= n_chunks + 2 * sc.n_photons - 1
-    stepped = [l for lo, hi in calls for l in range(lo, hi + 1)]
-    assert sorted(stepped) == sorted(list(range(1, 2 * sc.n_photons + 1)) * n_chunks)
+    c, top = integrator._CHUNK, 2 * sc.n_photons
+    n_chunks = -(-sc.integrator.n_steps // c)
+    assert n_chunks > 1
+    assert [l for l, _, _ in calls] == list(range(1, top + 1)) * n_chunks
+    g = amplitude(sc.pulse, np.arange(n_chunks * c + 1) * sc.integrator.dt)
+    for i, (l, fed, drive) in enumerate(calls):
+        chunk = i // top
+        assert fed == (l > 1), i
+        assert np.array_equal(drive, g[chunk * c:(chunk + 1) * c + 1]), i
 
 
 @pytest.mark.parametrize("spike", [False, True])
-def test_blow_up_under_the_wavefront_names_the_first_bad_record(monkeypatch, spike):
-    """The lower levels run up to 2 n_ph - 1 chunks ahead of the top one.
-    With g NaN from t = 1.3 on, the reported time must still be the first
-    record at or after 1.3, as in chunk-by-chunk order.  With a one-step
-    spike g = 1e55 at t = 1.3 only the top level overflows (it scales as
-    g^6), and g is NaN on every level from t = 2; the lower levels reach
-    t = 2 first, but the spike's record must be the one named."""
+def test_blow_up_names_the_first_bad_record(monkeypatch, spike):
+    """A chunk's records are checked once its top level has stepped it.
+    With g NaN from t = 1.3 on, the reported time must be the first record
+    at or after 1.3.  With a one-step spike g = 1e55 at t = 1.3 only the top
+    level overflows (it scales as g^6), and g is NaN on every level from
+    t = 2, in the same chunk; the spike's record must be the one named."""
     amplitude = integrator.amplitude
 
     def bad(pulse, t):

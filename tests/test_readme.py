@@ -34,7 +34,7 @@ def stated(pattern: str) -> list:
 def test_readme_states_the_shipped_state_sizes(path):
     """The coordinate count the README gives for each shipped scenario's
     chain size is its propagator's size, and at three emitters so are the
-    level sizes and the largest level, which the stacked steps pad to."""
+    level sizes."""
     sc = load_scenario(path)
     assert sc.n_photons == 3  # the README states the sizes at three photons
     prop = HierarchyPropagator(sc.chain, sc.n_photons)
@@ -43,4 +43,3 @@ def test_readme_states_the_shipped_state_sizes(path):
     if sc.chain.n_emitters == 3:
         levels = [len(level.a) for level in prop.levels]
         assert stated(r"levels of ([\d, ]+ and \d+) coordinates at three emitters") == levels
-        assert stated(r"padded to the largest \((\d+) reals at three emitters\)") == [max(levels)]
