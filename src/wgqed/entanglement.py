@@ -12,20 +12,22 @@ state, with no eigensolver and no partial trace:
   C = 2 max(0, |rho_{eg,ge}| - sqrt(rho_gg rho_ee))
   (Yu & Eberly, Quantum Inf. Comput. 7, 459, 2007);
 - every single-emitter reduced state of a graded three-qubit state is
-  diagonal, so the squared one-to-other concurrence is
+  diagonal, so the squared one-to-other concurrence of a pure state is
   C^2_{i(jk)} = 2 (1 - Tr rho_i^2) = 4 p_i (1 - p_i), where p_i is the
-  excitation probability of emitter i.
+  excitation probability of emitter i (Xie & Eberly, PRL 127, 040403, 2021).
 
 concurrence_fill treats the three C^2_{i(jk)} as triangle sides and
 returns the normalized Heron area
 
     F = [ (16/3) Q (Q - a)(Q - b)(Q - c) ]^(1/4),   Q = (a + b + c)/2,
 
-which is 8/9 on the W state and 0 on product states.  It evaluates the
-product in Kahan's ordering, (a + (b + c)) (c - (a - b)) (c + (a - b))
-(a + (b - c)) / 3 with a >= b >= c, which stays within a few ulps on a
-nearly flat triangle, where Q - a cancels (W. Kahan, "Miscalculating Area
-and Angles of a Needle-like Triangle").
+which is 8/9 on the W state and 0 on product states.  So it is genuine
+tripartite entanglement on pure states only: on a mixed state it counts
+mixedness too, and the separable mixture of egg, geg and gge reads 8/9.
+It evaluates the product in Kahan's ordering, (a + (b + c)) (c - (a - b))
+(c + (a - b)) (a + (b - c)) / 3 with a >= b >= c, which stays within a
+few ulps on a nearly flat triangle, where Q - a cancels (W. Kahan,
+"Miscalculating Area and Angles of a Needle-like Triangle").
 
 So each measure takes what it measures, not a density matrix: the
 concurrence the pair's four populations and rho_{eg,ge}, the fill the
@@ -45,12 +47,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qubit_algebra import EmitterRegister, excitation_count, excited
+from .qubit_algebra import EmitterRegister, basis_index, excitation_count, excited
 
 __all__ = ["PAIR_COHERENCE", "StateCheckError", "read_state", "wootters_concurrence",
            "concurrence_fill"]
 
-PAIR_COHERENCE = (2, 1)  # basis indices (eg, ge) of the pair coherence rho_{eg,ge}
+PAIR_COHERENCE = tuple(basis_index(EmitterRegister(2), s) for s in ("eg", "ge"))  # rho_{eg,ge}
 
 _TRACE_TOL = 1e-6
 _HERM_TOL = 1e-6
@@ -130,15 +132,16 @@ def wootters_concurrence(populations: np.ndarray, coherence: np.ndarray):
 
 
 def concurrence_fill(populations: np.ndarray):
-    """Genuine tripartite entanglement of an excitation-graded three-qubit
-    state, in [0, 1], from its populations (..., 8) in basis order; a stack
-    gives the (...) array of values.
+    """Concurrence fill of an excitation-graded three-qubit state, in [0, 1],
+    from its populations (..., 8) in basis order; a stack gives the (...)
+    array of values.
 
-    The triangle inequality among the squared one-to-other concurrences is
-    guaranteed for pure states only; a sufficiently mixed state can push one
-    side past the sum of the other two (strongly chirally damped chains do
-    this at late times).  The factor c - (a - b) is clamped at zero, so such
-    states — like exactly degenerate triangles — report zero fill.
+    Its sides 4 p_i (1 - p_i) are pure-state one-to-other concurrences, so
+    it is genuine tripartite entanglement on pure states only: it also
+    counts mixedness, and a mixed enough state can break the triangle
+    inequality (strongly chirally damped chains do at late times).  The
+    factor c - (a - b) is clamped at zero, so such states, like exactly
+    degenerate triangles, report zero fill.
     """
     tr = _trace(populations, 8)
     p = np.stack([populations[..., idx].sum(axis=-1) / tr for idx in _EXCITED], axis=-1)

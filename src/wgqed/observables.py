@@ -21,9 +21,12 @@ __all__ = ["population_indices", "population", "peak", "build_trajectory"]
 def population_indices(register: EmitterRegister, label_spec: str) -> list:
     """Basis indices of the states a population label names, in order.
 
-    Raises ValueError if a token is not a basis state of the register or
-    the label names one state twice."""
-    idxs = [basis_index(register, tok.strip()) for tok in label_spec.split("+")]
+    Raises ValueError if a term is empty or not a basis state of the
+    register, or the label names one state twice."""
+    terms = [tok.strip() for tok in label_spec.split("+")]
+    if "" in terms:
+        raise ValueError(f"label {label_spec!r} has an empty term")
+    idxs = [basis_index(register, tok) for tok in terms]
     if len(set(idxs)) < len(idxs):
         raise ValueError(f"label {label_spec!r} repeats a basis state")
     return idxs

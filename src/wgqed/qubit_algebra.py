@@ -1,10 +1,10 @@
 """Operator algebra for a register of N two-level emitters.
 
-Basis convention: a computational basis index b in [0, 2**N) encodes the
-state of emitter j (1-based) in bit (N - j), i.e. emitter 1 is the MOST
-significant bit.  Bit value 0 is the ground state |g>, 1 the excited
-state |e>.  Basis strings such as "egg" are therefore read left to right
-as emitter 1, 2, 3.
+Basis convention, stated once in EmitterRegister.places: a basis index b in
+[0, 2**N) sums the place values 2**(N - j) of the excited emitters j
+(1-based), so emitter 1 is the MOST significant bit; bit 0 is the ground
+state |g>, 1 the excited state |e>.  Basis strings such as "egg" read left
+to right as emitter 1, 2, 3.  Every basis index and label derives from it.
 """
 
 from __future__ import annotations
@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "EmitterRegister",
-    "basis_index",
-    "excited",
-    "excitation_count",
-    "lowering_op",
-    "commutator",
-]
+__all__ = ["EmitterRegister", "basis_index", "excited", "excitation_count", "excitation_classes",
+           "lowering_op", "commutator"]
 
 
 @dataclass(frozen=True)
@@ -37,27 +31,26 @@ class EmitterRegister:
     def dim(self) -> int:
         return 2 ** self.n_emitters
 
+    @property
+    def places(self) -> np.ndarray:
+        """(n_emitters,) place value 2**(N - j) of emitter j's bit in a basis index."""
+        return 2 ** np.arange(self.n_emitters - 1, -1, -1)
+
 
 def basis_index(register: EmitterRegister, label: str) -> int:
     """Index of the basis state named by a string over {g, e}, e.g. "egg"."""
     if len(label) != register.n_emitters:
-        raise ValueError(
-            f"label {label!r} has {len(label)} sites, register has {register.n_emitters}"
-        )
-    idx = 0
+        raise ValueError(f"label {label!r} has {len(label)} sites, "
+                         f"register has {register.n_emitters}")
     for ch in label:
-        if ch == "g":
-            idx = idx << 1
-        elif ch == "e":
-            idx = (idx << 1) | 1
-        else:
+        if ch not in ("g", "e"):
             raise ValueError(f"label {label!r} contains {ch!r}; only 'g'/'e' allowed")
-    return idx
+    return int(sum(p for ch, p in zip(label, register.places) if ch == "e"))
 
 
 def excited(register: EmitterRegister) -> np.ndarray:
-    """(dim, n_emitters) 0/1 table: [b, j - 1] is bit n_emitters - j of b, emitter j's."""
-    return np.arange(register.dim)[:, None] >> np.arange(register.n_emitters - 1, -1, -1) & 1
+    """(dim, n_emitters) 0/1 table: [b, j - 1] is 1 iff emitter j is excited in basis state b."""
+    return np.arange(register.dim)[:, None] // register.places % 2
 
 
 def excitation_count(register: EmitterRegister) -> np.ndarray:
@@ -65,15 +58,22 @@ def excitation_count(register: EmitterRegister) -> np.ndarray:
     return excited(register).sum(axis=1)
 
 
+def excitation_classes(register: EmitterRegister) -> tuple:
+    """Population labels of the states with 1..N excited emitters, each '+'-joined
+    by descending basis index: ("egg+geg+gge", "eeg+ege+gee", "eee") for N = 3."""
+    labels = ["".join("ge"[bit] for bit in row) for row in excited(register)][::-1]
+    return tuple("+".join(lb for lb in labels if lb.count("e") == k)
+                 for k in range(1, register.n_emitters + 1))
+
+
 def lowering_op(register: EmitterRegister, j: int) -> np.ndarray:
-    """Lowering operator |g_j><e_j| on emitter j (1-based), identity elsewhere."""
+    """Lowering operator |g_j><e_j| on emitter j (1-based), identity elsewhere:
+    <b - 2**(N - j)|s_j|b> = 1 for every basis state b in which emitter j is excited."""
     if not 1 <= j <= register.n_emitters:
         raise IndexError(f"emitter index {j} out of range 1..{register.n_emitters}")
-    sigma = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e| in (|g>,|e>)
-    eye2 = np.eye(2, dtype=complex)
-    op = np.array([[1.0 + 0.0j]])
-    for site in range(1, register.n_emitters + 1):
-        op = np.kron(op, sigma if site == j else eye2)
+    b = np.flatnonzero(excited(register)[:, j - 1])
+    op = np.zeros((register.dim, register.dim), dtype=complex)
+    op[b - register.places[j - 1], b] = 1.0
     return op
 
 

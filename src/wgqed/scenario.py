@@ -25,6 +25,7 @@ from .liouvillian import ChainConfig, EmitterParams
 from .integrator import IntegratorConfig
 from .observables import population_indices
 from .pulse import GaussianPulse
+from .qubit_algebra import excitation_classes
 
 __all__ = ["ScenarioError", "ScenarioFileError", "Scenario", "ratio_tag", "parse_scenario_text",
            "build_scenario", "load_scenario"]
@@ -37,12 +38,6 @@ _INTEGRATOR_KEYS = {"dt": "integrator.dt", "t_end": "integrator.t_end",
                     "record_stride": "integrator.stride"}
 # emitter.<field> or emitter.<j>.<field>; k0d, a float drive phase, is the chain's
 _EMITTER_FIELDS = tuple(f.name for f in fields(EmitterParams)) + ("k0d",)
-
-_DEFAULT_POPULATIONS = {
-    1: ("e",),
-    2: ("eg+ge", "ee"),
-    3: ("egg+geg+gge", "eeg+ege+gee", "eee"),
-}
 
 
 class ScenarioError(ValueError):
@@ -235,10 +230,8 @@ def build_scenario(kv: dict) -> Scenario:
     icfg = _build(IntegratorConfig, _INTEGRATOR_KEYS, _read(kv, IntegratorConfig, _INTEGRATOR_KEYS))
 
     pops_raw = take("output.populations")
-    if pops_raw is None:
-        populations = _DEFAULT_POPULATIONS[n_emitters]
-    else:
-        populations = tuple(_as_list("output.populations", pops_raw))
+    populations = (excitation_classes(chain.register) if pops_raw is None
+                   else tuple(_as_list("output.populations", pops_raw)))
     if len(set(populations)) < len(populations):
         raise ScenarioError("output.populations", f"labels repeat: {populations}")
     for label in populations:

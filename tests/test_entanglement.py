@@ -447,3 +447,13 @@ def test_fill_clamps_mixed_state_triangle_violations_to_zero():
     assert sides[0] > sides[1] + sides[2]  # genuinely violated
     assert fill_of(rho) == 0.0
     assert purity_fill(rho) == 0.0
+
+
+def test_fill_counts_mixedness_on_a_separable_mixture():
+    """The fill's sides are pure-state one-to-other concurrences, so on a
+    mixed state it counts mixedness as entanglement: the separable classical
+    mixture of egg, geg and gge reads the W state's 8/9."""
+    mix = sum(dm(three_qubit_ket({label: 1.0})) for label in ("egg", "geg", "gge")) / 3
+    assert np.allclose(np.diagonal(mix), np.diagonal(W), rtol=0, atol=1e-15)  # W without coherences
+    assert fill_of(mix) == pytest.approx(8.0 / 9.0, abs=1e-12)
+    assert fill_of(mix) == pytest.approx(fill_of(W), abs=1e-15)

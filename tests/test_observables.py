@@ -33,7 +33,10 @@ def test_population_sums_named_diagonals():
 def test_population_rejects_malformed_labels():
     reg = EmitterRegister(2)
     pops = np.full(4, 0.25)
-    for bad in ("", "eg+", "+ge", "e", "exg"):
+    for bad in ("", "eg+", "+ge", "eg++ge", "eg+ +ge"):
+        with pytest.raises(ValueError, match=re.escape(f"label {bad!r} has an empty term")):
+            population(pops, reg, bad)
+    for bad in ("e", "exg"):
         with pytest.raises(ValueError):
             population(pops, reg, bad)
 

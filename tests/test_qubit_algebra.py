@@ -1,13 +1,16 @@
 """Register indexing, ladder operators, and the partial trace of the test
 oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import partial_trace
-from wgqed.qubit_algebra import EmitterRegister, basis_index, commutator, lowering_op
+from wgqed.qubit_algebra import (EmitterRegister, basis_index, commutator, excitation_classes,
+                                 excited, lowering_op)
 
 SIGMA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 
@@ -49,7 +52,39 @@ def test_basis_index_rejects_malformed_labels():
             basis_index(r2, bad)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+def test_basis_index_and_excited_round_trip_every_label():
+    """Each label's index is its g/e string read as a binary number, emitter 1
+    first, and the excited table's row at that index spells the label back."""
+    for n in range(1, 6):
+        reg = EmitterRegister(n)
+        table = excited(reg)
+        assert table.shape == (reg.dim, n)
+        seen = set()
+        for sites in itertools.product("ge", repeat=n):
+            label = "".join(sites)
+            b = basis_index(reg, label)
+            assert b == int(label.replace("g", "0").replace("e", "1"), 2)
+            assert "".join("ge"[bit] for bit in table[b]) == label
+            seen.add(b)
+        assert seen == set(range(reg.dim))
+
+
+def test_excitation_classes_are_the_default_population_labels():
+    """The default output.populations labels, written out as the scenario
+    module's table listed them before they were derived from the register."""
+    default_populations = {
+        1: ("e",),
+        2: ("eg+ge", "ee"),
+        3: ("egg+geg+gge", "eeg+ege+gee", "eee"),
+    }
+    for n, labels in default_populations.items():
+        assert excitation_classes(EmitterRegister(n)) == labels
+    four = excitation_classes(EmitterRegister(4))
+    assert four[0] == "eggg+gegg+ggeg+ggge" and four[3] == "eeee"
+    assert [len(c.split("+")) for c in four] == [4, 6, 4, 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_lowering_op_matches_kronecker_product(n):
     reg = EmitterRegister(n)
     for j in range(1, n + 1):
@@ -57,7 +92,9 @@ def test_lowering_op_matches_kronecker_product(n):
         expected = factors[0]
         for f in factors[1:]:
             expected = np.kron(expected, f)
-        assert np.array_equal(lowering_op(reg, j), expected)
+        op = lowering_op(reg, j)
+        assert op.dtype == complex and op.shape == expected.shape
+        assert np.array_equal(op.view(np.int64), expected.view(np.int64))  # bit for bit
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

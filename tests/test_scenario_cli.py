@@ -100,6 +100,7 @@ def test_value_range_checks():
         ({"n_emitters": "1", "emitter.delta": "-inf"}, "emitter.delta"),
         ({"n_emitters": "1", "output.populations": "e+e"}, "output.populations"),
         ({"n_emitters": "1", "output.populations": "e, e"}, "output.populations"),
+        ({"n_emitters": "2", "output.populations": "eg+"}, "output.populations"),
     ]
     for kv, key in cases:
         with pytest.raises(ScenarioError) as excinfo:
