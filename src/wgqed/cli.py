@@ -12,7 +12,8 @@ run in parallel, in forked workers, on every CPU the process may use;
 `taskset -c 0 wgqed sweep ...` runs them one after another.
 
 Each run's columns and peaks come from one ordered map {column name:
-series}, build_trajectory's, and the recorded times.
+series}, build_trajectory's, and the recorded times; the recorded states
+are dropped once the map is read, so a process holds one run's at a time.
 
 Exit codes: 0 success; 2 scenario file unreadable (the message names the
 path) or invalid (the message names the offending key), an output
@@ -35,7 +36,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .integrator import IntegrationBlowUpError, integrate
+from .integrator import _CHUNK, IntegrationBlowUpError, integrate
 from .observables import build_trajectory, peak
 from .scenario import Scenario, ScenarioError, ScenarioFileError, load_scenario, ratio_tag
 
@@ -76,9 +77,13 @@ def _write_text(path: Path, lines) -> None:
 
 
 def _write_csv(path: Path, header: list, columns: list) -> None:
-    """Write the columns as rows of 12-significant-digit values, one row at a time."""
+    """Write the columns as rows of 12-significant-digit values, converting
+    _CHUNK rows at a time to Python floats."""
     row = ",".join(["%.12g"] * len(columns)) + "\n"
-    rows = (row % v for v in zip(*(np.asarray(c).tolist() for c in columns)))
+    columns = [np.asarray(c) for c in columns]
+    blocks = (zip(*(c[start:start + _CHUNK].tolist() for c in columns))
+              for start in range(0, len(columns[0]), _CHUNK))
+    rows = (row % v for v in itertools.chain.from_iterable(blocks))
     _write_text(path, itertools.chain([",".join(header) + "\n"], rows))
 
 
@@ -109,12 +114,21 @@ def _write_run(out: Path, tag: str, sc: Scenario, series: dict, times: np.ndarra
     return [csv_path, json_path], peaks
 
 
+def _simulate_and_write(out: Path, tag: str, sc: Scenario):
+    """Integrate a scenario and write its <tag>.csv and <tag>_summary.json,
+    holding the state trajectory only until its series are read; returns
+    (paths, peaks)."""
+    series, states = simulate_scenario(sc)
+    times = states.times
+    del states  # the recorded states: the largest array of a run, not needed to write it
+    return _write_run(out, tag, sc, series, times)
+
+
 def run(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
     """Single run; returns the written file paths."""
     sc = load_scenario(scenario_path, dt_override=dt)
     out = _make_out_dir(out_dir)
-    series, states = simulate_scenario(sc)
-    written, peaks = _write_run(out, Path(scenario_path).stem, sc, series, states.times)
+    written, peaks = _simulate_and_write(out, Path(scenario_path).stem, sc)
     for name, entry in peaks.items():
         _emit(quiet, f"{name}: max {entry['value']:.6g} at t = {entry['time']:g}")
     for path in written:
@@ -135,11 +149,9 @@ def _run_share(sc: Scenario, out: Path, stem: str, ratios: list, send) -> None:
     """Run and write each ratio in turn, passing `send` its (paths, peaks); a
     blow-up or an unwritable output is passed as its exception and ends the share."""
     for ratio in ratios:
-        sc_ratio = sc.with_ratio(ratio)
         try:
-            series, states = simulate_scenario(sc_ratio)
-            outcome = _write_run(out, f"{stem}_ratio{ratio_tag(ratio)}", sc_ratio, series,
-                                 states.times)
+            outcome = _simulate_and_write(out, f"{stem}_ratio{ratio_tag(ratio)}",
+                                          sc.with_ratio(ratio))
         except (IntegrationBlowUpError, OutputError) as exc:
             send(exc)
             return

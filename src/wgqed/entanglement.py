@@ -71,24 +71,27 @@ class StateCheckError(ValueError):
         super().__init__(reason if record is None else f"{reason} at record {record}")
 
 
-def _first_bad(bad: np.ndarray, values: np.ndarray, message: str) -> None:
-    """Raise StateCheckError naming the value of the first record where `bad`
-    holds and, for a stack, its flat record index."""
-    if np.any(bad):
-        i = int(np.argmax(bad))
+def _first_bad(*checks) -> None:
+    """Raise StateCheckError at the earliest record where any check's `bad`
+    holds, the earlier check at a tie, naming that check's value there and,
+    for a stack, the flat record index.  A check is (bad, values, message)."""
+    hits = [(int(np.argmax(bad)), k) for k, (bad, _, _) in enumerate(checks) if np.any(bad)]
+    if hits:
+        i, k = min(hits)
+        bad, values, message = checks[k]
         raise StateCheckError(message.format(np.ravel(values)[i]), i if np.ndim(bad) else None)
 
 
-def _trace(populations: np.ndarray, dim: int) -> np.ndarray:
-    """Trace of each diagonal of a (..., dim) stack, checked to be in (0, 1]."""
+def _trace(populations: np.ndarray, dim: int) -> tuple:
+    """Trace of each diagonal of a (..., dim) stack, and the check that it is
+    in (0, 1], for _first_bad: (trace, check)."""
     if populations.shape[-1:] != (dim,):
         raise ValueError(f"populations have shape {populations.shape}, expected (..., {dim})")
     tr = populations
     while tr.shape[-1] > 1:  # a pairwise sum, (p_0 + p_1) + (p_2 + p_3) for a pair
         tr = tr[..., ::2] + tr[..., 1::2]
     tr = tr[..., 0]
-    _first_bad(~((0.0 < tr) & (tr <= 1.0 + _TRACE_TOL)), tr, "state trace {} is not in (0, 1]")
-    return tr
+    return tr, (~((0.0 < tr) & (tr <= 1.0 + _TRACE_TOL)), tr, "state trace {} is not in (0, 1]")
 
 
 def read_state(rho: np.ndarray, register: EmitterRegister) -> tuple:
@@ -107,26 +110,32 @@ def read_state(rho: np.ndarray, register: EmitterRegister) -> tuple:
     np.subtract(rho, defect, out=defect)
     herm_defect = np.abs(defect, out=defect).real.max(axis=(-2, -1))
     del defect  # a copy of the whole stack: free it before the grading check takes |rho|
-    _first_bad(herm_defect > _HERM_TOL, herm_defect, "state not hermitian (defect {:.3e})")
+    _first_bad((herm_defect > _HERM_TOL, herm_defect, "state not hermitian (defect {:.3e})"))
     populations = np.diagonal(rho, axis1=-2, axis2=-1).real
-    _trace(populations, dim)  # a bad trace is reported ahead of a grading defect
+    _first_bad(_trace(populations, dim)[1])  # a bad trace is reported ahead of a grading defect
     exc = excitation_count(register)
     outside = np.abs(rho).max(axis=(-2, -1), where=np.not_equal.outer(exc, exc), initial=0.0)
-    _first_bad(outside > 0.0, outside, "state not excitation-graded (entry {:.3e} outside the grading)")
+    _first_bad((outside > 0.0, outside,
+                "state not excitation-graded (entry {:.3e} outside the grading)"))
     return populations, (rho[(..., *PAIR_COHERENCE)] if register.n_emitters == 2 else None)
 
 
 def wootters_concurrence(populations: np.ndarray, coherence: np.ndarray):
     """Concurrence of an excitation-graded pair state, in [0, 1], from its
     populations (..., 4) in basis order gg, ge, eg, ee and its coherence
-    rho_{eg,ge} (...); a stack gives the (...) array of concurrences."""
-    tr = _trace(populations, 4)
+    rho_{eg,ge} (...); a stack gives the (...) array of concurrences.
+    A stack with bad states is refused at its earliest bad record, the
+    trace check ahead of the positivity check at a tie."""
+    tr, trace_check = _trace(populations, 4)
     gg, ge, eg, ee = np.moveaxis(populations, -1, 0)
     coherence = np.abs(coherence)
-    # the exact spectrum of a graded pair: gg, ee and the {ge, eg} block's two eigenvalues
-    min_eig = np.minimum(np.minimum(gg, ee), 0.5 * (ge + eg) - np.hypot(0.5 * (ge - eg), coherence))
-    _first_bad(min_eig < _PSD_TOL * np.maximum(tr, _TRACE_TOL), min_eig,
-               "state not positive semidefinite (min eig {:.3e})")
+    # the exact spectrum of a graded pair: gg, ee and the {ge, eg} block's two eigenvalues;
+    # an infinite population, which the trace check refuses, makes a NaN here
+    with np.errstate(invalid="ignore"):
+        min_eig = np.minimum(np.minimum(gg, ee),
+                             0.5 * (ge + eg) - np.hypot(0.5 * (ge - eg), coherence))
+    _first_bad(trace_check, (min_eig < _PSD_TOL * np.maximum(tr, _TRACE_TOL), min_eig,
+                             "state not positive semidefinite (min eig {:.3e})"))
     # a population inside the positivity tolerance may be a roundoff below zero
     return np.maximum(0.0, 2.0 * (coherence - np.sqrt(np.maximum(0.0, gg * ee))) / tr)
 
@@ -143,7 +152,8 @@ def concurrence_fill(populations: np.ndarray):
     factor c - (a - b) is clamped at zero, so such states, like exactly
     degenerate triangles, report zero fill.
     """
-    tr = _trace(populations, 8)
+    tr, trace_check = _trace(populations, 8)
+    _first_bad(trace_check)
     p = np.stack([populations[..., idx].sum(axis=-1) / tr for idx in _EXCITED], axis=-1)
     sides = np.clip(4.0 * p * (1.0 - p), 0.0, 1.0)
     c, b, a = np.moveaxis(np.sort(sides, axis=-1), -1, 0)  # a >= b >= c

@@ -58,7 +58,8 @@ __all__ = [
 MAX_STEPS = 2_000_000  # largest t_end / dt accepted: 166x the shipped 12 000-step grid
 MAX_STEP_NORM = 1.0    # largest ||h A_l||_1 the Taylor weights are summed for
 _TAYLOR_TERMS = 20     # 1/20! < 1e-18: the series is converged below roundoff
-_CHUNK = 1024          # steps per chunk: 256 costs more in per-level calls, 2048 in buffer memory
+_CHUNK = 1024          # steps per chunk: 256 costs more in per-level calls, 2048 in buffer memory;
+                       # also the records per block that the series and the CSV rows are read in
 _BLOCK = 16            # steps per block within a chunk
 
 # phi_k(z) = sum_i z^i / (i + k)!, and int_0^h e^{(h-s)A} s^j ds = h^(j+1) j! phi_(j+1): the
@@ -250,15 +251,15 @@ def integrate(
     carried = [ground[level.rows] for level in levels]  # each level's state at the chunk start
 
     with np.errstate(over="ignore", invalid="ignore"):
-        t = np.arange(n_chunks * c + 1) * h
-        g, dg = amplitude(pulse, t)[:, None], amplitude_rate(pulse, t)[:, None]
         for i in range(n_chunks):
-            grid, rec = slice(i * c, (i + 1) * c + 1), slice(bounds[i], bounds[i + 1])
+            t = np.arange(i * c, (i + 1) * c + 1) * h  # the chunk's grid, both ends
+            g, dg = amplitude(pulse, t)[:, None], amplitude_rate(pulse, t)[:, None]
+            rec = slice(bounds[i], bounds[i + 1])
             below = held
             for l, step in enumerate(steps, 1):
                 own = memory[l % 2, :2 * (c + 1) * len(levels[l].a)].reshape(2, c + 1, -1)
                 own[0, 0] = carried[l]
-                step.run(below, own, g[grid], dg[grid], work)
+                step.run(below, own, g, dg, work)
                 carried[l] = own[0, -1].copy()  # level l + 2 overwrites own in this chunk
                 snaps[rec, levels[l].rows] = own[0, recorded[rec] - i * c]
                 below = own

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .entanglement import PAIR_COHERENCE, StateCheckError, concurrence_fill, wootters_concurrence
-from .integrator import IntegrationBlowUpError, StateTrajectory
+from .integrator import _CHUNK, IntegrationBlowUpError, StateTrajectory
 from .pulse import GaussianPulse, amplitude
 from .qubit_algebra import EmitterRegister, basis_index
 
@@ -55,19 +55,28 @@ def build_trajectory(states: StateTrajectory, population_labels=(), want_concurr
 
     Every series is read from the physical block's diagonal and, for the
     concurrence, its pair coherence, taken straight from the recorded
-    coordinates.  A state check of a measure that fails is reported as an
-    IntegrationBlowUpError at the time of the first bad record."""
+    coordinates.  The records are read _CHUNK at a time, each block's
+    values filled into the full-length series.  A state check of a measure
+    that fails is reported as an IntegrationBlowUpError at the time of the
+    first bad record, whichever check it fails."""
     prop, y, n = states.propagator, states.blocks, states.n_ph
-    populations = prop.entry(y, n, n, *np.diag_indices(prop.dim)).real
-    series = {f"P_{lb}": population(populations, states.register, lb) for lb in population_labels}
-    try:
-        if want_concurrence:
-            series["concurrence"] = wootters_concurrence(populations,
-                                                         prop.entry(y, n, n, *PAIR_COHERENCE))
-        if want_fill:
-            series["fill"] = concurrence_fill(populations)
-    except StateCheckError as exc:
-        raise IntegrationBlowUpError(float(states.times[exc.record]), exc.reason) from exc
+    measures = (("concurrence", want_concurrence), ("fill", want_fill))
+    names = [f"P_{lb}" for lb in population_labels] + [name for name, on in measures if on]
+    series = {name: np.empty(len(y)) for name in names}
+    for start in range(0, len(y), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        populations = prop.entry(y[rows], n, n, *np.diag_indices(prop.dim)).real
+        for lb in population_labels:
+            series[f"P_{lb}"][rows] = population(populations, states.register, lb)
+        try:
+            if want_concurrence:
+                series["concurrence"][rows] = wootters_concurrence(
+                    populations, prop.entry(y[rows], n, n, *PAIR_COHERENCE))
+            if want_fill:
+                series["fill"][rows] = concurrence_fill(populations)
+        except StateCheckError as exc:
+            raise IntegrationBlowUpError(float(states.times[start + exc.record]),
+                                         exc.reason) from exc
     if pulse is not None:
         series["pulse_intensity"] = np.square(amplitude(pulse, states.times))
     return series

@@ -15,12 +15,20 @@ entries in its grading (sector_mask) and budget (budget_mask), laid out as
 carried_entries says.
 dense_operators assembles the compiled A and B of y' = A y + g(t) B y from
 the propagator's levels.
+
+Hypothesis's pytest plugin imports hypothesis.extra._patching when a
+@given test fails, and that import raises a third-party DeprecationWarning
+(mypy_extensions.TypedDict, through libcst).  Under filterwarnings = error
+it would stop the whole run with an INTERNALERROR, so the module is
+imported once here with that warning ignored; every other warning still
+fails a test.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +41,13 @@ from wgqed.hierarchy import HierarchyPropagator, block_order
 from wgqed.pulse import amplitude
 from wgqed.qubit_algebra import EmitterRegister, basis_index
 from wgqed.scenario import load_scenario
+
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:  # hypothesis, or the libcst it needs there, is not installed
+    pass
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

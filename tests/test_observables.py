@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from oracles import random_chain
-from wgqed.entanglement import concurrence_fill, read_state, wootters_concurrence
+from wgqed import observables
+from wgqed.entanglement import PAIR_COHERENCE, concurrence_fill, read_state, wootters_concurrence
 from wgqed.integrator import IntegrationBlowUpError, IntegratorConfig, StateTrajectory, integrate
 from wgqed.observables import build_trajectory, peak, population, population_indices
 from wgqed.pulse import GaussianPulse, amplitude
@@ -173,19 +174,50 @@ def test_a_record_outside_the_trace_range_stops_the_series(scenario_run, stem, m
         assert excinfo.value.time == states.times[record]
 
 
+@pytest.mark.parametrize("block", [None, 8, 4, 2], ids=["chunk", "8", "4", "2"])
+@pytest.mark.parametrize("coherence_at, scaled_at, reported, reason", [
+    (7, 9, 7, r"state not positive semidefinite \(min eig -.*\)"),
+    (9, 7, 7, r"state trace (3\.0|2\.99+6) is not in \(0, 1\]"),
+    (7, 7, 7, r"state trace (3\.0|2\.99+6) is not in \(0, 1\]"),  # a tie names the trace
+], ids=["positivity-first", "trace-first", "tie"])
+def test_blow_up_names_the_earliest_bad_record_over_every_check(
+        monkeypatch, block, coherence_at, scaled_at, reported, reason):
+    """One record fails only the concurrence's positivity check (rho_{eg,ge}'s
+    real coordinate raised by 0.4), another only its trace check (the state
+    times 3).  The earlier is named, whichever check it fails and whichever
+    record block each falls in (blocks of _CHUNK, 8, 4 and 2 records)."""
+    if block is not None:
+        monkeypatch.setattr(observables, "_CHUNK", block)
+    sc = load_scenario(scenario_path("two_emitter_chirality_sweep")).with_ratio(5.0)
+    states = integrate(sc.chain, sc.pulse, sc.n_photons,
+                       IntegratorConfig(dt=0.01, t_end=1.0, record_stride=1))
+    prop, n = states.propagator, states.n_ph
+    real_part = np.flatnonzero(prop.entry(np.eye(prop.size), n, n, *PAIR_COHERENCE) == 1.0)
+    assert len(real_part) == 1
+    blocks = states.blocks.copy()
+    blocks[coherence_at, real_part] += 0.4
+    blocks[scaled_at] *= 3.0
+    with pytest.raises(IntegrationBlowUpError) as excinfo:
+        build_trajectory(dataclasses.replace(states, blocks=blocks), want_concurrence=True)
+    assert re.fullmatch(reason, excinfo.value.reason), excinfo.value.reason
+    assert excinfo.value.time == states.times[reported]
+
+
 def test_record_dense_series_build_no_density_matrix_stack():
     """On the 12 001-record three-emitter shape at one photon, assembling
-    every series peaks below one real (n_rec, d, d) array: nothing scatters
-    the records into density matrices."""
+    every series peaks below the series it returns plus 8 floats per
+    record, far below one real (n_rec, d, d) array: nothing scatters the
+    records into density matrices, and the records are read a block at a
+    time, with no temporary as long as the trajectory."""
     sc = load_scenario(scenario_path("three_emitter_lossy_sweep")).with_ratio(5.0)
     states = integrate(sc.chain, sc.pulse, 1, IntegratorConfig(dt=1e-3, t_end=12.0, record_stride=1))
     n_rec, dim = len(states.times), states.register.dim
     assert n_rec == 12_001
-    build_trajectory(states, sc.populations, want_fill=True, pulse=sc.pulse)  # warm
+    series = build_trajectory(states, sc.populations, want_fill=True, pulse=sc.pulse)  # warm
     tracemalloc.start()
     try:
         build_trajectory(states, sc.populations, want_fill=True, pulse=sc.pulse)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n_rec * dim * dim * 8, peak
+    assert peak < n_rec * 8 * (len(series) + 8) < n_rec * dim * dim * 8, peak

@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -570,23 +572,75 @@ def test_csv_values_are_finite_and_formatted(tmp_path):
             assert len(field.replace("-", "").replace(".", "").replace("e", "")) <= 17
 
 
+def long_columns() -> list:
+    """Columns of 2 _CHUNK + 5 rows, more than two of the writer's blocks,
+    with signed zeros on both sides of each block edge."""
+    n, c = 2 * cli._CHUNK + 5, cli._CHUNK
+    rng = np.random.default_rng(6)
+    signed = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)
+    for edge in (c, 2 * c):
+        signed[edge - 2:edge + 2] = [0.0, -0.0, -0.0, 0.0]
+    return [np.arange(n) * 1e-3, signed, -signed]
+
+
 def test_csv_writer_matches_per_value_formatting(tmp_path):
-    """The row-at-a-time writer gives the same bytes as formatting every
+    """The block-at-a-time writer gives the same bytes as formatting every
     value on its own with format(x, ".12g"), on the values where the two
     could part: signed zeros, the ends of the float range, infinities, NaN
-    and ties in the 13th significant digit."""
+    and ties in the 13th significant digit; and on columns longer than two
+    blocks, with signed zeros at the block edges."""
     special = [0.0, -0.0, 1.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf,
                np.nan, 100000000000.5, 100000000001.5, 1234567890.125, -1234567890.375,
                0.1234567890125, 12345678901.25, 2.0 / 3.0, -1e300, 12.0]
     rng = np.random.default_rng(5)
     scattered = rng.normal(size=len(special)) * 10.0 ** rng.integers(-20, 20, len(special))
-    columns = [np.array(special), scattered, np.array(special[::-1]), np.arange(len(special))]
-    header = ["t", "a", "b", "c"]
-    cli._write_csv(tmp_path / "table.csv", header, columns)
-    lines = [",".join(header)] + [
-        ",".join(format(col[i], ".12g") for col in columns) for i in range(len(special))
-    ]
-    assert (tmp_path / "table.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    for columns in ([np.array(special), scattered, np.array(special[::-1]),
+                     np.arange(len(special))], long_columns()):
+        header = ["t", "a", "b", "c"][:len(columns)]
+        cli._write_csv(tmp_path / "table.csv", header, columns)
+        lines = [",".join(header)] + [
+            ",".join(format(col[i], ".12g") for col in columns) for i in range(len(columns[0]))
+        ]
+        assert (tmp_path / "table.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_csv_writer_peak_does_not_grow_with_the_rows(tmp_path):
+    """Writing the 12 001 rows of a record-dense run's six columns peaks
+    below 64 bytes per value of one block of rows: the writer converts one
+    block to Python floats at a time, never a whole column."""
+    n = 12_001
+    columns = [np.linspace(0.0, 12.0, n)] + [np.random.default_rng(k).random(n) for k in range(5)]
+    header = ["t", "a", "b", "c", "d", "e"]
+    cli._write_csv(tmp_path / "table.csv", header, columns)  # warm
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "table.csv", header, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cli._CHUNK * len(columns) * 64 < n * len(columns) * 8, peak
+
+
+def test_run_drops_the_state_trajectory_before_it_writes(tmp_path, monkeypatch):
+    """The recorded states, the largest array of a run, are released once
+    the series are read, before the files are written."""
+    trajectories, alive_at_write = [], []
+
+    def integrate(*args):
+        states = original_integrate(*args)
+        trajectories.append(weakref.ref(states))
+        return states
+
+    def write_run(*args):
+        alive_at_write.append(trajectories[-1]() is not None)
+        return original_write_run(*args)
+
+    original_integrate, original_write_run = cli.integrate, cli._write_run
+    monkeypatch.setattr(cli, "integrate", integrate)
+    monkeypatch.setattr(cli, "_write_run", write_run)
+    assert main(["run", str(write(tmp_path, TINY)), "--out-dir", str(tmp_path), "--quiet"]) == 0
+    assert alive_at_write == [False]
+    assert (tmp_path / "case.csv").is_file()
 
 
 def test_module_entry_point_runs_without_runtime_warning():

@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,26 @@ def test_per_ratio_files_equal_plain_runs(tmp_path, two_shares):
             swept = (tmp_path / "sweep" / f"chiral_ratio{ratio}{suffix}").read_bytes()
             assert swept == (tmp_path / "run" / f"plain{ratio}{suffix}").read_bytes()
     assert_no_child_left()
+
+
+def test_one_share_sweep_drops_each_state_trajectory_before_the_next_ratio(tmp_path, monkeypatch):
+    """A share holds one ratio's recorded states at a time: when the next
+    ratio starts to integrate, the previous ratio's are gone."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    trajectories, alive_at_start = [], []
+
+    def integrate(*args):
+        alive_at_start.append([ref() is not None for ref in trajectories])
+        states = original(*args)
+        trajectories.append(weakref.ref(states))
+        return states
+
+    original = cli.integrate
+    monkeypatch.setattr(cli, "integrate", integrate)
+    cfg = write(tmp_path, TINY + "sweep.ratios = 1, 2, 3\n", "chiral.cfg")
+    assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 0
+    assert alive_at_start == [[], [False], [False, False]]
+    assert (tmp_path / "out" / "chiral_ratio3.csv").is_file()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
