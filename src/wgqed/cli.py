@@ -179,12 +179,12 @@ def _serve_share(fd: int, sc: Scenario, out: Path, stem: str, ratios: list) -> N
 
 
 def _receive(pipe) -> list:
-    """Every outcome a worker pickled into `pipe`, read to its end."""
+    """Every outcome a worker pickled into `pipe`, up to its end or a record cut short."""
     outcomes = []
     while True:
         try:
             outcomes.append(pickle.load(pipe))
-        except EOFError:
+        except (EOFError, pickle.UnpicklingError):  # "pickle data was truncated"
             return outcomes
 
 

@@ -174,7 +174,9 @@ class HierarchyPropagator:
         if m > n:  # stored as the adjoint's entry
             return self.entry(y, n, m, b, a).conj()
         rows, table = self.slots[(m, n)]
-        return np.tensordot(y[..., rows], table[a * self.dim + b], (-1, -1))
+        at, x = a * self.dim + b, y[..., rows]
+        cols = np.ascontiguousarray(table[at.ravel()].T).view(np.float64)  # re, im side by side
+        return (x @ cols).view(complex).reshape(x.shape[:-1] + at.shape)  # x read in place
 
     def derivative(self, g: float, y: np.ndarray) -> np.ndarray:
         """d/dt of the state vector y (size,) given the real drive amplitude g,

@@ -21,18 +21,20 @@ h^2 P_1 ; B^T h^2 P_1] from the weights P_0, P_1 of f, f' at the step's
 start (M_e from the end weights Q_0, Q_1), and f_l = (g y_{l-1}) B^T.
 
 Level 0, the vacuum block rho_{0,0}, is the one coordinate of |g><g|: it
-is unforced and A_0 is exactly 0, so it is held, never stepped, and forces
-level 1 as a constant.  Every other level has its own step (_LevelStep),
-its E and quadrature weights from one Taylor series of its A_l, valid
-while ||h A_l||_1 <= MAX_STEP_NORM.  The grid is walked in chunks of
-c = _CHUNK steps; within a chunk levels 1, ..., 2 n_ph step in order, each
-forced by what the level below has just made of the same chunk, and every
-product runs over the chunk's c steps at once.  Within a chunk the
-recurrence y_{k+1} = E y_k + q_k runs in blocks of B = _BLOCK steps: one
-loop builds the in-block partial sums r_b of every block at once, a
-doubling scan carries the block starts x_{b+1} = E^B x_b + r_b in
-ceil(log2(c / B)) steps (Blelloch, "Prefix sums and their applications",
-1990), and one product with the powers of E fills in the grid.
+is unforced and A_0 is exactly 0, so it stays exactly 1 and is never
+stepped, and with f_0 = 0 level 1's u is [g, g'] itself.  Every other
+level has its own step (_LevelStep), its E and quadrature weights from one
+Taylor series of its A_l, valid while ||h A_l||_1 <= MAX_STEP_NORM.  The
+grid is walked in chunks of c = _CHUNK steps; within a chunk levels 1,
+..., 2 n_ph step in order, each reading the u formed in place, in the
+memory of the level below, from what that level has just made of the same
+chunk (the top level forms none), and every product runs over the chunk's
+c steps at once.  Within a chunk the recurrence y_{k+1} = E y_k + q_k runs
+in blocks of B = _BLOCK steps: one loop builds the in-block partial sums
+r_b of every block at once, a doubling scan carries the block starts
+x_{b+1} = E^B x_b + r_b in ceil(log2(c / B)) steps (Blelloch, "Prefix sums
+and their applications", 1990), and one product with the powers of E fills
+in the grid.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ __all__ = [
 MAX_STEPS = 2_000_000  # largest t_end / dt accepted: 166x the shipped 12 000-step grid
 MAX_STEP_NORM = 1.0    # largest ||h A_l||_1 the Taylor weights are summed for
 _TAYLOR_TERMS = 20     # 1/20! < 1e-18: the series is converged below roundoff
-_CHUNK = 1024          # steps per chunk: 256 costs more in per-level calls, 2048 in buffer memory;
+_CHUNK = 1024          # steps per chunk: 256 costs more in per-level calls, 2048 in level buffers;
                        # also the records per block that the series and the CSV rows are read in
 _BLOCK = 16            # steps per block within a chunk
 
@@ -122,15 +124,15 @@ class _LevelStep:
     level l >= 1, forced from level l - 1.
 
     A chunk is held in row form, a step's state being a row and operators acting
-    from the right: [y; f] of shape (2, c + 1, p).  u = [g y, g f + g' y] of the
-    level below is formed as two (c + 1, p_{l-1}) halves, the forcing q = u_s^T M_s^T
-    + u_e^T M_e^T (fold holds the four halves of M_s^T and M_e^T) is written as c
-    rows into the memory of y, and f_l = (g y_{l-1}) B_l^T (bt) is written last.
-    With e_fill = [E^T, ..., (E^B)^T] and the block-end partial sums r_k, the
-    block starts x_{k+1} = F x_k + r_k, F = E^B, come from a doubling scan:
-    v_0 = F x_0 + r_0 and v_k = r_k, then v_k += F^d v_{k-d} for k >= d,
-    d = 1, 2, 4, ... < c / B (scan holds (F^d)^T), leaves v_k = x_{k+1}.  The
-    fill product goes into the memory of f."""
+    from the right: [y; f] of shape (2, c + 1, p).  The step reads the forcing
+    u = [g y, g f + g' y] of the level below, (2, c + 1, p_{l-1}), which integrate
+    forms, and writes q = u_s^T M_s^T + u_e^T M_e^T (fold holds the four halves of
+    M_s^T and M_e^T) as c rows into the memory of y; f_l = (g y_{l-1}) B_l^T (bt) is
+    left to integrate.  With e_fill = [E^T, ..., (E^B)^T] and the block-end partial
+    sums r_k, the block starts x_{k+1} = F x_k + r_k, F = E^B, come from a doubling
+    scan: v_0 = F x_0 + r_0 and v_k = r_k, then v_k += F^d v_{k-d} for k >= d,
+    d = 1, 2, 4, ... < c / B (scan holds (F^d)^T), leaves v_k = x_{k+1}.  The fill
+    product goes into the memory of f, which the step leaves spent."""
 
     def __init__(self, levels: list, l: int, h: float, c: int):
         below, level, p = levels[l - 1], levels[l], len(levels[l].a)
@@ -159,19 +161,12 @@ class _LevelStep:
         for j in range(1, len(scan)):
             np.matmul(scan[j - 1], scan[j - 1], out=scan[j])
 
-    def run(self, below: np.ndarray, own: np.ndarray, g: np.ndarray, dg: np.ndarray,
-            work: np.ndarray) -> None:
+    def run(self, u: np.ndarray, own: np.ndarray) -> None:
         """Step one chunk in place.  own = [y_l; f_l], (2, c + 1, p), starts from
-        y_l = own[0, 0]; below = [y_{l-1}; f_{l-1}] on the same chunk, which is only
-        read.  g and dg, (c + 1, 1), are the drive and its rate on the chunk; work
-        holds at least 2 (c + 1) p_{l-1} floats for u."""
-        (y, f), (y_below, f_below) = own, below
-        c, p, k = len(y) - 1, y.shape[1], y_below.shape[1]
-        u = work[:2 * (c + 1) * k].reshape(2, c + 1, k)
-        np.multiply(y_below, dg, out=u[1])
-        np.multiply(f_below, g, out=u[0])
-        u[1] += u[0]
-        np.multiply(y_below, g, out=u[0])  # u = [g y, g f + g' y] below
+        y_l = own[0, 0], the rest being scratch; u, the forcing of the level below
+        on the same chunk, is only read."""
+        y, f = own
+        c, p = len(y) - 1, y.shape[1]
         q = np.matmul(u[0, :-1], self.fold[0], out=y[1:])
         for part, m in zip((u[1, :-1], u[0, 1:], u[1, 1:]), self.fold[1:]):
             q += np.matmul(part, m, out=f[1:])
@@ -187,7 +182,6 @@ class _LevelStep:
         fill = np.matmul(starts[:-1], self.e_fill, out=f[1:].reshape(len(q), -1))  # f is spent
         y[1:] += fill.reshape(c, p)
         y[::_BLOCK] = starts  # the block starts, as carried
-        np.matmul(u[0], self.bt, out=f)  # f_l = g B_l y_{l-1}
 
 
 @dataclass
@@ -242,27 +236,31 @@ def integrate(
     steps = [_LevelStep(levels, l, h, c) for l in range(1, len(levels))]
     recorded = np.append(np.arange(0, n_steps, icfg.record_stride), n_steps)  # step numbers
     bounds = np.searchsorted(recorded, np.arange(n_chunks + 1) * c, side="right")  # per chunk
-    snaps = np.tile(ground, (len(recorded), 1))  # level 0 is held at the start
+    snaps = np.tile(ground, (len(recorded), 1))  # level 0 stays at the start
     p = max(len(level.a) for level in levels)
-    # [y_l; f_l] on the current chunk: level l in memory[l % 2], so level l - 1 is intact
-    memory, work = np.empty((2, 2 * (c + 1) * p)), np.empty(2 * (c + 1) * p)
-    held = np.zeros((2, c + 1, len(levels[0].a)))  # level 0, constant and unforced
-    held[0] = ground[levels[0].rows]
+    # [y_l; f_l] on the current chunk: level l in memory[l % 2], so level l - 1's u is intact
+    memory = np.empty((2, 2 * (c + 1) * p))
     carried = [ground[level.rows] for level in levels]  # each level's state at the chunk start
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_chunks):
             t = np.arange(i * c, (i + 1) * c + 1) * h  # the chunk's grid, both ends
-            g, dg = amplitude(pulse, t)[:, None], amplitude_rate(pulse, t)[:, None]
+            u = np.stack([amplitude(pulse, t), amplitude_rate(pulse, t)])[..., None]  # level 1's u
+            g, dg = u
             rec = slice(bounds[i], bounds[i + 1])
-            below = held
             for l, step in enumerate(steps, 1):
                 own = memory[l % 2, :2 * (c + 1) * len(levels[l].a)].reshape(2, c + 1, -1)
                 own[0, 0] = carried[l]
-                step.run(below, own, g, dg, work)
-                carried[l] = own[0, -1].copy()  # level l + 2 overwrites own in this chunk
-                snaps[rec, levels[l].rows] = own[0, recorded[rec] - i * c]
-                below = own
+                step.run(u, own)
+                y, f = own
+                carried[l] = y[-1].copy()  # y is scaled next, and level l + 2 overwrites it
+                snaps[rec, levels[l].rows] = y[recorded[rec] - i * c]
+                if l < len(steps):  # level l + 1's u = [g y, g f + g' y]; u's buffer is spent
+                    np.matmul(u[0], step.bt, out=f)  # f_l = g B_l y_{l-1}
+                    f *= g
+                    f += np.multiply(y, dg, out=memory[1 - l % 2, :y.size].reshape(y.shape))
+                    y *= g
+                u = own
             finite = np.isfinite(snaps[rec]).all(axis=1)
             if not finite.all():
                 raise IntegrationBlowUpError(float(recorded[rec][np.argmin(finite)] * h))

@@ -1,6 +1,8 @@
 """Hierarchy of photon-indexed blocks: sector layout, all-ground start, and
 the compiled propagator checked against the longhand transcription."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from oracles import (
 )
 from wgqed import hierarchy, liouvillian
 from wgqed.hierarchy import HierarchyPropagator, block_order
-from wgqed.integrator import IntegratorConfig, integrate
+from wgqed.integrator import _CHUNK, IntegratorConfig, integrate
 from wgqed.liouvillian import ChainConfig, EmitterParams, apply_total, coupling_matrix
 from wgqed.pulse import GaussianPulse
 from wgqed.scenario import load_scenario
@@ -188,6 +190,27 @@ def test_entry_refuses_an_index_outside_the_register():
             prop.entry(y, m, k, a, b)
     assert prop.entry(y, 3, 3, 3, 0) == 0 and prop.entry(y, 3, 3, 0, 0) == 1
     assert np.array_equal(prop.entry(y, 3, 3, [0, 3], (0, 3)), [1, 0])
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_entry_reads_a_record_block_in_place(n):
+    """Reading the physical block's diagonal from one _CHUNK-record block of
+    states, as the series build does, allocates less beyond its output than
+    one real copy of the coordinates it reads (69 and 226 per record at N = 4
+    and 5, n_ph = 3): the coordinates are neither cast to complex, which
+    takes two such copies, nor copied."""
+    prop = HierarchyPropagator(random_chain(np.random.default_rng(0), n), 3)
+    rows = prop.slots[(3, 3)][0]
+    y = np.random.default_rng(1).normal(size=(_CHUNK, prop.size))
+    diagonal = np.diag_indices(prop.dim)
+    read = prop.entry(y, 3, 3, *diagonal)  # warm: first-call allocations are not the read's
+    tracemalloc.start()
+    try:
+        prop.entry(y, 3, 3, *diagonal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - read.nbytes < _CHUNK * (rows.stop - rows.start) * 8, peak
 
 
 # ------------------------------------------- literal ten-block transcription

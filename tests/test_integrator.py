@@ -29,7 +29,7 @@ from wgqed.integrator import (
     integrate,
 )
 from wgqed.liouvillian import ChainConfig, EmitterParams
-from wgqed.pulse import GaussianPulse, amplitude
+from wgqed.pulse import GaussianPulse, amplitude, amplitude_rate
 from wgqed.qubit_algebra import EmitterRegister
 from wgqed.scenario import load_scenario
 
@@ -422,87 +422,128 @@ def test_level_step_matches_the_unfolded_forcing_and_quadrature(n, n_ph, blocks)
     """One run of each level's step against the unfolded step written out per
     level: the forcing f = g B_l y and its rate f' = g' B_l y + g B_l (A_{l-1} y
     + f_{l-1}) from the level below, then the Hermite quadrature on [f, f']
-    (oracles._OneLevelStep).  The level below is left as it was, and of the
-    level's own chunk and the work memory only the start y_l = own[0, 0] is
-    read: the rest is NaN.  Chunks of 1, 3 and 5 blocks run the block-start
-    scan with no doubling step and with block counts that are not powers of
-    two."""
+    (oracles._OneLevelStep).  The step reads u = [g y, g f_{l-1} + g' y], formed
+    here from the level below, and leaves it as it was; of the level's own chunk
+    it reads only the start y_l = own[0, 0]: the rest is NaN.  f_l itself is
+    formed by integrate, not by the step, and
+    test_cascade_matches_level_by_level_reference checks it at 1e-13 through
+    the levels above.  Chunks of 1, 3 and 5 blocks run the block-start scan
+    with no doubling step and with block counts that are not powers of two."""
     rng = np.random.default_rng(900 + 100 * blocks + 10 * n + n_ph)
     levels = HierarchyPropagator(random_chain(rng, n), n_ph).levels
     h, c = 1e-2, blocks * integrator._BLOCK
-    work = np.full((c + 1) * 2 * max(len(level.a) for level in levels), np.nan)
     for l in range(1, len(levels)):
-        below = rng.normal(size=(2, c + 1, len(levels[l - 1].a)))
+        y, f_below = rng.normal(size=(2, c + 1, len(levels[l - 1].a)))
         own = np.full((2, c + 1, len(levels[l].a)), np.nan)
         own[0, 0] = start = rng.normal(size=len(levels[l].a))
         g, dg = rng.normal(size=(2, c + 1, 1))
-        before = below.copy()
-        integrator._LevelStep(levels, l, h, c).run(below, own, g, dg, work)
-        assert np.array_equal(below, before), l
-        (y, f_below), a_below, b = below, levels[l - 1].a, levels[l].b
+        u = np.stack([g * y, g * f_below + dg * y])
+        before = u.copy()
+        integrator._LevelStep(levels, l, h, c).run(u, own)
+        assert np.array_equal(u, before), l
+        a_below, b = levels[l - 1].a, levels[l].b
         drive = y @ b.T
         f = g * drive
         df = dg * drive + g * ((y @ a_below.T + f_below) @ b.T)
         ref = _OneLevelStep(levels[l].a, h).run(start, f, df)
         assert np.abs(own[0] - ref).max() <= 1e-13 * np.abs(ref).max(), l
-        assert np.abs(own[1] - f).max() <= 1e-13 * np.abs(f).max(), l
 
 
 def test_warm_level_step_allocates_less_than_two_chunks():
-    """A level's [y; f] chunk and u live in memory that integrate allocates
-    once.  So one warm run of each 3-emitter level's step allocates less than
-    two chunks of (c + 1) p floats, p the largest level's size, numpy's fixed
-    ufunc buffer and the block starts included: a step that allocated its own
-    y and f would take two such chunks on the largest level."""
+    """A level's [y; f] chunk and the u it reads live in memory that integrate
+    allocates once.  So one warm run of each 3-emitter level's step allocates
+    less than two chunks of (c + 1) p floats, p the largest level's size,
+    numpy's fixed ufunc buffer and the block starts included: a step that
+    allocated its own y and f would take two such chunks on the largest level."""
     c = integrator._CHUNK
     levels = HierarchyPropagator(random_chain(np.random.default_rng(43), 3), 3).levels
     p = max(len(level.a) for level in levels)
     rng = np.random.default_rng(3)
-    work, drive = np.empty((c + 1) * 2 * p), np.ones((c + 1, 1))
     for l in range(1, len(levels)):
         step = integrator._LevelStep(levels, l, 1e-2, c)
-        below = rng.normal(size=(2, c + 1, len(levels[l - 1].a)))
+        u = rng.normal(size=(2, c + 1, len(levels[l - 1].a)))
         own = rng.normal(size=(2, c + 1, len(levels[l].a)))
-        step.run(below, own, drive, drive, work)  # warm: first-call allocations are not the run's
+        step.run(u, own)  # warm: first-call allocations are not the run's
         tracemalloc.start()
         try:
-            step.run(below, own, drive, drive, work)
+            step.run(u, own)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * (c + 1) * p * 8, (l, peak)
 
 
+def test_integrate_holds_less_than_a_chunk_beyond_its_arrays(monkeypatch):
+    """integrate forms each level's forcing in place, in the two level
+    buffers, with the spent forcing of the level below as scratch.  So on the
+    shipped 3-emitter scenario at ratio 5, its warm traced peak less the
+    snapshot, the level steps' fold, e_fill and scan, the compile's read
+    tables and the two level buffers is below one (c + 1) p chunk of floats,
+    p the largest level's size.  A third chunk-sized work array, or a
+    g' y temporary per level, would not fit."""
+    steps, init = [], integrator._LevelStep.__init__
+
+    def kept(self, *args):
+        init(self, *args)
+        steps.append(self)
+
+    monkeypatch.setattr(integrator._LevelStep, "__init__", kept)
+    sc = load_scenario(scenario_path("three_emitter_chirality_sweep")).with_ratio(5.0)
+    integrate(sc.chain, sc.pulse, sc.n_photons, sc.integrator)  # warm
+    steps.clear()
+    tracemalloc.start()
+    try:
+        states = integrate(sc.chain, sc.pulse, sc.n_photons, sc.integrator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    prop, c = states.propagator, integrator._CHUNK
+    p = max(len(level.a) for level in prop.levels)
+    held = (states.blocks.nbytes + 2 * 2 * (c + 1) * p * 8
+            + sum(table.nbytes for _, table in prop.slots.values())
+            + sum(step.fold.nbytes + step.e_fill.nbytes + step.scan.nbytes for step in steps))
+    assert len(steps) == 2 * sc.n_photons
+    assert peak - held < (c + 1) * p * 8, (peak, held)
+
+
 def test_integrate_steps_every_level_once_per_chunk_in_level_order(monkeypatch):
     """On the shipped 3-emitter grid, chunk by chunk, levels 1..2 n_ph each
-    step once, in level order, on that chunk's drive, each forced by the
-    chunk the level below has just written; level 1 by the held vacuum
-    level, which never steps."""
-    calls, owns = [], [None]
+    step once, in level order.  Level 1 reads u = [g, g'] on that chunk's
+    grid, bit for bit: the vacuum level is 1 and unforced, and never steps.
+    Every level above reads the buffer the level below has just written, as
+    its u = [g y, g f + g' y], f = (g y_{l-2}) B^T formed from the u that level
+    read, bit for bit."""
+    sc = load_scenario(scenario_path("three_emitter_chirality_sweep"))
+    c, top, dt = integrator._CHUNK, 2 * sc.n_photons, sc.integrator.dt
+    calls, owns, below = [], [None], {}
     init, run = integrator._LevelStep.__init__, integrator._LevelStep.run
 
     def labelled(self, levels, l, h, c):
         init(self, levels, l, h, c)
         self.level = l
 
-    def counted(self, below, own, g, dg, work):
-        calls.append((self.level, below is owns[-1], g[:, 0].copy()))
+    def counted(self, u, own):
+        t = (len(calls) // top * c + np.arange(c + 1)) * dt  # the chunk's grid
+        g, dg = amplitude(sc.pulse, t)[:, None], amplitude_rate(sc.pulse, t)[:, None]
+        if self.level == 1:
+            want = np.stack([g, dg])
+        else:  # from level l - 1's chunk and the u it read
+            y, f = below["y"], below["u"][0] @ below["bt"]
+            want = np.stack([g * y, g * f + dg * y])
+        calls.append((self.level, u is owns[-1], np.array_equal(u, want)))
         owns.append(own)
-        return run(self, below, own, g, dg, work)
+        below["u"], below["bt"] = u.copy(), self.bt
+        run(self, u, own)
+        below["y"] = own[0].copy()
 
     monkeypatch.setattr(integrator._LevelStep, "__init__", labelled)
     monkeypatch.setattr(integrator._LevelStep, "run", counted)
-    sc = load_scenario(scenario_path("three_emitter_chirality_sweep"))
     integrate(sc.chain, sc.pulse, sc.n_photons, sc.integrator)
-    c, top = integrator._CHUNK, 2 * sc.n_photons
     n_chunks = -(-sc.integrator.n_steps // c)
     assert n_chunks > 1
     assert [l for l, _, _ in calls] == list(range(1, top + 1)) * n_chunks
-    g = amplitude(sc.pulse, np.arange(n_chunks * c + 1) * sc.integrator.dt)
-    for i, (l, fed, drive) in enumerate(calls):
-        chunk = i // top
-        assert fed == (l > 1), i
-        assert np.array_equal(drive, g[chunk * c:(chunk + 1) * c + 1]), i
+    for i, (l, fed, formed) in enumerate(calls):
+        assert fed == (l > 1) and formed, i
 
 
 @pytest.mark.parametrize("spike", [False, True])

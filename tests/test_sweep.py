@@ -208,15 +208,35 @@ def test_failed_physical_block_check_in_a_worker_exits_3(tmp_path, capsys, monke
     assert_no_child_left()
 
 
-def test_worker_that_dies_without_a_result_is_reported(tmp_path, monkeypatch, capfd, two_shares):
+def raise_before_the_write(monkeypatch):
     def boom(original, *args, **kwargs):
         raise ValueError("worker failed on purpose")
 
     monkeypatch.setattr(cli, "_write_run", in_workers(boom, cli._write_run))
+    return "ValueError: worker failed on purpose"
+
+
+def die_half_way_through_a_record(monkeypatch):
+    def half(original, outcome, pipe):  # as a worker killed while it writes
+        record = pickle.dumps(outcome)
+        pipe.write(record[:len(record) // 2])
+        pipe.flush()
+        os._exit(1)
+
+    monkeypatch.setattr(pickle, "dump", in_workers(half, pickle.dump))
+    return ""
+
+
+@pytest.mark.parametrize("death", [raise_before_the_write, die_half_way_through_a_record])
+def test_worker_that_dies_without_a_result_is_reported(tmp_path, monkeypatch, capfd, two_shares,
+                                                       death):
+    """A worker that ends without its result, whether it raised or was killed
+    half way through writing it, is reported by the ratio it was running."""
+    trace = death(monkeypatch)
     cfg = write(tmp_path, TINY + "sweep.ratios = 1, 2\n", "pair.cfg")
     with pytest.raises(RuntimeError, match="worker running ratio 2 exited without its result"):
         main(["sweep", str(cfg), "--out-dir", str(tmp_path / "out"), "--quiet"])
-    assert "ValueError: worker failed on purpose" in capfd.readouterr().err
+    assert trace in capfd.readouterr().err
     assert_no_child_left()
 
 
