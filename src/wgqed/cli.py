@@ -11,9 +11,12 @@ additionally writes an aggregate CSV of per-ratio peak values.  The ratios
 run in parallel, in forked workers, on every CPU the process may use;
 `taskset -c 0 wgqed sweep ...` runs them one after another.
 
-Each run's columns and peaks come from one ordered map {column name:
-series}, build_trajectory's, and the recorded times; the recorded states
-are dropped once the map is read, so a process holds one run's at a time.
+A run is written as it is integrated: each chunk of records the integrator
+hands on becomes that chunk's ordered map {column name: series},
+build_trajectory's, whose CSV rows are written and whose values are folded
+into the running peaks before the next chunk is stepped.  The summary JSON
+is written last.  So a process holds one chunk of records at a time,
+however long the run, and a run that fails leaves no CSV.
 
 Exit codes: 0 success; 2 scenario file unreadable (the message names the
 path) or invalid (the message names the offending key), an output
@@ -26,7 +29,7 @@ names it; a sweep reports it as it reports a blow-up, in ratio order);
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
 import json
 import os
 import pickle
@@ -36,7 +39,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .integrator import _CHUNK, IntegrationBlowUpError, integrate
+from .integrator import IntegrationBlowUpError, integrate
 from .observables import build_trajectory, peak
 from .scenario import Scenario, ScenarioError, ScenarioFileError, load_scenario, ratio_tag
 
@@ -48,12 +51,20 @@ class OutputError(Exception):
     written; the message names it."""
 
 
-def simulate_scenario(sc: Scenario):
-    """Integrate a scenario; returns ({column name: series}, raw state trajectory)."""
-    states = integrate(sc.chain, sc.pulse, sc.n_photons, sc.integrator)
-    series = build_trajectory(states, sc.populations, want_concurrence=sc.want_concurrence,
-                              want_fill=sc.want_fill, pulse=sc.pulse if sc.want_pulse else None)
-    return series, states
+def simulate_scenario(sc: Scenario, sink=None):
+    """Integrate a scenario and read its series, {column name: series}.  Each
+    chunk of records goes to sink(times, series) as the integration reaches
+    it; without a sink, returns (series, recorded state trajectory) of the
+    whole run."""
+    def read(states):
+        return build_trajectory(states, sc.populations, want_concurrence=sc.want_concurrence,
+                                want_fill=sc.want_fill, pulse=sc.pulse if sc.want_pulse else None)
+
+    if sink is None:
+        states = integrate(sc.chain, sc.pulse, sc.n_photons, sc.integrator)
+        return read(states), states
+    integrate(sc.chain, sc.pulse, sc.n_photons, sc.integrator,
+              lambda part: sink(part.times, read(part)))
 
 
 def _make_out_dir(out_dir) -> Path:
@@ -67,24 +78,41 @@ def _make_out_dir(out_dir) -> Path:
     return out
 
 
-def _write_text(path: Path, lines) -> None:
-    """Write the lines to path; OutputError names it if it cannot be written."""
+def _unwritable(path: Path, exc: OSError) -> OutputError:
+    return OutputError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+@contextlib.contextmanager
+def _output(path: Path):
+    """path opened for writing text.  OutputError names it if it cannot be
+    written, and an error of any kind while it is open removes it."""
     try:
-        with path.open("w", encoding="utf-8") as out:
-            out.writelines(lines)
-    except OSError as exc:  # a directory in the way, no permission, a full disk
-        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+        out = path.open("w", encoding="utf-8")
+    except OSError as exc:  # a directory in the way, no permission
+        raise _unwritable(path, exc) from None
+    try:
+        with out:
+            yield out
+    except BaseException as exc:
+        path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # a full disk
+            raise _unwritable(path, exc) from None
+        raise
+
+
+def _write_text(path: Path, lines) -> None:
+    with _output(path) as out:
+        out.writelines(lines)
+
+
+def _csv_rows(columns: list) -> list:
+    """The columns as CSV rows of 12-significant-digit values."""
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
+    return [row % v for v in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
 def _write_csv(path: Path, header: list, columns: list) -> None:
-    """Write the columns as rows of 12-significant-digit values, converting
-    _CHUNK rows at a time to Python floats."""
-    row = ",".join(["%.12g"] * len(columns)) + "\n"
-    columns = [np.asarray(c) for c in columns]
-    blocks = (zip(*(c[start:start + _CHUNK].tolist() for c in columns))
-              for start in range(0, len(columns[0]), _CHUNK))
-    rows = (row % v for v in itertools.chain.from_iterable(blocks))
-    _write_text(path, itertools.chain([",".join(header) + "\n"], rows))
+    _write_text(path, [",".join(header) + "\n", *_csv_rows(columns)])
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -96,32 +124,34 @@ def _emit(quiet: bool, text: str) -> None:
         print(text)
 
 
-def _write_run(out: Path, tag: str, sc: Scenario, series: dict, times: np.ndarray):
-    """Write one run's <tag>.csv and <tag>_summary.json; returns (paths, peaks)."""
-    peaks = {name: peak(times, values) for name, values in series.items()}
-    csv_path = out / f"{tag}.csv"
-    json_path = out / f"{tag}_summary.json"
-    _write_csv(csv_path, ["t", *series], [times, *series.values()])
+def _simulate_and_write(out: Path, tag: str, sc: Scenario):
+    """Integrate a scenario, writing each chunk's rows of <tag>.csv and
+    folding its values into the running peaks as it comes, then
+    <tag>_summary.json; returns (paths, peaks)."""
+    csv_path, json_path = out / f"{tag}.csv", out / f"{tag}_summary.json"
+    peaks, n_records = {}, 0
+    with _output(csv_path) as csv:
+
+        def write_chunk(times, series):
+            nonlocal n_records
+            if not n_records:
+                csv.write(",".join(["t", *series]) + "\n")
+            csv.writelines(_csv_rows([times, *series.values()]))
+            for name, values in series.items():
+                peaks[name] = peak(times, values, peaks.get(name))
+            n_records += len(times)
+
+        simulate_scenario(sc, write_chunk)
     _write_json(
         json_path,
         {
             "scenario": sc.resolved(),
             "peaks": peaks,
-            "series": list(series),
-            "n_time_points": int(len(times)),
+            "series": list(peaks),
+            "n_time_points": n_records,
         },
     )
     return [csv_path, json_path], peaks
-
-
-def _simulate_and_write(out: Path, tag: str, sc: Scenario):
-    """Integrate a scenario and write its <tag>.csv and <tag>_summary.json,
-    holding the state trajectory only until its series are read; returns
-    (paths, peaks)."""
-    series, states = simulate_scenario(sc)
-    times = states.times
-    del states  # the recorded states: the largest array of a run, not needed to write it
-    return _write_run(out, tag, sc, series, times)
 
 
 def run(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
@@ -178,14 +208,14 @@ def _serve_share(fd: int, sc: Scenario, out: Path, stem: str, ratios: list) -> N
         os._exit(code)
 
 
-def _receive(pipe) -> list:
-    """Every outcome a worker pickled into `pipe`, up to its end or a record cut short."""
-    outcomes = []
+def _receive(pipe, outcomes: list) -> None:
+    """Append to `outcomes` every outcome a worker pickled into `pipe`, up to
+    its end or a record cut short."""
     while True:
         try:
             outcomes.append(pickle.load(pipe))
         except (EOFError, pickle.UnpicklingError):  # "pickle data was truncated"
-            return outcomes
+            return
 
 
 def sweep(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
@@ -207,6 +237,7 @@ def sweep(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
     sys.stdout.flush()  # a forked worker must not write out a copy of pending output
     sys.stderr.flush()
     pids, pipes = [], []
+    received = [[] for _ in shares]  # each share's outcomes, as they arrive
     try:
         for share in shares[1:]:
             r, w = os.pipe()
@@ -218,14 +249,20 @@ def sweep(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
                 pids.append(pid)
             finally:
                 os.close(w)
-        received = [[]]
         _run_share(sc, out, stem, shares[0], received[0].append)
-        received += [_receive(pipe) for pipe in pipes]
+        for pipe, outcomes in zip(pipes, received[1:]):
+            _receive(pipe, outcomes)
     except BaseException:
         import signal  # imported here only: a run loads no module it does not use
 
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
+        for share, pipe, outcomes in zip(shares[1:], pipes, received[1:]):
+            _receive(pipe, outcomes)
+            stopped = outcomes and isinstance(outcomes[-1], Exception)  # a failure ends a share
+            if len(outcomes) < len(share) and not stopped:  # killed mid-ratio: its CSV is cut short
+                tag = ratio_tag(share[len(outcomes)])
+                (out / f"{stem}_ratio{tag}.csv").unlink(missing_ok=True)
         raise
     finally:
         for pipe in pipes:

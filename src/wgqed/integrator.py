@@ -34,7 +34,8 @@ in blocks of B = _BLOCK steps: one loop builds the in-block partial sums
 r_b of every block at once, a doubling scan carries the block starts
 x_{b+1} = E^B x_b + r_b in ceil(log2(c / B)) steps (Blelloch, "Prefix sums
 and their applications", 1990), and one product with the powers of E fills
-in the grid.
+in the grid.  A chunk's records are handed on as soon as they are checked,
+so a consumer holds one chunk of records at a time, however long the run.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ __all__ = [
 MAX_STEPS = 2_000_000  # largest t_end / dt accepted: 166x the shipped 12 000-step grid
 MAX_STEP_NORM = 1.0    # largest ||h A_l||_1 the Taylor weights are summed for
 _TAYLOR_TERMS = 20     # 1/20! < 1e-18: the series is converged below roundoff
-_CHUNK = 1024          # steps per chunk: 256 costs more in per-level calls, 2048 in level buffers;
-                       # also the records per block that the series and the CSV rows are read in
+_CHUNK = 1024          # steps per chunk: 256 costs more in per-level calls, 2048 in level buffers
 _BLOCK = 16            # steps per block within a chunk
 
 # phi_k(z) = sum_i z^i / (i + k)!, and int_0^h e^{(h-s)A} s^j ds = h^(j+1) j! phi_(j+1): the
@@ -222,46 +222,65 @@ def integrate(
     pulse: GaussianPulse,
     n_ph: int,
     icfg: IntegratorConfig,
+    sink=None,
 ) -> StateTrajectory:
     """Propagate the all-ground hierarchy under an n_ph-photon drive on the
     grid k * dt, recording step 0, every record_stride-th step and the last.
+
+    Given a sink, each chunk's records, record 0 in the first chunk's, go to
+    sink(StateTrajectory) as soon as they are checked, and the last record
+    alone is returned, as a one-record trajectory; the next chunk's records
+    reuse the arrays, so a sink that keeps them copies them.  Without one,
+    every record is kept, in the trajectory returned.
 
     Raises IntegrationBlowUpError at t = 0 when dt is outside the range of
     the level steps, and at the first record whose state is not finite.
     """
     prop = HierarchyPropagator(chain, n_ph)
-    h, n_steps, levels, ground = icfg.dt, icfg.n_steps, prop.levels, prop.ground()
+    h, n_steps, stride = icfg.dt, icfg.n_steps, icfg.record_stride
+    levels, ground = prop.levels, prop.ground()
     c = min(_CHUNK, -(-n_steps // _BLOCK) * _BLOCK)  # the last chunk runs past t_end
-    n_chunks = -(-n_steps // c)
     steps = [_LevelStep(levels, l, h, c) for l in range(1, len(levels))]
-    recorded = np.append(np.arange(0, n_steps, icfg.record_stride), n_steps)  # step numbers
-    bounds = np.searchsorted(recorded, np.arange(n_chunks + 1) * c, side="right")  # per chunk
-    snaps = np.tile(ground, (len(recorded), 1))  # level 0 stays at the start
     p = max(len(level.a) for level in levels)
     # [y_l; f_l] on the current chunk: level l in memory[l % 2], so level l - 1's u is intact
     memory = np.empty((2, 2 * (c + 1) * p))
     carried = [ground[level.rows] for level in levels]  # each level's state at the chunk start
+    n_rec = -(-n_steps // stride) + 1
+    rows = n_rec if sink is None else min(n_rec, c // stride + 2)  # every record, or a chunk's
+    times, snaps = np.empty(rows), np.tile(ground, (rows, 1))  # level 0 stays at the start
+    kept = 0  # records kept in times and snaps
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_chunks):
-            t = np.arange(i * c, (i + 1) * c + 1) * h  # the chunk's grid, both ends
-            u = np.stack([amplitude(pulse, t), amplitude_rate(pulse, t)])[..., None]  # level 1's u
-            g, dg = u
-            rec = slice(bounds[i], bounds[i + 1])
+    for i in range(-(-n_steps // c)):
+        t = np.arange(i * c, (i + 1) * c + 1) * h  # the chunk's grid, both ends
+        u = np.stack([amplitude(pulse, t), amplitude_rate(pulse, t)])[..., None]  # level 1's u
+        g, dg = u
+        first, last = i * c + (i > 0), min((i + 1) * c, n_steps)  # the steps the chunk records
+        recorded = np.arange(-(-first // stride) * stride, last + 1, stride)
+        if last == n_steps and last % stride:
+            recorded = np.append(recorded, last)
+        at = slice(kept, kept + len(recorded))
+        times[at], rec = recorded * h, snaps[at]
+        with np.errstate(over="ignore", invalid="ignore"):
             for l, step in enumerate(steps, 1):
                 own = memory[l % 2, :2 * (c + 1) * len(levels[l].a)].reshape(2, c + 1, -1)
                 own[0, 0] = carried[l]
                 step.run(u, own)
                 y, f = own
                 carried[l] = y[-1].copy()  # y is scaled next, and level l + 2 overwrites it
-                snaps[rec, levels[l].rows] = y[recorded[rec] - i * c]
+                rec[:, levels[l].rows] = y[recorded - i * c]
                 if l < len(steps):  # level l + 1's u = [g y, g f + g' y]; u's buffer is spent
                     np.matmul(u[0], step.bt, out=f)  # f_l = g B_l y_{l-1}
                     f *= g
                     f += np.multiply(y, dg, out=memory[1 - l % 2, :y.size].reshape(y.shape))
                     y *= g
                 u = own
-            finite = np.isfinite(snaps[rec]).all(axis=1)
-            if not finite.all():
-                raise IntegrationBlowUpError(float(recorded[rec][np.argmin(finite)] * h))
-    return StateTrajectory(recorded * h, snaps, prop)
+        finite = np.isfinite(rec).all(axis=1)
+        if not finite.all():
+            raise IntegrationBlowUpError(float(recorded[np.argmin(finite)] * h))
+        if sink is None:
+            kept = at.stop
+        elif len(recorded):  # a stride longer than a chunk leaves some chunks without a record
+            sink(StateTrajectory(times[at], rec, prop))
+    if sink is None:
+        return StateTrajectory(times, snaps, prop)
+    return StateTrajectory(times[at][-1:].copy(), rec[-1:].copy(), prop)

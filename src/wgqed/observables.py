@@ -4,6 +4,11 @@ Population labels are '+'-separated computational basis strings over
 {g, e}, e.g. "egg+geg+gge" for the symmetrized single-excitation
 probability of three emitters; the corresponding series is named with a
 "P_" prefix ("P_egg+geg+gge").
+
+A run's records come a chunk at a time (integrate's sink): build_trajectory
+turns one chunk's records into that chunk's series, and peak folds each
+chunk's values into the running peak, so a run never holds a full-length
+series.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .entanglement import PAIR_COHERENCE, StateCheckError, concurrence_fill, wootters_concurrence
-from .integrator import _CHUNK, IntegrationBlowUpError, StateTrajectory
+from .integrator import IntegrationBlowUpError, StateTrajectory
 from .pulse import GaussianPulse, amplitude
 from .qubit_algebra import EmitterRegister, basis_index
 
@@ -38,11 +43,15 @@ def population(populations: np.ndarray, register: EmitterRegister, label_spec: s
     return populations[..., population_indices(register, label_spec)].sum(axis=-1)
 
 
-def peak(times: np.ndarray, series: np.ndarray) -> dict:
+def peak(times: np.ndarray, series: np.ndarray, before: dict = None) -> dict:
     """Global maximum of a series and its grid time (first hit on ties), as
-    the summary JSON writes it: {"value": ..., "time": ...}."""
+    the summary JSON writes it: {"value": ..., "time": ...}.  Given `before`,
+    the peak of the records ahead of these, returns the peak of them all."""
     if len(series) == 0:
         raise ValueError("series is empty")
+    if before is not None:  # as one more record, ahead of these: a tie keeps it
+        times = np.concatenate(([before["time"]], times))
+        series = np.concatenate(([before["value"]], series))
     i = int(np.argmax(series))
     return {"value": float(series[i]), "time": float(times[i])}
 
@@ -55,28 +64,20 @@ def build_trajectory(states: StateTrajectory, population_labels=(), want_concurr
 
     Every series is read from the physical block's diagonal and, for the
     concurrence, its pair coherence, taken straight from the recorded
-    coordinates.  The records are read _CHUNK at a time, each block's
-    values filled into the full-length series.  A state check of a measure
-    that fails is reported as an IntegrationBlowUpError at the time of the
-    first bad record, whichever check it fails."""
+    coordinates.  A state check of a measure that fails is reported as an
+    IntegrationBlowUpError at the time of the first bad record, whichever
+    check it fails."""
     prop, y, n = states.propagator, states.blocks, states.n_ph
-    measures = (("concurrence", want_concurrence), ("fill", want_fill))
-    names = [f"P_{lb}" for lb in population_labels] + [name for name, on in measures if on]
-    series = {name: np.empty(len(y)) for name in names}
-    for start in range(0, len(y), _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        populations = prop.entry(y[rows], n, n, *np.diag_indices(prop.dim)).real
-        for lb in population_labels:
-            series[f"P_{lb}"][rows] = population(populations, states.register, lb)
-        try:
-            if want_concurrence:
-                series["concurrence"][rows] = wootters_concurrence(
-                    populations, prop.entry(y[rows], n, n, *PAIR_COHERENCE))
-            if want_fill:
-                series["fill"][rows] = concurrence_fill(populations)
-        except StateCheckError as exc:
-            raise IntegrationBlowUpError(float(states.times[start + exc.record]),
-                                         exc.reason) from exc
+    populations = prop.entry(y, n, n, *np.diag_indices(prop.dim)).real
+    series = {f"P_{lb}": population(populations, states.register, lb) for lb in population_labels}
+    try:
+        if want_concurrence:
+            series["concurrence"] = wootters_concurrence(populations,
+                                                         prop.entry(y, n, n, *PAIR_COHERENCE))
+        if want_fill:
+            series["fill"] = concurrence_fill(populations)
+    except StateCheckError as exc:
+        raise IntegrationBlowUpError(float(states.times[exc.record]), exc.reason) from exc
     if pulse is not None:
         series["pulse_intensity"] = np.square(amplitude(pulse, states.times))
     return series

@@ -356,6 +356,27 @@ def test_records_do_not_depend_on_the_stride(monkeypatch):
         assert np.abs(cut.blocks - whole.blocks).max() <= 1e-13, cfg.n_emitters
 
 
+@pytest.mark.parametrize("stride", [1, 7, 1024, 1500, 3001])
+def test_chunks_handed_on_are_the_records_kept(stride):
+    """With a sink, the chunks handed on, in order, are the records a run
+    without one keeps, bit for bit: record 0 in the first chunk, the last
+    step in the last, no chunk empty, and strides longer than a chunk leave
+    some chunks without a record.  The one-record trajectory returned is the
+    last record."""
+    pulse = GaussianPulse(mu=1.46, t_bar=1.5)
+    chain = random_chain(np.random.default_rng(12), 2)
+    icfg = IntegratorConfig(dt=1e-3, t_end=3.001, record_stride=stride)
+    whole = integrate(chain, pulse, 2, icfg)
+    parts = []
+    last = integrate(chain, pulse, 2, icfg,
+                     lambda part: parts.append((part.times.copy(), part.blocks.copy())))
+    assert all(len(times) for times, _ in parts)
+    assert np.array_equal(np.concatenate([times for times, _ in parts]), whole.times)
+    assert np.array_equal(np.concatenate([blocks for _, blocks in parts]), whole.blocks)
+    assert np.array_equal(last.times, whole.times[-1:])
+    assert np.array_equal(last.blocks, whole.blocks[-1:])
+
+
 def test_step_outside_range_is_refused_at_t0():
     """Refused before any step, naming the first level over the limit: on one
     emitter with gamma_r = 5 and gamma_l = 1 at three photons, ||A_l||_1 is 3

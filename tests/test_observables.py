@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from oracles import random_chain
-from wgqed import observables
 from wgqed.entanglement import PAIR_COHERENCE, concurrence_fill, read_state, wootters_concurrence
 from wgqed.integrator import IntegrationBlowUpError, IntegratorConfig, StateTrajectory, integrate
 from wgqed.observables import build_trajectory, peak, population, population_indices
@@ -61,6 +60,27 @@ def test_peak_reports_first_global_maximum():
 def test_peak_of_an_empty_series():
     with pytest.raises(ValueError):
         peak(np.array([]), np.array([]))
+
+
+@pytest.mark.parametrize("values, want", [
+    ([0.1, 0.3, 0.2, 0.5, 0.9, 0.4, 0.6], (0.9, 2.0)),  # the maximum in a later chunk
+    ([0.1, 0.2, 0.7, 0.7, 0.7, 0.3, 0.1], (0.7, 1.0)),  # a tie across a chunk edge
+    ([0.9, 0.1, 0.2, 0.9, 0.3, 0.9, 0.2], (0.9, 0.0)),  # the maximum at record 0, tied later
+], ids=["later-chunk", "tie-across-edge", "record-0"])
+def test_running_peak_equals_the_peak_of_the_whole_series(values, want):
+    """Folding the chunks' values into the running peak, a run's chunks being
+    read in order, gives peak() of the concatenated series, the first hit on
+    ties, for every way of cutting seven records into chunks."""
+    times, values = np.arange(len(values)) * 0.5, np.array(values)
+    whole = peak(times, values)
+    assert (whole["value"], whole["time"]) == want
+    for cuts in itertools.chain.from_iterable(
+            itertools.combinations(range(1, len(values)), k) for k in range(len(values))):
+        edges = [0, *cuts, len(values)]
+        running = None
+        for a, b in zip(edges, edges[1:]):
+            running = peak(times[a:b], values[a:b], running)
+        assert running == whole, cuts
 
 
 def test_series_names_and_order_on_a_two_emitter_run(scenario_run):
@@ -181,13 +201,12 @@ def test_a_record_outside_the_trace_range_stops_the_series(scenario_run, stem, m
     (7, 7, 7, r"state trace (3\.0|2\.99+6) is not in \(0, 1\]"),  # a tie names the trace
 ], ids=["positivity-first", "trace-first", "tie"])
 def test_blow_up_names_the_earliest_bad_record_over_every_check(
-        monkeypatch, block, coherence_at, scaled_at, reported, reason):
+        block, coherence_at, scaled_at, reported, reason):
     """One record fails only the concurrence's positivity check (rho_{eg,ge}'s
     real coordinate raised by 0.4), another only its trace check (the state
     times 3).  The earlier is named, whichever check it fails and whichever
-    record block each falls in (blocks of _CHUNK, 8, 4 and 2 records)."""
-    if block is not None:
-        monkeypatch.setattr(observables, "_CHUNK", block)
+    chunk each falls in: the records are read as a run reads them, chunk by
+    chunk in order, in one chunk of 101 records or in chunks of 8, 4 and 2."""
     sc = load_scenario(scenario_path("two_emitter_chirality_sweep")).with_ratio(5.0)
     states = integrate(sc.chain, sc.pulse, sc.n_photons,
                        IntegratorConfig(dt=0.01, t_end=1.0, record_stride=1))
@@ -197,27 +216,37 @@ def test_blow_up_names_the_earliest_bad_record_over_every_check(
     blocks = states.blocks.copy()
     blocks[coherence_at, real_part] += 0.4
     blocks[scaled_at] *= 3.0
+    size = block or len(states.times)
     with pytest.raises(IntegrationBlowUpError) as excinfo:
-        build_trajectory(dataclasses.replace(states, blocks=blocks), want_concurrence=True)
+        for start in range(0, len(states.times), size):
+            rows = slice(start, start + size)
+            build_trajectory(dataclasses.replace(states, times=states.times[rows],
+                                                 blocks=blocks[rows]), want_concurrence=True)
     assert re.fullmatch(reason, excinfo.value.reason), excinfo.value.reason
     assert excinfo.value.time == states.times[reported]
 
 
 def test_record_dense_series_build_no_density_matrix_stack():
-    """On the 12 001-record three-emitter shape at one photon, assembling
-    every series peaks below the series it returns plus 8 floats per
-    record, far below one real (n_rec, d, d) array: nothing scatters the
-    records into density matrices, and the records are read a block at a
-    time, with no temporary as long as the trajectory."""
+    """On the 12 001-record three-emitter shape at one photon, read chunk by
+    chunk as a run reads it, each chunk's series build peaks below 40 floats
+    per record of the chunk, its five series included, far below one real
+    (records, d, d) array: nothing scatters the records into density
+    matrices."""
     sc = load_scenario(scenario_path("three_emitter_lossy_sweep")).with_ratio(5.0)
-    states = integrate(sc.chain, sc.pulse, 1, IntegratorConfig(dt=1e-3, t_end=12.0, record_stride=1))
-    n_rec, dim = len(states.times), states.register.dim
-    assert n_rec == 12_001
-    series = build_trajectory(states, sc.populations, want_fill=True, pulse=sc.pulse)  # warm
-    tracemalloc.start()
-    try:
-        build_trajectory(states, sc.populations, want_fill=True, pulse=sc.pulse)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n_rec * 8 * (len(series) + 8) < n_rec * dim * dim * 8, peak
+    icfg = IntegratorConfig(dt=1e-3, t_end=12.0, record_stride=1)
+    dim, peaks = EmitterRegister(3).dim, []
+
+    def build(part):
+        series = build_trajectory(part, sc.populations, want_fill=True, pulse=sc.pulse)  # warm
+        tracemalloc.start()
+        try:
+            build_trajectory(part, sc.populations, want_fill=True, pulse=sc.pulse)
+            peaks.append((len(part.times), tracemalloc.get_traced_memory()[1], len(series)))
+        finally:
+            tracemalloc.stop()
+
+    integrate(sc.chain, sc.pulse, 1, icfg, build)
+    assert sum(n for n, _, _ in peaks) == 12_001 and len(peaks) == 12
+    for n, peak, n_series in peaks:
+        assert n_series == 5
+        assert peak < n * 8 * 40 < n * dim * dim * 8, (n, peak)

@@ -7,17 +7,17 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wgqed import cli, scenario
+from wgqed import cli, integrator, scenario
 from wgqed.cli import main
 from wgqed.integrator import IntegratorConfig
 from wgqed.liouvillian import EmitterParams
+from wgqed.observables import peak
 from wgqed.pulse import GaussianPulse
 from wgqed.scenario import (
     Scenario,
@@ -572,75 +572,70 @@ def test_csv_values_are_finite_and_formatted(tmp_path):
             assert len(field.replace("-", "").replace(".", "").replace("e", "")) <= 17
 
 
-def long_columns() -> list:
-    """Columns of 2 _CHUNK + 5 rows, more than two of the writer's blocks,
-    with signed zeros on both sides of each block edge."""
-    n, c = 2 * cli._CHUNK + 5, cli._CHUNK
-    rng = np.random.default_rng(6)
-    signed = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)
-    for edge in (c, 2 * c):
-        signed[edge - 2:edge + 2] = [0.0, -0.0, -0.0, 0.0]
-    return [np.arange(n) * 1e-3, signed, -signed]
-
-
 def test_csv_writer_matches_per_value_formatting(tmp_path):
-    """The block-at-a-time writer gives the same bytes as formatting every
-    value on its own with format(x, ".12g"), on the values where the two
-    could part: signed zeros, the ends of the float range, infinities, NaN
-    and ties in the 13th significant digit; and on columns longer than two
-    blocks, with signed zeros at the block edges."""
+    """The writer gives the same bytes as formatting every value on its own
+    with format(x, ".12g"), on the values where the two could part: signed
+    zeros, the ends of the float range, infinities, NaN and ties in the 13th
+    significant digit."""
     special = [0.0, -0.0, 1.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf,
                np.nan, 100000000000.5, 100000000001.5, 1234567890.125, -1234567890.375,
                0.1234567890125, 12345678901.25, 2.0 / 3.0, -1e300, 12.0]
     rng = np.random.default_rng(5)
     scattered = rng.normal(size=len(special)) * 10.0 ** rng.integers(-20, 20, len(special))
-    for columns in ([np.array(special), scattered, np.array(special[::-1]),
-                     np.arange(len(special))], long_columns()):
-        header = ["t", "a", "b", "c"][:len(columns)]
-        cli._write_csv(tmp_path / "table.csv", header, columns)
-        lines = [",".join(header)] + [
-            ",".join(format(col[i], ".12g") for col in columns) for i in range(len(columns[0]))
-        ]
-        assert (tmp_path / "table.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    columns = [np.array(special), scattered, np.array(special[::-1]), np.arange(len(special))]
+    header = ["t", "a", "b", "c"]
+    cli._write_csv(tmp_path / "table.csv", header, columns)
+    lines = [",".join(header)] + [
+        ",".join(format(col[i], ".12g") for col in columns) for i in range(len(columns[0]))
+    ]
+    assert (tmp_path / "table.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def test_csv_writer_peak_does_not_grow_with_the_rows(tmp_path):
-    """Writing the 12 001 rows of a record-dense run's six columns peaks
-    below 64 bytes per value of one block of rows: the writer converts one
-    block to Python floats at a time, never a whole column."""
-    n = 12_001
-    columns = [np.linspace(0.0, 12.0, n)] + [np.random.default_rng(k).random(n) for k in range(5)]
-    header = ["t", "a", "b", "c", "d", "e"]
-    cli._write_csv(tmp_path / "table.csv", header, columns)  # warm
-    tracemalloc.start()
-    try:
-        cli._write_csv(tmp_path / "table.csv", header, columns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < cli._CHUNK * len(columns) * 64 < n * len(columns) * 8, peak
+def test_run_streamed_in_chunks_writes_the_whole_run(tmp_path):
+    """A run written chunk by chunk, 2 501 records in three of the
+    integrator's chunks, writes every record of the whole-run series, each
+    value formatted on its own with format(x, ".12g"), and the peaks of the
+    whole series: a running peak that lost a chunk edge, or a row written
+    twice or not at all, would differ."""
+    text = TINY.replace("integrator.dt = 0.01", "integrator.dt = 1e-3").replace(
+        "integrator.stride = 10", "integrator.stride = 1").replace(
+        "integrator.t_end = 2.0", "integrator.t_end = 2.5")
+    path = write(tmp_path, text + "output.concurrence = true\n", "long.cfg")
+    assert main(["run", str(path), "--out-dir", str(tmp_path), "--quiet"]) == 0
+    series, states = cli.simulate_scenario(load_scenario(path))
+    assert len(states.times) == 2_501 > 2 * integrator._CHUNK
+    columns = [states.times, *series.values()]
+    lines = [",".join(["t", *series])] + [
+        ",".join(format(col[i], ".12g") for col in columns) for i in range(len(states.times))
+    ]
+    assert (tmp_path / "long.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    summary = json.loads((tmp_path / "long_summary.json").read_text())
+    assert summary["peaks"] == {name: peak(states.times, v) for name, v in series.items()}
+    assert summary["series"] == list(series) and summary["n_time_points"] == 2_501
 
 
-def test_run_drops_the_state_trajectory_before_it_writes(tmp_path, monkeypatch):
-    """The recorded states, the largest array of a run, are released once
-    the series are read, before the files are written."""
-    trajectories, alive_at_write = [], []
-
-    def integrate(*args):
-        states = original_integrate(*args)
-        trajectories.append(weakref.ref(states))
-        return states
-
-    def write_run(*args):
-        alive_at_write.append(trajectories[-1]() is not None)
-        return original_write_run(*args)
-
-    original_integrate, original_write_run = cli.integrate, cli._write_run
-    monkeypatch.setattr(cli, "integrate", integrate)
-    monkeypatch.setattr(cli, "_write_run", write_run)
-    assert main(["run", str(write(tmp_path, TINY)), "--out-dir", str(tmp_path), "--quiet"]) == 0
-    assert alive_at_write == [False]
-    assert (tmp_path / "case.csv").is_file()
+def test_run_memory_does_not_grow_with_its_records(tmp_path):
+    """A run holds one chunk of records at a time: on the shipped 3-emitter
+    scenario recording every step, the traced peaks of whole runs to
+    t_end = 3 and t_end = 12 (3 001 and 12 001 records) differ by less than
+    one chunk of records, 1 025 x 130 floats.  A run that kept its recorded
+    states, or a full-length series, until it writes would differ by more
+    than 9 MB."""
+    text = scenario_path("three_emitter_chirality_sweep").read_text(encoding="utf-8")
+    text = text.replace("integrator.stride = 10", "integrator.stride = 1")
+    peaks = []
+    for t_end in (3.0, 12.0):
+        path = write(tmp_path, text.replace("integrator.t_end = 12.0",
+                                            f"integrator.t_end = {t_end}"), f"t{t_end:g}.cfg")
+        cli.run(path, tmp_path, quiet=True)  # warm
+        tracemalloc.start()
+        try:
+            cli.run(path, tmp_path, quiet=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len((tmp_path / "t12.csv").read_text().splitlines()) == 12_002
+    assert abs(peaks[1] - peaks[0]) < (integrator._CHUNK + 1) * 130 * 8, peaks
 
 
 def test_module_entry_point_runs_without_runtime_warning():

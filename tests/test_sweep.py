@@ -91,21 +91,28 @@ def test_per_ratio_files_equal_plain_runs(tmp_path, two_shares):
 
 def test_one_share_sweep_drops_each_state_trajectory_before_the_next_ratio(tmp_path, monkeypatch):
     """A share holds one ratio's recorded states at a time: when the next
-    ratio starts to integrate, the previous ratio's are gone."""
+    ratio starts to integrate, the previous ratio's are gone, both the
+    memory its chunks of records were handed on in and the last record
+    integrate returned."""
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    trajectories, alive_at_start = [], []
+    held, alive_at_start = [], []
 
-    def integrate(*args):
-        alive_at_start.append([ref() is not None for ref in trajectories])
-        states = original(*args)
-        trajectories.append(weakref.ref(states))
+    def integrate(chain, pulse, n_ph, icfg, sink):
+        alive_at_start.append([ref() is not None for ref in held])
+
+        def kept(part):
+            held.append(weakref.ref(part.blocks.base))  # a chunk's rows of the run's record memory
+            sink(part)
+
+        states = original(chain, pulse, n_ph, icfg, kept)
+        held.append(weakref.ref(states))
         return states
 
     original = cli.integrate
     monkeypatch.setattr(cli, "integrate", integrate)
     cfg = write(tmp_path, TINY + "sweep.ratios = 1, 2, 3\n", "chiral.cfg")
     assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 0
-    assert alive_at_start == [[], [False], [False, False]]
+    assert alive_at_start == [[], [False] * 2, [False] * 4]
     assert (tmp_path / "out" / "chiral_ratio3.csv").is_file()
 
 
@@ -168,43 +175,58 @@ def test_blow_up_reports_the_first_failing_ratio(tmp_path, capsys, two_shares, r
     assert_no_child_left()
 
 
-def non_positive_entries(original, self, y, m, n, a, b):
-    """The recorded entries with record 3 made indefinite: the populations
-    (a, b the diagonal) [1.2, -0.2, 0, 0], a single entry 0."""
-    entries = original(self, y, m, n, a, b).copy()
-    entries[3] = [1.2, -0.2, 0.0, 0.0] if np.ndim(a) else 0.0
-    return entries
+# record 3 lies in a run's only chunk; on the finer grid record 150 lies in its second
+BAD_RECORDS = pytest.mark.parametrize("text, record, at", [
+    (TINY, 3, "0.3"),
+    (TINY.replace("integrator.dt = 0.01", "integrator.dt = 1e-3"), 150, "1.5"),
+], ids=["first-chunk", "later-chunk"])
 
 
-def inject_non_positive_record(monkeypatch, patch):
-    """Through the reader the measures take their arguments from, make
-    record 3 indefinite: min eig -0.2, the ge population."""
+def inject_non_positive_record(monkeypatch, patch, record):
+    """Through the reader the measures take their arguments from, make the
+    run's record `record` indefinite: the populations (read through the
+    diagonal, first in each chunk) [1.2, -0.2, 0, 0], min eig -0.2, and the
+    ge population a single entry 0."""
+    read = [0]  # the run's records read so far, this chunk's included
+
+    def non_positive_entries(original, self, y, m, n, a, b):
+        entries = original(self, y, m, n, a, b).copy()
+        read[0] += len(y) if np.ndim(a) else 0
+        k = record - (read[0] - len(y))
+        if 0 <= k < len(y):
+            entries[k] = [1.2, -0.2, 0.0, 0.0] if np.ndim(a) else 0.0
+        return entries
+
     monkeypatch.setattr(HierarchyPropagator, "entry",
                         patch(non_positive_entries, HierarchyPropagator.entry))
 
 
-def test_failed_physical_block_check_exits_3_with_the_time(tmp_path, capsys, monkeypatch):
+@BAD_RECORDS
+def test_failed_physical_block_check_exits_3_with_the_time(tmp_path, capsys, monkeypatch,
+                                                          text, record, at):
     """A physical block that fails the positivity check of the concurrence
-    ends a run with exit code 3 and the time of the bad record."""
-    inject_non_positive_record(monkeypatch, everywhere)
-    cfg = write(tmp_path, TINY, "pair.cfg")
+    ends a run with exit code 3 and the time of the bad record, and leaves
+    no output, also when the rows of a chunk before it are already written."""
+    inject_non_positive_record(monkeypatch, everywhere, record)
+    cfg = write(tmp_path, text, "pair.cfg")
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 3
     assert capsys.readouterr().err == (
         "error: integration blew up (state not positive semidefinite (min eig -2.000e-01)) "
-        "at t = 0.3\n"
+        f"at t = {at}\n"
     )
-    assert not (tmp_path / "out" / "pair.csv").exists()
+    assert list((tmp_path / "out").iterdir()) == []
 
 
+@BAD_RECORDS
 def test_failed_physical_block_check_in_a_worker_exits_3(tmp_path, capsys, monkeypatch,
-                                                         two_shares):
-    inject_non_positive_record(monkeypatch, in_workers)
-    cfg = write(tmp_path, TINY + "sweep.ratios = 1, 2\n", "pair.cfg")
+                                                         two_shares, text, record, at):
+    inject_non_positive_record(monkeypatch, in_workers, record)
+    cfg = write(tmp_path, text + "sweep.ratios = 1, 2\n", "pair.cfg")
     out = tmp_path / "out"
     assert main(["sweep", str(cfg), "--out-dir", str(out), "--quiet"]) == 3
-    assert "min eig -2.000e-01)) at t = 0.3\n" in capsys.readouterr().err
-    assert (out / "pair_ratio1.csv").is_file()
-    assert not (out / "pair_ratio2.csv").exists() and not (out / "pair_sweep.csv").exists()
+    assert f"min eig -2.000e-01)) at t = {at}\n" in capsys.readouterr().err
+    assert sorted(path.name for path in out.iterdir()) == ["pair_ratio1.csv",
+                                                           "pair_ratio1_summary.json"]
     assert_no_child_left()
 
 
@@ -212,7 +234,7 @@ def raise_before_the_write(monkeypatch):
     def boom(original, *args, **kwargs):
         raise ValueError("worker failed on purpose")
 
-    monkeypatch.setattr(cli, "_write_run", in_workers(boom, cli._write_run))
+    monkeypatch.setattr(cli, "_simulate_and_write", in_workers(boom, cli._simulate_and_write))
     return "ValueError: worker failed on purpose"
 
 
@@ -267,19 +289,27 @@ def test_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, two_shares
 
 def test_error_in_this_process_kills_the_workers(tmp_path, monkeypatch, two_shares):
     """An exception out of this process's share kills the forked worker at
-    once rather than waiting for it (its ratio would take a minute)."""
-    def fail(sc):
+    once rather than waiting for it (its ratio would take a minute), and
+    removes the CSV the worker had begun for that ratio."""
+    out = tmp_path / "out"
+
+    def fail(sc, sink):  # once the worker has begun its ratio's CSV
+        for _ in range(1000):
+            if (out / "pair_ratio2.csv").exists():
+                break
+            time.sleep(0.01)
         raise KeyError("failed on purpose")
 
-    def stall(original, sc):
+    def stall(original, sc, sink):
         time.sleep(60.0)
 
     monkeypatch.setattr(cli, "simulate_scenario", in_workers(stall, fail))
     cfg = write(tmp_path, TINY + "sweep.ratios = 1, 2\n", "pair.cfg")
     start = time.monotonic()
     with pytest.raises(KeyError, match="failed on purpose"):
-        main(["sweep", str(cfg), "--out-dir", str(tmp_path / "out"), "--quiet"])
+        main(["sweep", str(cfg), "--out-dir", str(out), "--quiet"])
     assert time.monotonic() - start < 30.0
+    assert list(out.iterdir()) == []
     assert_no_child_left()
 
 
