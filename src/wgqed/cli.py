@@ -16,14 +16,16 @@ hands on becomes that chunk's ordered map {column name: series},
 build_trajectory's, whose CSV rows are written and whose values are folded
 into the running peaks before the next chunk is stepped.  The summary JSON
 is written last.  So a process holds one chunk of records at a time,
-however long the run, and a run that fails leaves no CSV.
+however long the run.  A run that fails leaves neither its CSV nor an
+earlier run's summary, and a sweep that fails no earlier sweep's aggregates.
 
 Exit codes: 0 success; 2 scenario file unreadable (the message names the
 path) or invalid (the message names the offending key), an output
 directory that cannot be created (the message names it; a sweep stops
 before it forks) or an output file that cannot be written (the message
-names it; a sweep reports it as it reports a blow-up, in ratio order);
-3 integration blow-up (message reports the time).
+names it; a sweep reports it as it reports a blow-up, in ratio order, but
+stops before it forks if an aggregate file cannot be); 3 integration
+blow-up (message reports the time).
 """
 
 from __future__ import annotations
@@ -100,23 +102,33 @@ def _output(path: Path):
         raise
 
 
-def _write_text(path: Path, lines) -> None:
-    with _output(path) as out:
-        out.writelines(lines)
+def _remove_earlier(path: Path) -> None:
+    """Remove what an earlier run left at path; OutputError names a path
+    that cannot be removed, so it could not be written either."""
+    try:
+        path.unlink(missing_ok=True)
+    except OSError as exc:  # a directory in the way, no permission
+        raise _unwritable(path, exc) from None
 
 
-def _csv_rows(columns: list) -> list:
-    """The columns as CSV rows of 12-significant-digit values."""
+def _csv_rows(columns: list):
+    """The columns as CSV rows of 12-significant-digit values, made one row
+    at a time from the columns' float64 buffers, so no more than the current
+    row is held."""
     row = ",".join(["%.12g"] * len(columns)) + "\n"
-    return [row % v for v in zip(*(np.asarray(c).tolist() for c in columns))]
+    for values in zip(*(memoryview(np.ascontiguousarray(c, dtype=float)) for c in columns)):
+        yield row % values
 
 
 def _write_csv(path: Path, header: list, columns: list) -> None:
-    _write_text(path, [",".join(header) + "\n", *_csv_rows(columns)])
+    with _output(path) as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(_csv_rows(columns))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    with _output(path) as out:
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _emit(quiet: bool, text: str) -> None:
@@ -129,6 +141,7 @@ def _simulate_and_write(out: Path, tag: str, sc: Scenario):
     folding its values into the running peaks as it comes, then
     <tag>_summary.json; returns (paths, peaks)."""
     csv_path, json_path = out / f"{tag}.csv", out / f"{tag}_summary.json"
+    _remove_earlier(json_path)  # so a run that fails leaves no summary beside no CSV
     peaks, n_records = {}, 0
     with _output(csv_path) as csv:
 
@@ -230,6 +243,9 @@ def sweep(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
         raise ScenarioError("sweep.ratios", "required for the sweep command")
     out = _make_out_dir(out_dir)
     stem = Path(scenario_path).stem
+    agg_csv, agg_json = out / f"{stem}_sweep.csv", out / f"{stem}_sweep_summary.json"
+    for path in (agg_csv, agg_json):  # a sweep that fails leaves no earlier sweep's aggregates
+        _remove_earlier(path)
 
     ratios = list(sc.sweep_ratios)
     k = min(len(ratios), _usable_cpus())
@@ -294,9 +310,7 @@ def sweep(scenario_path, out_dir=".", dt=None, quiet=False) -> list:
         ))
 
     header = ["ratio"] + [col for n in names for col in (f"{n}_max", f"{n}_t")]
-    agg_csv = out / f"{stem}_sweep.csv"
     _write_csv(agg_csv, header, list(zip(*agg_rows)))
-    agg_json = out / f"{stem}_sweep_summary.json"
     _write_json(
         agg_json,
         {

@@ -115,7 +115,7 @@ class ChainConfig:
         s = np.stack([lowering_op(self.register, j) for j in range(1, self.n_emitters + 1)])
         sd = s.conj().swapaxes(-1, -2)
         local = np.diag([em.delta - 0.5j * em.gamma_spont for em in self.emitters])
-        h = np.einsum("ij,iab,jbc->ac", local - 1j * coupling_matrix(self), sd, s)
+        h = np.sum(sd @ np.tensordot(local - 1j * coupling_matrix(self), s, axes=1), axis=0)
         feed = np.tensordot(self.channels.conj().T @ self.channels, s, axes=1)  # one per i
         operators = h, h.conj().T, feed, sd, np.tensordot(self.channels[0], s, axes=1)
         for op in operators:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from wgqed.liouvillian import ChainConfig, EmitterParams, apply_total, coupling_matrix
 from wgqed.qubit_algebra import EmitterRegister, basis_index, lowering_op
 
@@ -344,6 +345,23 @@ def test_couplings_are_the_output_channels(n):
         x = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
         expected = -1j * (h @ x - x @ h.conj().T) + sum(c @ x @ c.conj().T for c in (l_r, l_l))
         assert np.abs(apply_total(cfg, x) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hamiltonian_equals_its_einsum_form_bit_for_bit(n):
+    """H = sum_ij M_ij sd_i s_j with M = diag(Delta_i - i gamma_i / 2) - i D,
+    as the chain compiles it, equals the einsum of that sum in every bit,
+    signed zeros included, on 40 seeded chiral, detuned, lossy, spaced chains."""
+    for seed in range(40):
+        cfg = oracles.random_chain(np.random.default_rng([n, seed]), n)
+        s = np.stack([lowering_op(cfg.register, j) for j in range(1, n + 1)])
+        m = np.diag([em.delta - 0.5j * em.gamma_spont for em in cfg.emitters])
+        m = m - 1j * coupling_matrix(cfg)
+        reference = np.einsum("ij,iab,jbc->ac", m, s.conj().swapaxes(-1, -2), s)
+        h, h_adj = cfg._operators[:2]
+        assert h.dtype == reference.dtype and h.shape == reference.shape
+        assert h.tobytes() == reference.tobytes(), seed
+        assert h_adj.tobytes() == reference.conj().T.tobytes(), seed
 
 
 def test_cached_arrays_are_read_only():

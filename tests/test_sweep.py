@@ -230,6 +230,21 @@ def test_failed_physical_block_check_in_a_worker_exits_3(tmp_path, capsys, monke
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_failure_leaves_no_earlier_output_behind(tmp_path, capsys, two_shares, command):
+    """A run, or a sweep whose two ratios both blow up, into the directory of
+    a good earlier run or sweep exits 3 and leaves none of the earlier files:
+    no summary beside a CSV that is gone, and no earlier sweep's aggregates."""
+    cfg = write(tmp_path, TINY + "sweep.ratios = 1, 2\n", "pair.cfg")
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--out-dir", str(out), "--quiet"]) == 0
+    assert len(list(out.iterdir())) == {"run": 2, "sweep": 6}[command]
+    assert main([command, str(cfg), "--out-dir", str(out), "--dt", "1.0", "--quiet"]) == 3
+    assert "integration blew up" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert_no_child_left()
+
+
 def raise_before_the_write(monkeypatch):
     def boom(original, *args, **kwargs):
         raise ValueError("worker failed on purpose")
@@ -268,18 +283,25 @@ def test_worker_that_dies_without_a_result_is_reported(tmp_path, monkeypatch, ca
     (["pair_ratio2.csv"], "pair_ratio2.csv", ["pair_ratio4.csv"]),  # the worker's share
     (["pair_ratio3.csv", "pair_ratio2.csv"], "pair_ratio2.csv", []),  # the first in ratio order
     (["pair_sweep.csv"], "pair_sweep.csv", ["pair_sweep_summary.json"]),
-], ids=["run", "this-share", "worker-share", "first-in-ratio-order", "aggregate"])
+    (["pair_summary.json"], "pair_summary.json", ["pair.csv"]),
+    (["pair_ratio2_summary.json"], "pair_ratio2_summary.json",
+     ["pair_ratio2.csv", "pair_ratio4.csv"]),
+    (["pair_sweep_summary.json"], "pair_sweep_summary.json", ["pair_ratio1.csv"]),
+], ids=["run", "this-share", "worker-share", "first-in-ratio-order", "aggregate",
+        "run-summary", "ratio-summary", "aggregate-summary"])
 def test_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, two_shares,
                                                     blocked, reported, missing):
     """A directory named like an output file, which blocks root as well,
     exits 2 with one error line naming the file.  A share stops at its
     failed ratio (ratios 1 and 3 run here, 2 and 4 in the worker), and a
-    failed sweep writes no aggregate."""
+    failed sweep writes no aggregate.  A summary's place is found blocked
+    as its run starts, and an aggregate's as the sweep starts, so no CSV
+    is written ahead of them."""
     cfg = write(tmp_path, TINY + "sweep.ratios = 1, 2, 3, 4\n", "pair.cfg")
     out = tmp_path / "out"
     for name in blocked:
         (out / name).mkdir(parents=True)
-    command = "run" if reported == "pair.csv" else "sweep"
+    command = "run" if reported in ("pair.csv", "pair_summary.json") else "sweep"
     assert main([command, str(cfg), "--out-dir", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err == f"error: cannot write {out / reported}: Is a directory\n"
     for name in missing + ["pair_sweep.csv"] * (command == "sweep"):
